@@ -22,7 +22,6 @@ from .design_space import (
 from .crossbar import (
     ConverterSpec,
     CrossbarSpec,
-    ProgrammedCrossbar,
     ProgrammedTiles,
     SaturationLog,
     adc_quantize,

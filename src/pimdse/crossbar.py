@@ -7,12 +7,30 @@ plus one sign-mask slice carrying negative place weight; this keeps every
 DAC drive and every analog column sum nonnegative while reconstructing the
 exact signed product for any DAC width. Every analog sum passes through an
 ideal saturating ADC; clipping is reported, never hidden.
+
+Storage and reads are array-backed. A programmed matrix is one float32
+array of shape ``(row_tiles, xbar_size, virtual_cols)``: rows are
+zero-padded to ``row_tiles * xbar_size``, and the virtual columns run per
+output, then per digit plane (LSB first), then positive before negative.
+Column tile ``ct`` is the column range ``[ct * xbar_size, (ct+1) * xbar_size)``.
+A read stacks every DAC slice and the sign slice of every input vector
+into one drive tensor ``(row_tiles, slices * n, xbar_size)`` and obtains
+all analog column sums from one batched matmul.
+
+Float32 arithmetic is exact here. Every drive, cell, product and partial
+sum is a nonnegative integer no larger than
+``rows * (2^dac_bits - 1) * (2^cell_bits - 1)`` (576 at 64 rows), and
+``CrossbarSpec`` rejects sizes where that bound reaches 2^24. Below 2^24
+float32 holds every integer, so every sum is exact in any summation
+order. The digital shift-and-add over slices, row tiles
+and planes runs in int64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,13 +58,18 @@ class CrossbarSpec:
             raise ValueError("crossbar arrays are square and nonempty")
         if self.cell_bits not in (1, 2):
             raise ValueError("cell_bits must be 1 or 2")
+        # Largest analog sum: every row at the widest drive (dac 2) and cell.
+        if self.rows * 3 * 3 >= 1 << 24:
+            raise ValueError(
+                f"{self.rows} rows allow column sums beyond 2^24, "
+                "the limit of exact float32 sums"
+            )
 
 
 @dataclass(frozen=True)
 class ConverterSpec:
     dac_bits: int
     adc_bits: int
-    adcs_per_xbar: int = 1  # column multiplexing share; cost/latency only
 
     def __post_init__(self):
         if self.dac_bits not in (1, 2):
@@ -87,9 +110,8 @@ class TileMeta:
     xbar_size: int
     row_tiles: int
     col_tiles: int
-    # Per virtual column: which logical output it feeds and with what
-    # signed plane weight (+/- 2^(plane * cell_bits)).
-    out_index: np.ndarray = field(repr=False, default=None)
+    # Per virtual column: the signed plane weight (+/- 2^(plane * cell_bits)).
+    # Virtual column c feeds logical output c // (planes * 2).
     col_weight: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -98,36 +120,47 @@ class TileMeta:
 
 
 @dataclass
-class ProgrammedCrossbar:
-    """One physical array: unsigned cells plus its position in the tile grid."""
-
-    spec: CrossbarSpec
-    cells: np.ndarray  # (rows, cols) unsigned ints < 2^cell_bits
-    orientation: str = "normal"  # or "transposed-write"
-    row_tile: int = 0
-    col_tile: int = 0
-
-
-@dataclass
 class ProgrammedTiles:
-    """Tile grid realizing one logical matrix, ready for bit-serial reads."""
+    """Tile grid realizing one logical matrix, ready for bit-serial reads.
 
-    tiles: list[ProgrammedCrossbar]
+    ``cells[rt, r, c]`` is the cell at row ``r`` of row tile ``rt`` in
+    virtual column ``c``; column tile ``ct`` is the column range
+    ``[ct * xbar_size, (ct + 1) * xbar_size)``.
+    """
+
+    cells: np.ndarray  # (row_tiles, xbar_size, virtual_cols) float32
     meta: TileMeta
     orientation: str = "normal"
 
-    def tile(self, rt: int, ct: int) -> ProgrammedCrossbar:
-        return self.tiles[rt * self.meta.col_tiles + ct]
 
+def adc_quantize(analog_sum, adc_bits: int):
+    """Ideal saturating reader: clamp to the ADC ceiling, report truncation.
 
-def adc_quantize(analog_sum: int, adc_bits: int) -> tuple[int, bool]:
-    """Ideal saturating reader: clamp to the ADC ceiling, report truncation."""
-    if analog_sum < 0:
+    Works elementwise on arrays of sums; returns the clamped values and the
+    mask of reads that exceeded the ceiling.
+    """
+    sums = np.asarray(analog_sum)
+    if np.any(sums < 0):
         raise OutOfRange("analog sums are nonnegative by construction")
     limit = (1 << adc_bits) - 1
-    if analog_sum > limit:
-        return limit, True
-    return analog_sum, False
+    return np.minimum(sums, limit), sums > limit
+
+
+@lru_cache(maxsize=None)
+def _digit_table(w_bits: int, cell_bits: int) -> np.ndarray:
+    """Row ``v + 2^(w_bits-1)`` holds the ``planes * 2`` cell digits of the
+    signed weight ``v``: per plane, LSB first, positive then negative."""
+    planes = math.ceil(w_bits / cell_bits)
+    half = 1 << (w_bits - 1)
+    values = np.arange(-half, half, dtype=np.int64)
+    shifts = np.arange(planes) * cell_bits
+    mask = (1 << cell_bits) - 1
+    table = np.empty((2 * half, planes, 2), dtype=np.float32)
+    table[:, :, 0] = (np.maximum(values, 0)[:, None] >> shifts) & mask
+    table[:, :, 1] = (np.maximum(-values, 0)[:, None] >> shifts) & mask
+    table = table.reshape(2 * half, planes * 2)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def program_signed(
@@ -157,40 +190,14 @@ def program_signed(
     row_tiles = math.ceil(in_dim / spec.rows)
     col_tiles = math.ceil(vcols / spec.cols)
 
-    pos = np.maximum(m, 0)
-    neg = np.maximum(-m, 0)
-    virtual = np.zeros((in_dim, vcols), dtype=np.int64)
-    out_index = np.zeros(vcols, dtype=np.int64)
-    col_weight = np.zeros(vcols, dtype=np.int64)
-    mask = (1 << cb) - 1
-    for j in range(out_dim):
-        for k in range(planes):
-            base = j * planes * 2 + k * 2
-            virtual[:, base] = (pos[:, j] >> (k * cb)) & mask
-            virtual[:, base + 1] = (neg[:, j] >> (k * cb)) & mask
-            out_index[base] = out_index[base + 1] = j
-            col_weight[base] = 1 << (k * cb)
-            col_weight[base + 1] = -(1 << (k * cb))
+    # Padding rows hold weight 0, whose digits are all zero.
+    offset = 1 << (w_bits - 1)
+    index = np.full((row_tiles * spec.rows, out_dim), offset, dtype=np.int64)
+    index[:in_dim] = m + offset
+    cells = np.take(_digit_table(w_bits, cb), index, axis=0)
+    cells = cells.reshape(row_tiles, spec.rows, vcols)
 
-    tiles = []
-    for rt in range(row_tiles):
-        r0 = rt * spec.rows
-        chunk_r = virtual[r0 : r0 + spec.rows, :]
-        for ct in range(col_tiles):
-            c0 = ct * spec.cols
-            chunk = chunk_r[:, c0 : c0 + spec.cols]
-            cells = np.zeros((spec.rows, spec.cols), dtype=np.int64)
-            cells[: chunk.shape[0], : chunk.shape[1]] = chunk
-            tiles.append(
-                ProgrammedCrossbar(
-                    spec=spec,
-                    cells=cells,
-                    orientation=orientation,
-                    row_tile=rt,
-                    col_tile=ct,
-                )
-            )
-
+    place = np.left_shift(1, np.arange(planes) * cb)
     meta = TileMeta(
         in_dim=in_dim,
         out_dim=out_dim,
@@ -200,25 +207,31 @@ def program_signed(
         xbar_size=spec.rows,
         row_tiles=row_tiles,
         col_tiles=col_tiles,
-        out_index=out_index,
-        col_weight=col_weight,
+        col_weight=np.tile(np.stack([place, -place], axis=1).ravel(), out_dim),
     )
-    return ProgrammedTiles(tiles=tiles, meta=meta, orientation=orientation)
+    return ProgrammedTiles(cells=cells, meta=meta, orientation=orientation)
 
 
-def _input_slices(x: np.ndarray, a_bits: int, dac_bits: int):
-    """Unsigned digit slices of the two's-complement form plus the sign mask.
+def _drives(x: np.ndarray, a_bits: int, dac_bits: int, row_tiles: int, rows: int):
+    """Word-line drives of every row tile: the unsigned digit slices of the
+    two's-complement form, then the sign mask, each over all input vectors.
 
-    Reconstruction: x = sum_k digit_k * 2^(k*dac_bits) - 2^a_bits * [x < 0].
+    Returns a ``(row_tiles, slices * n, rows)`` float32 tensor and the place
+    weight of each slice. Reconstruction:
+    x = sum_k digit_k * 2^(k*dac_bits) - 2^a_bits * [x < 0].
     """
     n_slices = math.ceil(a_bits / dac_bits)
-    u = x & ((1 << a_bits) - 1)
-    digit_mask = (1 << dac_bits) - 1
-    slices = [(u >> (k * dac_bits)) & digit_mask for k in range(n_slices)]
-    weights = [1 << (k * dac_bits) for k in range(n_slices)]
-    slices.append((x < 0).astype(np.int64))
-    weights.append(-(1 << a_bits))
-    return slices, weights
+    n = x.shape[1]
+    padded = np.zeros((row_tiles * rows, n), dtype=np.int64)
+    padded[: x.shape[0]] = x
+    xt = padded.T.reshape(n, row_tiles, rows).transpose(1, 0, 2)  # (rt, n, rows)
+    u = xt & ((1 << a_bits) - 1)
+    shifts = np.arange(n_slices) * dac_bits
+    drives = np.empty((row_tiles, n_slices + 1, n, rows), dtype=np.float32)
+    drives[:, :n_slices] = (u[:, None] >> shifts[:, None, None]) & ((1 << dac_bits) - 1)
+    drives[:, n_slices] = xt < 0
+    weights = np.append(np.left_shift(1, shifts), -(1 << a_bits))
+    return drives.reshape(row_tiles, (n_slices + 1) * n, rows), weights
 
 
 def mvm(
@@ -247,38 +260,18 @@ def mvm(
     if np.any(np.abs(x) >= 1 << (a_bits - 1)):
         raise OutOfRange(f"inputs exceed signed {a_bits}-bit range")
 
-    limit = (1 << conv.adc_bits) - 1
-    log = SaturationLog()
     n = x.shape[1]
-    acc = np.zeros((meta.virtual_cols, n), dtype=np.int64)
+    drives, weights = _drives(x, a_bits, conv.dac_bits, meta.row_tiles, meta.xbar_size)
+    sums = np.matmul(drives, pt.cells)  # every analog column sum, exact
+    read, over = adc_quantize(sums, conv.adc_bits)
+    log = SaturationLog(clip_count=int(np.count_nonzero(over)))
+    if log.clip_count:
+        log.max_overflow = int(sums.max()) - ((1 << conv.adc_bits) - 1)
 
-    for rt in range(meta.row_tiles):
-        r0 = rt * meta.xbar_size
-        chunk = x[r0 : r0 + meta.xbar_size, :]
-        slices, weights = _input_slices(chunk, a_bits, conv.dac_bits)
-        drives = []
-        for drive, w in zip(slices, weights):
-            if not drive.any():
-                continue  # zero drive: zero sums, no clips, no contribution
-            padded = np.zeros((meta.xbar_size, n), dtype=np.int64)
-            padded[: drive.shape[0], :] = drive
-            drives.append((padded, w))
-        for ct in range(meta.col_tiles):
-            tile = pt.tile(rt, ct)
-            c0 = ct * meta.xbar_size
-            c1 = min(c0 + meta.xbar_size, meta.virtual_cols)
-            width = c1 - c0
-            for padded, w in drives:
-                sums = padded.T @ tile.cells[:, :width]  # (n, width)
-                over = sums > limit
-                if over.any():
-                    log.clip_count += int(over.sum())
-                    log.max_overflow = max(log.max_overflow, int((sums - limit).max()))
-                    sums = np.minimum(sums, limit)
-                acc[c0:c1, :] += w * sums.T
-
-    out = np.zeros((meta.out_dim, n), dtype=np.int64)
-    np.add.at(out, meta.out_index, meta.col_weight[:, None] * acc)
+    # Shift-and-add over row tiles and slices, then over planes and signs.
+    digital = read.astype(np.int64).reshape(meta.row_tiles, len(weights), n, -1).sum(axis=0)
+    acc = np.tensordot(weights, digital, axes=1) * meta.col_weight  # (n, virtual_cols)
+    out = acc.reshape(n, meta.out_dim, meta.planes * 2).sum(axis=2).T
     return (out if batched else out[:, 0]), log
 
 
@@ -323,6 +316,9 @@ def mbsa_square(v, v_bits: int) -> np.ndarray:
 def tiles_to_json(pt: ProgrammedTiles) -> dict:
     """Debug dump of a programmed tile grid (cells as plain integer lists)."""
     meta = pt.meta
+    x = meta.xbar_size
+    padded = np.zeros((meta.row_tiles, x, meta.col_tiles * x), dtype=np.int64)
+    padded[:, :, : meta.virtual_cols] = pt.cells
     return {
         "orientation": pt.orientation,
         "in_dim": meta.in_dim,
@@ -335,10 +331,11 @@ def tiles_to_json(pt: ProgrammedTiles) -> dict:
         "col_tiles": meta.col_tiles,
         "tiles": [
             {
-                "row_tile": t.row_tile,
-                "col_tile": t.col_tile,
-                "cells": t.cells.tolist(),
+                "row_tile": rt,
+                "col_tile": ct,
+                "cells": padded[rt, :, ct * x : (ct + 1) * x].tolist(),
             }
-            for t in pt.tiles
+            for rt in range(meta.row_tiles)
+            for ct in range(meta.col_tiles)
         ],
     }

@@ -476,20 +476,15 @@ def dp_engine_forward(x_matrix, reram, a_bits=DEFAULT_ACTIVATION_BITS):
 
     The row matrix is programmed column-wise (its transpose lands on the
     array directly); feeding row i back on the word lines yields its inner
-    products with every stored row in one read. Returns the strict upper
-    triangle of X X^T flattened row-major.
+    products with every stored row. Rows 0..m-2 are fed as one batched
+    read sharing one saturation log. Returns the strict upper triangle of
+    X X^T flattened row-major.
     """
     x = np.asarray(x_matrix, dtype=np.int64)
     m = x.shape[0]
     pt = program_signed(x.T, a_bits, _xbar_spec(reram), orientation="transposed-write")
-    conv = _conv(reram)
-    log = SaturationLog()
-    out = []
-    for i in range(m - 1):
-        row, lg = mvm(pt, x[i], a_bits, conv)
-        log.merge(lg)
-        out.extend(int(v) for v in row[i + 1 :])
-    return np.asarray(out, dtype=np.int64), log
+    products, log = mvm(pt, x[: m - 1].T, a_bits, _conv(reram))  # [j, i] = <x_j, x_i>
+    return products.T[np.triu_indices(m - 1, 1, m)], log
 
 
 def fm_engine_forward(vectors, reram, a_bits=DEFAULT_ACTIVATION_BITS):

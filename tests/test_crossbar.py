@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimdse.crossbar import (
     CapacityExceeded,
@@ -24,17 +26,65 @@ def reconstruct(pt):
     """Independent oracle: rebuild the signed matrix from the tile planes."""
     meta = pt.meta
     total = np.zeros((meta.in_dim, meta.out_dim), dtype=np.int64)
-    for tile in pt.tiles:
-        r0 = tile.row_tile * meta.xbar_size
-        c0 = tile.col_tile * meta.xbar_size
+    for rt in range(meta.row_tiles):
+        r0 = rt * meta.xbar_size
         rows = min(meta.xbar_size, meta.in_dim - r0)
-        cols = min(meta.xbar_size, meta.virtual_cols - c0)
-        for c in range(cols):
-            vcol = c0 + c
-            total[r0 : r0 + rows, meta.out_index[vcol]] += (
-                meta.col_weight[vcol] * tile.cells[:rows, c]
+        for vcol in range(meta.virtual_cols):
+            total[r0 : r0 + rows, vcol // (meta.planes * 2)] += (
+                meta.col_weight[vcol] * pt.cells[rt, :rows, vcol].astype(np.int64)
             )
     return total
+
+
+def tile_views(pt):
+    """Every (row tile, column tile) block of the stacked cell array."""
+    x = pt.meta.xbar_size
+    return [
+        pt.cells[rt, :, ct * x : (ct + 1) * x]
+        for rt in range(pt.meta.row_tiles)
+        for ct in range(pt.meta.col_tiles)
+    ]
+
+
+def tile_loop_mvm(pt, x, a_bits, conv):
+    """Oracle: the per-tile, per-slice integer read loop, one ADC at a time."""
+    meta = pt.meta
+    x = np.asarray(x, dtype=np.int64)
+    batched = x.ndim == 2
+    if not batched:
+        x = x[:, None]
+    limit = (1 << conv.adc_bits) - 1
+    clip_count = max_overflow = 0
+    n = x.shape[1]
+    acc = np.zeros((meta.virtual_cols, n), dtype=np.int64)
+    n_slices = math.ceil(a_bits / conv.dac_bits)
+    for rt in range(meta.row_tiles):
+        r0 = rt * meta.xbar_size
+        chunk = np.zeros((meta.xbar_size, n), dtype=np.int64)
+        chunk[: min(meta.xbar_size, meta.in_dim - r0)] = x[r0 : r0 + meta.xbar_size]
+        u = chunk & ((1 << a_bits) - 1)
+        drives = [
+            ((u >> (k * conv.dac_bits)) & ((1 << conv.dac_bits) - 1), 1 << (k * conv.dac_bits))
+            for k in range(n_slices)
+        ]
+        drives.append(((chunk < 0).astype(np.int64), -(1 << a_bits)))
+        drives = [(d, w) for d, w in drives if d.any()]  # zero drives cannot clip
+        for ct in range(meta.col_tiles):
+            c0 = ct * meta.xbar_size
+            c1 = min(c0 + meta.xbar_size, meta.virtual_cols)
+            cells = pt.cells[rt, :, c0:c1].astype(np.int64)
+            for drive, w in drives:
+                sums = drive.T @ cells
+                over = sums > limit
+                if over.any():
+                    clip_count += int(over.sum())
+                    max_overflow = max(max_overflow, int((sums - limit).max()))
+                    sums = np.minimum(sums, limit)
+                acc[c0:c1, :] += w * sums.T
+    out = np.zeros((meta.out_dim, n), dtype=np.int64)
+    out_index = np.arange(meta.virtual_cols) // (meta.planes * 2)
+    np.add.at(out, out_index, meta.col_weight[:, None] * acc)
+    return (out if batched else out[:, 0]), clip_count, max_overflow
 
 
 class TestAdcQuantize:
@@ -52,17 +102,31 @@ class TestAdcQuantize:
         with pytest.raises(OutOfRange):
             adc_quantize(-1, 8)
 
+    def test_elementwise_on_arrays(self):
+        values, over = adc_quantize(np.array([[0, 15], [16, 40]], dtype=np.float32), 4)
+        assert values.tolist() == [[0, 15], [15, 15]]
+        assert over.tolist() == [[False, False], [True, True]]
+
+
+class TestCrossbarSpec:
+    def test_float32_exactness_bound(self):
+        # rows * 3 * 3 must stay below 2^24 for exact float32 column sums.
+        largest = ((1 << 24) - 1) // 9
+        assert CrossbarSpec(largest, largest, 2).rows == largest
+        with pytest.raises(ValueError, match="2\\^24"):
+            CrossbarSpec(largest + 1, largest + 1, 1)
+
 
 class TestProgramSigned:
     def test_digit_decomposition(self):
         pt = program_signed([[3]], 4, CrossbarSpec(16, 16, 2))
         assert pt.meta.planes == 2
         # virtual columns: (plane0 +, plane0 -, plane1 +, plane1 -)
-        assert pt.tiles[0].cells[0, :4].tolist() == [3, 0, 0, 0]
+        assert pt.cells[0, 0, :4].tolist() == [3, 0, 0, 0]
 
     def test_sign_split(self):
         pt = program_signed([[-1]], 4, CrossbarSpec(16, 16, 1))
-        cells = pt.tiles[0].cells[0]
+        cells = pt.cells[0, 0]
         assert cells[0] == 0 and cells[1] == 1  # LSB negative plane holds the 1
 
     def test_reconstruction_identity_fuzz(self):
@@ -88,9 +152,10 @@ class TestProgramSigned:
         for cell in (1, 2):
             w = rng.integers(-127, 128, (20, 5))
             pt = program_signed(w, 8, CrossbarSpec(16, 16, cell))
-            for tile in pt.tiles:
-                assert tile.cells.min() >= 0
-                assert tile.cells.max() < (1 << cell)
+            for tile in tile_views(pt):
+                assert tile.min() >= 0
+                assert tile.max() < (1 << cell)
+                assert np.array_equal(tile, np.floor(tile))
 
     def test_tiling_covers_every_weight_once(self):
         # Conservation: summed tile footprints equal the virtual grid.
@@ -100,7 +165,8 @@ class TestProgramSigned:
         meta = pt.meta
         assert meta.row_tiles == math.ceil(40 / 16)
         assert meta.col_tiles == math.ceil(meta.virtual_cols / 16)
-        assert len(pt.tiles) == meta.row_tiles * meta.col_tiles
+        assert pt.cells.shape == (meta.row_tiles, 16, meta.virtual_cols)
+        assert len(tile_views(pt)) == meta.row_tiles * meta.col_tiles
         assert np.array_equal(reconstruct(pt), w)
 
 
@@ -179,6 +245,43 @@ class TestMvm:
             rxy, lxy = mvm(pt, x + y, 8, conv)
             if lx.clean and ly.clean and lxy.clean:
                 assert np.array_equal(rxy, rx + ry)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    xbar=st.sampled_from([16, 32, 64]),
+    cell=st.sampled_from([1, 2]),
+    dac=st.sampled_from([1, 2]),
+    adc=st.sampled_from([4, 6, 8]),
+    w_bits=st.sampled_from([4, 8]),
+    a_bits=st.sampled_from([2, 4, 8]),
+    in_dim=st.integers(1, 140),
+    out_dim=st.integers(1, 12),
+    batch=st.integers(0, 3),  # 0: a single 1-D drive vector
+    extreme=st.booleans(),  # full-scale weights and inputs, so reads clip
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_read_matches_tile_loop(
+    xbar, cell, dac, adc, w_bits, a_bits, in_dim, out_dim, batch, extreme, seed
+):
+    rng = np.random.default_rng(seed)
+    w_lim = (1 << (w_bits - 1)) - 1
+    a_lim = (1 << (a_bits - 1)) - 1
+    shape = (in_dim, batch) if batch else (in_dim,)
+    if extreme:
+        w = w_lim * rng.choice([-1, 1], (in_dim, out_dim))
+        x = a_lim * rng.choice([-1, 1], shape)
+    else:
+        w = rng.integers(-w_lim, w_lim + 1, (in_dim, out_dim))
+        x = rng.integers(-a_lim, a_lim + 1, shape)
+    pt = program_signed(w, w_bits, CrossbarSpec(xbar, xbar, cell))
+    conv = ConverterSpec(dac, adc)
+    y, log = mvm(pt, x, a_bits, conv)
+    want, clip_count, max_overflow = tile_loop_mvm(pt, x, a_bits, conv)
+    assert y.shape == want.shape and np.array_equal(y, want)
+    assert (log.clip_count, log.max_overflow) == (clip_count, max_overflow)
+    if log.clean:
+        assert np.array_equal(y, x @ w if batch == 0 else w.T @ x)
 
 
 class TestTransposedProgram:
