@@ -40,12 +40,18 @@ from .mapping import (
     map_fm,
     map_model,
 )
-from .cost_model import CostReport, TechParams, default_tech, model_cost, op_latency
+from .cost_model import (
+    CostReport,
+    TechParams,
+    default_tech,
+    model_cost,
+    op_latency,
+    overlap_ready_time,
+)
 from .pipeline import (
     EmbeddingPlacement,
     Schedule,
     ThroughputReport,
-    overlap_ready_time,
     place_embeddings,
     schedule,
     simulate,

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -130,7 +131,7 @@ def cmd_simulate(args) -> int:
     )
     report = simulate(mm, tech, lookup_model=lookup, overlap=not args.no_overlap)
     timeline = schedule(
-        mm, tech, overlap=not args.no_overlap, lookup_time=lookup.latencies()[0]
+        mm, tech, overlap=not args.no_overlap, lookup_time=lookup.latencies[0]
     )
     _dump(
         {
@@ -152,12 +153,8 @@ def cmd_search(args) -> int:
         cfg = SearchConfig.from_json(args.search_config)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load search config {args.search_config}: {exc}", EXIT_PARSE) from exc
-    overrides = _cfg_dict(cfg)
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    cfg = SearchConfig.from_dict(overrides)
+        cfg = replace(cfg, seed=args.seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -222,20 +219,6 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _cfg_dict(cfg: SearchConfig) -> dict:
-    return {
-        "num_generations": cfg.num_generations,
-        "num_children": cfg.num_children,
-        "num_mutations": cfg.num_mutations,
-        "lambdas": list(cfg.lambdas),
-        "targets": list(cfg.targets) if cfg.targets is not None else None,
-        "population_init_size": cfg.population_init_size,
-        "tournament_size": cfg.tournament_size,
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pimdse",
@@ -277,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--external", help="CSV of externally measured losses")
     p_search.add_argument("--out", required=True, help="output directory")
     p_search.add_argument("--seed", type=int, help="override the config seed")
-    p_search.add_argument("--workers", type=int, help="parallel child evaluations")
     p_search.set_defaults(func=cmd_search)
     return parser
 

@@ -241,13 +241,27 @@ def overlap_ready_time(k: int, t_e: float, t_p: float) -> float:
     return t_e + (k - 1) * max(t_e, t_p) + t_p
 
 
-def stage_times(
-    mm: MappedModel,
+def _engine_ready(
+    t0: float,
+    t_e: float,
+    engine: MappedOperator,
+    fc_out: MappedOperator,
     tp: TechParams,
-    reram: ReRAMConfig | None = None,
-    a_bits: int = DEFAULT_ACTIVATION_BITS,
-    overlap: bool = True,
-) -> dict[str, float]:
+    reram: ReRAMConfig,
+) -> float:
+    """``t0`` plus the overlapped programming train of a runtime-programmed
+    engine (per-vector production time ``t_e``), its read and its trailing FC.
+
+    The one engine-overlap formula, shared by :func:`stage_times` and
+    :func:`pimdse.pipeline.schedule`. The sum is taken left to right from
+    ``t0``; reordering it would move results in the last bit.
+    """
+    t = t0 + overlap_ready_time(engine.programming_vectors, t_e, tp.xbar_write_time)
+    t = t + read_latency(engine, tp, reram, DEFAULT_ACTIVATION_BITS)
+    return t + op_latency(fc_out, tp, reram)
+
+
+def stage_times(mm: MappedModel, tp: TechParams, overlap: bool = True) -> dict[str, float]:
     """Per-operator pipeline-stage occupancy.
 
     With overlap enabled, runtime-programmed engines hide vector programming
@@ -255,59 +269,50 @@ def stage_times(
     stream, and the FM engine overlaps the sparse production of its source
     blocks (the stem stream counts the bank access time per vector).
     """
-    reram = mm.reram if reram is None else reram
+    reram = mm.reram
     times: dict[str, float] = {}
     sparse_branch: dict[int, float] = {0: tp.t_bank}  # stem production = lookup
     for blk in mm.model.blocks:
         sparse_branch[blk.index] = 0.0
 
     for op in mm.operators:
-        if not op.parts or not overlap:
-            t = op_latency(op, tp, reram, a_bits)
+        if op.engine is Engine.MVM or not overlap:
+            t = op_latency(op, tp, reram)
         elif op.engine is Engine.DP:
-            front = [p for p in op.parts if p.op_id.endswith((".fc_front", ".efc"))]
-            engine = next(p for p in op.parts if p.op_id.endswith(".engine"))
-            fc_out = next(p for p in op.parts if p.op_id.endswith(".fc_out"))
-            k = engine.programming_vectors
-            t_e = sum(read_latency(p, tp, reram, a_bits) for p in front) / k
-            t = overlap_ready_time(k, t_e, tp.xbar_write_time)
-            t += read_latency(engine, tp, reram, a_bits)
-            t += op_latency(fc_out, tp, reram, a_bits)
+            *front, engine, fc_out = op.parts
+            produced = sum(read_latency(p, tp, reram, DEFAULT_ACTIVATION_BITS) for p in front)
+            t_e = produced / engine.programming_vectors
+            t = _engine_ready(0.0, t_e, engine, fc_out, tp, reram)
         else:  # FM: producers are the source blocks' sparse branches
-            engine = next(p for p in op.parts if p.op_id.endswith(".engine"))
-            fc_out = next(p for p in op.parts if p.op_id.endswith(".fc_out"))
-            k = engine.programming_vectors
+            *_, engine, fc_out = op.parts
             produced = sum(
                 sparse_branch[s] for s, stream in op.consumes if stream == "sparse"
             )
-            t_e = produced / k
+            t_e = produced / engine.programming_vectors
             # Occupancy counts from the first vector's arrival: the engine is
             # held through the arrival-limited programming train.
-            t = overlap_ready_time(k, t_e, tp.xbar_write_time) - t_e
-            t += read_latency(engine, tp, reram, a_bits)
-            t += op_latency(fc_out, tp, reram, a_bits)
+            t = _engine_ready(-t_e, t_e, engine, fc_out, tp, reram)
         times[op.op_id] = t
         if op.branch == "sparse" and op.block_index in sparse_branch:
             sparse_branch[op.block_index] += t
     return times
 
 
-def model_cost(
-    mm: MappedModel,
-    tp: TechParams,
-    reram: ReRAMConfig | None = None,
-    a_bits: int = DEFAULT_ACTIVATION_BITS,
-) -> CostReport:
-    """Aggregate cost of a mapped model; every total is an exact component sum."""
-    reram = mm.reram if reram is None else reram
+def model_cost(mm: MappedModel, tp: TechParams) -> CostReport:
+    """Aggregate cost of a mapped model; every total is an exact component sum.
+
+    Tile counts and engine widths are fixed when the model is mapped, so the
+    mapping's own ReRAM configuration and activation width price them.
+    """
+    reram = mm.reram
 
     op_areas = {op.op_id: op_area(op, tp, reram) for op in mm.operators}
-    op_energies = {op.op_id: op_energy(op, tp, reram, a_bits) for op in mm.operators}
-    latencies = {op.op_id: op_latency(op, tp, reram, a_bits) for op in mm.operators}
-    stages = stage_times(mm, tp, reram, a_bits, overlap=True)
+    op_energies = {op.op_id: op_energy(op, tp, reram) for op in mm.operators}
+    latencies = {op.op_id: op_latency(op, tp, reram) for op in mm.operators}
+    stages = stage_times(mm, tp, overlap=True)
 
     memory_area = mm.tile_plan["memory_tiles"] * reram.xbar_size**2 * tp.cell_area
-    cells_per_value = math.ceil(a_bits / reram.cell_bits)
+    cells_per_value = math.ceil(DEFAULT_ACTIVATION_BITS / reram.cell_bits)
     memory_energy = (
         mm.model.num_sparse_features
         * mm.model.embedding_dim

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -625,14 +625,8 @@ def _global_quant_estimate(space: SpaceDescriptor) -> int:
     # Same space counted with one global weight-bit choice instead of
     # per-operator choices; useful as a cross-check against published
     # space-size figures that do not state their convention.
-    total = len(space.weight_bits)
-    total *= _reram_combo_count(space)
-    for i in range(1, space.num_blocks + 1):
-        block = len(space.dense_dims) * len(space.sparse_dims)
-        block *= _branch_count(len(space.dense_operators), i, 1)
-        block *= _branch_count(len(space.sparse_operators), i, 1)
-        total *= block
-    return total
+    one_width = replace(space, weight_bits=space.weight_bits[:1])
+    return len(space.weight_bits) * cardinality(one_width)
 
 
 def cardinality_report(space: SpaceDescriptor = DEFAULT_SPACE) -> dict:

@@ -72,6 +72,15 @@ class DPGeometry:
 
 @dataclass(frozen=True)
 class MappedOperator:
+    """One mapped operator: a leaf with its own tiles, or a composite.
+
+    A composite (``engine`` DP or FM) has ``parts == (*front, engine,
+    fc_out)``: the MVM leaves producing the engine's operands (DP: the front
+    FC and EFC; FM: none, its operands are source sparse vectors), the
+    runtime-programmed engine leaf, and the trailing MVM FC. Every other
+    operator is a leaf with ``parts == ()``.
+    """
+
     op_id: str
     kind: OperatorKind
     engine: Engine
@@ -90,10 +99,6 @@ class MappedOperator:
     block_index: int = 0
     branch: str = ""
     consumes: tuple[tuple[int, str], ...] = ()  # (source block, stream)
-
-    @property
-    def is_composite(self) -> bool:
-        return bool(self.parts)
 
     @property
     def tiles(self) -> int:
@@ -521,23 +526,18 @@ def weight_shapes(mm: MappedModel) -> dict[str, tuple[int, int]]:
     return shapes
 
 
-def leaf_bits(mm: MappedModel) -> dict[str, int]:
-    return {
-        leaf.op_id: leaf.w_bits
-        for op in mm.operators
-        for leaf in op.leaves()
-        if leaf.engine is Engine.MVM
-    }
-
-
 def random_weights(mm: MappedModel, seed: int) -> dict[str, np.ndarray]:
-    """Integer weights in range for every weight-carrying leaf."""
+    """Integer weights in range for every weight-carrying leaf, drawn in
+    leaf order."""
     rng = np.random.default_rng(seed)
-    bits = leaf_bits(mm)
     out = {}
-    for op_id, shape in weight_shapes(mm).items():
-        lim = (1 << (bits[op_id] - 1)) - 1
-        out[op_id] = rng.integers(-lim, lim + 1, size=shape, dtype=np.int64)
+    for op in mm.operators:
+        for leaf in op.leaves():
+            if leaf.engine is Engine.MVM:
+                lim = (1 << (leaf.w_bits - 1)) - 1
+                out[leaf.op_id] = rng.integers(
+                    -lim, lim + 1, size=(leaf.out_dim, leaf.in_dim), dtype=np.int64
+                )
     return out
 
 

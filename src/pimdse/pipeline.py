@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cost_model import (
-    TechParams,
-    op_latency,
-    overlap_ready_time,
-    read_latency,
-    stage_times,
-)
-from .design_space import OperatorKind, ReRAMConfig
-from .mapping import DEFAULT_ACTIVATION_BITS, MappedModel
+from .cost_model import TechParams, _engine_ready, stage_times
+from .mapping import Engine, MappedModel
 
 
 class UnplacedId(KeyError):
@@ -31,7 +25,6 @@ class UnplacedId(KeyError):
 class EmbeddingPlacement:
     assignment: dict          # embedding row id -> bank index
     num_banks: int
-    frequencies: dict         # ordering source, kept for reporting
 
     def bank_of(self, row_id) -> int:
         try:
@@ -52,7 +45,7 @@ def place_embeddings(freqs: dict, num_banks: int) -> EmbeddingPlacement:
         raise ValueError("num_banks must be >= 1")
     ranked = sorted(freqs, key=lambda i: (-freqs[i], i))
     assignment = {row_id: rank % num_banks for rank, row_id in enumerate(ranked)}
-    return EmbeddingPlacement(assignment=assignment, num_banks=num_banks, frequencies=dict(freqs))
+    return EmbeddingPlacement(assignment=assignment, num_banks=num_banks)
 
 
 def simulate_lookup(trace, placement: EmbeddingPlacement, t_bank: float) -> list[float]:
@@ -74,8 +67,10 @@ class LookupModel:
     trace: tuple
     t_bank: float
 
-    def latencies(self) -> list[float]:
-        return simulate_lookup(self.trace, self.placement, self.t_bank)
+    @cached_property
+    def latencies(self) -> tuple[float, ...]:
+        """Per-query lookup latencies; the trace is fixed, so computed once."""
+        return tuple(simulate_lookup(self.trace, self.placement, self.t_bank))
 
 
 def zipf_lookup_model(
@@ -132,6 +127,7 @@ class StageEvent:
 class Schedule:
     events: tuple[StageEvent, ...]
     edges: tuple[tuple[str, str], ...]  # (producer event, consumer event)
+    occupancy: dict  # stage_times the timeline was built from; not serialized
 
     @property
     def end_time(self) -> float:
@@ -175,21 +171,21 @@ class ThroughputReport:
 def schedule(
     mm: MappedModel,
     tp: TechParams,
-    reram: ReRAMConfig | None = None,
-    a_bits: int = DEFAULT_ACTIVATION_BITS,
     overlap: bool = True,
     lookup_time: float | None = None,
 ) -> Schedule:
     """Timeline of one query through the mapped model.
 
-    Operators start once every source stream is ready; runtime-programmed
-    engines additionally overlap their vector programming with production
-    (``overlap=False`` serializes it, for comparison). Dense branches pay
-    one functional-unit activation pass; sparse branches pass through.
+    Each operator starts once every source stream is ready and holds its
+    stage for its :func:`~pimdse.cost_model.stage_times` occupancy, which
+    the schedule keeps. With ``overlap`` an FM engine instead starts
+    programming when the last of its source sparse branches starts, and
+    ends at the shared engine-overlap formula; ``overlap=False`` serializes
+    engine programming, for comparison. Dense branches pay one functional-unit
+    activation pass; sparse branches pass through.
     """
-    reram = mm.reram if reram is None else reram
     lookup_t = tp.t_bank if lookup_time is None else lookup_time
-    occ = stage_times(mm, tp, reram, a_bits, overlap=overlap)
+    occ = stage_times(mm, tp, overlap=overlap)
 
     events = [StageEvent("lookup", 0.0, lookup_t, "lookup")]
     edges: list[tuple[str, str]] = []
@@ -205,18 +201,17 @@ def schedule(
         for op in (o for o in mm.operators if o.block_index == blk.index):
             start = max(stream_ready(s, stream) for s, stream in op.consumes)
             end = start + occ[op.op_id]
-            if overlap and op.kind is OperatorKind.FM and op.parts:
-                # FM programming begins as source sparse vectors emerge: the
-                # production window is taken from the timeline, so eager
-                # programming can only improve on the serialized plan.
+            if overlap and op.engine is Engine.FM:
+                # Occupancy has no timeline, so it spreads the source
+                # branches' summed production over the vectors. Here the
+                # branches' start and end times are known, so the engine is
+                # programmed across the observed production window instead;
+                # eager programming can only improve on the serialized plan.
+                *_, engine, fc_out = op.parts
                 start = max(sparse_start[s] for s, stream in op.consumes)
                 window = max(sparse_ready[s] for s, stream in op.consumes) - start
-                engine = next(p for p in op.parts if p.op_id.endswith(".engine"))
-                fc_out = next(p for p in op.parts if p.op_id.endswith(".fc_out"))
-                k = engine.programming_vectors
-                end = start + overlap_ready_time(k, window / k, tp.xbar_write_time)
-                end += read_latency(engine, tp, reram, a_bits)
-                end += op_latency(fc_out, tp, reram, a_bits)
+                t_e = window / engine.programming_vectors
+                end = _engine_ready(start, t_e, engine, fc_out, tp, mm.reram)
             events.append(StageEvent(op.op_id, start, end, "compute"))
             for s, stream in op.consumes:
                 edges.append((_stream_event(s, stream), op.op_id))
@@ -232,7 +227,7 @@ def schedule(
     start = dense_ready[mm.model.blocks[-1].index]
     events.append(StageEvent("final_fc", start, start + occ["final_fc"], "compute"))
     edges.append((_stream_event(mm.model.blocks[-1].index, "dense"), "final_fc"))
-    return Schedule(events=tuple(events), edges=tuple(edges))
+    return Schedule(events=tuple(events), edges=tuple(edges), occupancy=occ)
 
 
 def _stream_event(source: int, stream: str) -> str:
@@ -242,24 +237,21 @@ def _stream_event(source: int, stream: str) -> str:
 def simulate(
     mm: MappedModel,
     tp: TechParams,
-    reram: ReRAMConfig | None = None,
-    a_bits: int = DEFAULT_ACTIVATION_BITS,
     lookup_model: LookupModel | None = None,
     overlap: bool = True,
 ) -> ThroughputReport:
     """End-to-end latency and steady-state throughput for one mapped model."""
-    reram = mm.reram if reram is None else reram
     if lookup_model is not None:
-        lookup_lat = lookup_model.latencies()
+        lookup_lat = lookup_model.latencies
         first_lookup = lookup_lat[0] if lookup_lat else tp.t_bank
         worst_lookup = max(lookup_lat) if lookup_lat else tp.t_bank
     else:
         first_lookup = worst_lookup = tp.t_bank
 
-    sched = schedule(mm, tp, reram, a_bits, overlap=overlap, lookup_time=first_lookup)
+    sched = schedule(mm, tp, overlap=overlap, lookup_time=first_lookup)
     latency = sched.end_time + tp.activation_time  # final functional-unit pass
 
-    stages = dict(stage_times(mm, tp, reram, a_bits, overlap=overlap))
+    stages = dict(sched.occupancy)
     stages["lookup"] = worst_lookup
     bottleneck = max(stages, key=lambda k: (stages[k], k))
     bottleneck_time = stages[bottleneck]

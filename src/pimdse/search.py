@@ -5,7 +5,8 @@ mutation, evaluate loss and hardware metrics, scalarize into the criterion,
 append, sort ascending and drop the worst, keeping the population size
 constant. Fully deterministic for a given config: selection randomness
 comes from one seeded generator and every mutation seed is derived by
-hashing, so child evaluation may run in parallel and commit in child order.
+hashing. Children are evaluated one after another, in child order; the
+evaluation is pure Python, so threads would only contend for the GIL.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import logging
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable
@@ -49,7 +49,6 @@ class SearchConfig:
     population_init_size: int = 64
     tournament_size: int = 10
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         counts = (
@@ -58,7 +57,6 @@ class SearchConfig:
             self.num_mutations,
             self.population_init_size,
             self.tournament_size,
-            self.workers,
         )
         if any(c < 1 for c in counts):
             raise ValueError("all counts must be >= 1")
@@ -233,23 +231,14 @@ def run_search(
     skipped = 0
 
     def evaluate(point: DesignPoint):
-        pid = point.point_id
-        if pid not in cache:
-            cache[pid] = (loss_fn(point), tuple(metric_fn(point)))
-        return cache[pid]
-
-    def safe_evaluate(point: DesignPoint):
+        """(loss, metrics) of a point, or the exception its evaluation raised."""
         try:
-            return evaluate(point)
+            pid = point.point_id
+            if pid not in cache:
+                cache[pid] = (loss_fn(point), tuple(metric_fn(point)))
+            return cache[pid]
         except Exception as exc:  # noqa: BLE001 - isolated per child
             return exc
-
-    def evaluate_many(points):
-        if cfg.workers == 1 or len(points) <= 1:
-            return [safe_evaluate(p) for p in points]
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(safe_evaluate, p) for p in points]
-            return [f.result() for f in futures]  # commit in child order
 
     population: list[PopulationEntry] = []
     insertion = 0
@@ -258,7 +247,7 @@ def run_search(
         sample_random(derive_seed(cfg.seed, "init", i), space)
         for i in range(cfg.population_init_size)
     ]
-    init_evals = evaluate_many(init_points)
+    init_evals = [evaluate(p) for p in init_points]
     for res in init_evals:
         if isinstance(res, Exception):
             raise SearchAborted(f"initial population evaluation failed: {res}")
@@ -281,8 +270,8 @@ def run_search(
 
         appended = 0
         child_ids = []
-        results = evaluate_many(children)
-        for child, res in zip(children, results):
+        for child in children:
+            res = evaluate(child)
             if isinstance(res, Exception):
                 skipped += 1
                 logger.warning("skipping child %s: %s", child.point_id[:12], res)

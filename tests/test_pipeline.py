@@ -245,7 +245,7 @@ class TestLookupModel:
         a = zipf_lookup_model(4, 64, 4, 8, seed=3, t_bank=5.0)
         b = zipf_lookup_model(4, 64, 4, 8, seed=3, t_bank=5.0)
         assert a.trace == b.trace
-        assert a.latencies() == b.latencies()
+        assert a.latencies == b.latencies
 
     def test_trace_file_round_trip(self, tmp_path):
         p = tmp_path / "trace.txt"

@@ -118,11 +118,6 @@ class TestRunSearch:
         assert a.log.to_canonical_json() == b.log.to_canonical_json()
         assert [e.point_id for e in a.top_entries] == [e.point_id for e in b.top_entries]
 
-    def test_workers_do_not_change_results(self):
-        seq = run_search(small_cfg(), self.loss_fn, self.metric_fn)
-        par = run_search(small_cfg(workers=4), self.loss_fn, self.metric_fn)
-        assert seq.log.to_canonical_json() == par.log.to_canonical_json()
-
     def test_top_entries_sorted_and_capped(self):
         cfg = small_cfg(population_init_size=20)
         res = run_search(cfg, self.loss_fn, self.metric_fn, top_k=15)
