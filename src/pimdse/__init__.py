@@ -28,7 +28,6 @@ from .crossbar import (
     mbsa_square,
     mvm,
     program_signed,
-    transposed_program,
 )
 from .mapping import (
     MappedModel,

@@ -43,8 +43,15 @@ class ShapeMismatch(ValueError):
     """Input vector length does not match the programmed array."""
 
 
-class CapacityExceeded(ValueError):
-    """More vectors (or longer vectors) than a single array can hold."""
+# Every bit-width the kernel realizes, per converter and storage field
+# (``weight_bits`` covers every programmed value, runtime operands too). A
+# design space may offer no other width; ``SpaceDescriptor`` checks.
+SUPPORTED_BITS = {
+    "dac_bits": (1, 2),
+    "cell_bits": (1, 2),
+    "adc_bits": (4, 6, 8),
+    "weight_bits": (4, 8),
+}
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,8 @@ class CrossbarSpec:
     def __post_init__(self):
         if self.rows != self.cols or self.rows < 1:
             raise ValueError("crossbar arrays are square and nonempty")
-        if self.cell_bits not in (1, 2):
-            raise ValueError("cell_bits must be 1 or 2")
+        if self.cell_bits not in SUPPORTED_BITS["cell_bits"]:
+            raise ValueError(f"cell_bits must be one of {SUPPORTED_BITS['cell_bits']}")
         # Largest analog sum: every row at the widest drive (dac 2) and cell.
         if self.rows * 3 * 3 >= 1 << 24:
             raise ValueError(
@@ -72,10 +79,10 @@ class ConverterSpec:
     adc_bits: int
 
     def __post_init__(self):
-        if self.dac_bits not in (1, 2):
-            raise ValueError("dac_bits must be 1 or 2")
-        if self.adc_bits not in (4, 6, 8):
-            raise ValueError("adc_bits must be 4, 6 or 8")
+        if self.dac_bits not in SUPPORTED_BITS["dac_bits"]:
+            raise ValueError(f"dac_bits must be one of {SUPPORTED_BITS['dac_bits']}")
+        if self.adc_bits not in SUPPORTED_BITS["adc_bits"]:
+            raise ValueError(f"adc_bits must be one of {SUPPORTED_BITS['adc_bits']}")
 
 
 @dataclass
@@ -86,10 +93,6 @@ class SaturationLog:
     @property
     def clean(self) -> bool:
         return self.clip_count == 0
-
-    def merge(self, other: "SaturationLog") -> None:
-        self.clip_count += other.clip_count
-        self.max_overflow = max(self.max_overflow, other.max_overflow)
 
 
 @dataclass
@@ -175,8 +178,10 @@ def program_signed(
     The decomposition satisfies, per entry,
     ``sum_k 2^(k*cell_bits) * (plane_pos_k - plane_neg_k) == matrix`` exactly.
     """
-    if w_bits not in (4, 8):
-        raise OutOfRange(f"w_bits must be 4 or 8, got {w_bits}")
+    if w_bits not in SUPPORTED_BITS["weight_bits"]:
+        raise OutOfRange(
+            f"w_bits must be one of {SUPPORTED_BITS['weight_bits']}, got {w_bits}"
+        )
     m = np.asarray(matrix, dtype=np.int64)
     if m.ndim != 2:
         raise ShapeMismatch("matrix must be 2-D")
@@ -273,32 +278,6 @@ def mvm(
     acc = np.tensordot(weights, digital, axes=1) * meta.col_weight  # (n, virtual_cols)
     out = acc.reshape(n, meta.out_dim, meta.planes * 2).sum(axis=2).T
     return (out if batched else out[:, 0]), log
-
-
-def transposed_program(
-    vectors,
-    spec: CrossbarSpec,
-    v_bits: int = 8,
-) -> ProgrammedTiles:
-    """Program producer vectors column-wise into one transposed-write array.
-
-    Vector j occupies (logical) column j; a word-line read with input u
-    returns the per-row combination sum_j u_j * v_j, so the all-ones read
-    yields per-coordinate sums across the programmed vectors.
-    """
-    vecs = [np.asarray(v, dtype=np.int64) for v in vectors]
-    if not vecs:
-        raise CapacityExceeded("no vectors to program")
-    length = vecs[0].shape[0]
-    if any(v.ndim != 1 or v.shape[0] != length for v in vecs):
-        raise ShapeMismatch("vectors must share one length")
-    if length > spec.rows:
-        raise CapacityExceeded(f"vector length {length} exceeds {spec.rows} rows")
-    if len(vecs) > spec.cols:
-        raise CapacityExceeded(f"{len(vecs)} vectors exceed {spec.cols} columns")
-    # Logical read direction: inputs indexed by vector, outputs by coordinate.
-    m = np.stack(vecs, axis=0)  # (n_vectors, length): matrix[j, r] = v_j[r]
-    return program_signed(m, v_bits, spec, orientation="transposed-write")
 
 
 def mbsa_square(v, v_bits: int) -> np.ndarray:

@@ -22,7 +22,10 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
+
+from .crossbar import SUPPORTED_BITS
 
 STEM = 0  # source index of the input stem
 
@@ -85,14 +88,6 @@ class BlockConfig:
     dim_s: int  # sparse feature dimension
     dense_ops: tuple[OperatorChoice, ...]
     sparse_ops: tuple[OperatorChoice, ...]
-
-    @property
-    def dense_inputs(self) -> tuple[int, ...]:
-        return tuple(sorted({s for op in self.dense_ops for s in op.inputs}))
-
-    @property
-    def sparse_inputs(self) -> tuple[int, ...]:
-        return tuple(sorted({s for op in self.sparse_ops for s in op.inputs}))
 
     def to_dict(self) -> dict:
         return {
@@ -169,9 +164,11 @@ class DesignPoint:
     model: ModelConfig
     reram: ReRAMConfig
 
-    @property
+    @cached_property
     def point_id(self) -> str:
-        """Stable content hash: SHA-256 of the canonical JSON document."""
+        """Stable content hash: SHA-256 of the canonical JSON document.
+
+        Computed once per object; a frozen point cannot change under it."""
         return hashlib.sha256(canonical_json(self).encode("ascii")).hexdigest()
 
     def to_dict(self) -> dict:
@@ -201,6 +198,18 @@ class SpaceDescriptor:
     adc_bits: tuple[int, ...] = (4, 6, 8)
     num_sparse_features: int = 26
     embedding_dim: int = 16
+
+    def __post_init__(self):
+        """Reject menus that would only fail later, inside mapping or costing."""
+        if self.num_blocks < 1:
+            raise ValueError("num_blocks must be >= 1")
+        for name in SUPPORTED_BITS:
+            unsupported = sorted(set(getattr(self, name)) - set(SUPPORTED_BITS[name]))
+            if unsupported:
+                raise ValueError(
+                    f"{name} {unsupported} not supported by the crossbar "
+                    f"(supported: {list(SUPPORTED_BITS[name])})"
+                )
 
     def to_dict(self) -> dict:
         return {

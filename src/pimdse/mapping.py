@@ -23,7 +23,7 @@ Dataflow conventions (shared with :mod:`pimdse.reference`):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -177,6 +177,8 @@ def _tile_counts(in_dim: int, out_dim: int, w_bits: int, reram: ReRAMConfig):
 # ---------------------------------------------------------------------------
 # per-operator mappers
 # ---------------------------------------------------------------------------
+# Each mapper passes its ``placement`` keywords (``block_index``, ``branch``,
+# ``consumes``) to the top-level ``MappedOperator``; ``map_model`` sets them.
 
 def map_fc(
     in_dim: int,
@@ -185,6 +187,7 @@ def map_fc(
     reram: ReRAMConfig,
     op_id: str = "fc",
     kind: OperatorKind = OperatorKind.FC,
+    **placement,
 ) -> MappedOperator:
     if in_dim < 1 or out_dim < 1:
         raise ValueError("dims must be >= 1")
@@ -199,6 +202,7 @@ def map_fc(
         planes=planes,
         row_tiles=rt,
         col_tiles=ct,
+        **placement,
     )
 
 
@@ -209,6 +213,7 @@ def map_efc(
     w_bits: int,
     reram: ReRAMConfig,
     op_id: str = "efc",
+    **placement,
 ) -> MappedOperator:
     """Sparse-axis matmul: the weight acts on the feature-count axis and the
     programmed array is swept once per feature column, emitting the output
@@ -228,6 +233,7 @@ def map_efc(
         col_tiles=ct,
         passes=dim_s,
         emits_transposed=True,
+        **placement,
     )
 
 
@@ -240,6 +246,7 @@ def map_dp(
     dense_in_dim: int | None = None,
     out_dim: int | None = None,
     op_id: str = "dp",
+    **placement,
 ) -> MappedOperator:
     """Dot-product interaction: front FC (dense -> dim_s), front EFC
     (n_s -> k_sparse), a runtime-programmed pairwise engine, and a trailing
@@ -281,6 +288,7 @@ def map_dp(
         programming_vectors=geo.merged_rows,
         parts=(fc_front, efc, engine, fc_out),
         geometry=geo,
+        **placement,
     )
 
 
@@ -291,6 +299,7 @@ def map_fm(
     reram: ReRAMConfig,
     out_dim: int | None = None,
     op_id: str = "fm",
+    **placement,
 ) -> MappedOperator:
     """Factorization machine: a transposed-write crossbar group holding the
     n_s producer vectors plus an MBSA squaring unit, then a trailing FC."""
@@ -328,12 +337,23 @@ def map_fm(
         programming_vectors=n_s,
         mbsa_passes=n_s + 1,
         parts=(engine, fc_out),
+        **placement,
     )
 
 
 # ---------------------------------------------------------------------------
 # whole-model mapping
 # ---------------------------------------------------------------------------
+
+# Streams a block operator reads from each of its sources, in edge order.
+_CONSUMED_STREAMS = {
+    OperatorKind.FC: ("dense",),
+    OperatorKind.DP: ("dense", "sparse"),
+    OperatorKind.FM: ("sparse",),
+    OperatorKind.EFC: ("sparse",),
+    OperatorKind.DSI: ("dense",),
+}
+
 
 def _dense_width(model: ModelConfig, source: int) -> int:
     if source == STEM:
@@ -352,62 +372,39 @@ def map_model(
     edges: list[tuple[str, str]] = []
 
     for blk in model.blocks:
-        for op in blk.dense_ops:
-            op_id = f"b{blk.index}.dense.{op.kind.value}"
-            dense_w = sum(_dense_width(model, s) for s in op.inputs)
-            sparse_count = n_s * len(op.inputs)
-            if op.kind == OperatorKind.FC:
-                mo = map_fc(dense_w, blk.dim_d, op.weight_bits, reram, op_id=op_id)
-                consumes = tuple((s, "dense") for s in op.inputs)
-            elif op.kind == OperatorKind.DP:
-                mo = map_dp(
-                    blk.dim_d,
-                    blk.dim_s,
-                    sparse_count,
-                    op.weight_bits,
-                    reram,
-                    dense_in_dim=dense_w,
-                    out_dim=blk.dim_d,
-                    op_id=op_id,
-                )
-                consumes = tuple((s, "dense") for s in op.inputs) + tuple(
-                    (s, "sparse") for s in op.inputs
-                )
-            else:  # FM
-                mo = map_fm(
-                    sparse_count,
-                    blk.dim_s,
-                    op.weight_bits,
-                    reram,
-                    out_dim=blk.dim_d,
-                    op_id=op_id,
-                )
-                consumes = tuple((s, "sparse") for s in op.inputs)
-            mo = _attach(mo, blk.index, "dense", consumes)
-            operators.append(mo)
-            edges.extend((_stream_ref(s, st), op_id) for s, st in consumes)
-
-        for op in blk.sparse_ops:
-            op_id = f"b{blk.index}.sparse.{op.kind.value}"
-            if op.kind == OperatorKind.EFC:
-                mo = map_efc(
-                    n_s * len(op.inputs), n_s, blk.dim_s, op.weight_bits, reram, op_id=op_id
-                )
-                consumes = tuple((s, "sparse") for s in op.inputs)
-            else:  # DSI: an FC producing n_s * dim_s values, then a reshape
+        for branch, ops in (("dense", blk.dense_ops), ("sparse", blk.sparse_ops)):
+            for op in ops:
+                op_id = f"b{blk.index}.{branch}.{op.kind.value}"
+                consumes = tuple((s, st) for st in _CONSUMED_STREAMS[op.kind] for s in op.inputs)
+                at = dict(op_id=op_id, block_index=blk.index, branch=branch, consumes=consumes)
                 dense_w = sum(_dense_width(model, s) for s in op.inputs)
-                mo = map_fc(
-                    dense_w, n_s * blk.dim_s, op.weight_bits, reram,
-                    op_id=op_id, kind=OperatorKind.DSI,
-                )
-                consumes = tuple((s, "dense") for s in op.inputs)
-            mo = _attach(mo, blk.index, "sparse", consumes)
-            operators.append(mo)
-            edges.extend((_stream_ref(s, st), op_id) for s, st in consumes)
+                sparse_count = n_s * len(op.inputs)
+                if op.kind == OperatorKind.FC:
+                    mo = map_fc(dense_w, blk.dim_d, op.weight_bits, reram, **at)
+                elif op.kind == OperatorKind.DP:
+                    mo = map_dp(
+                        blk.dim_d, blk.dim_s, sparse_count, op.weight_bits, reram,
+                        dense_in_dim=dense_w, out_dim=blk.dim_d, **at,
+                    )
+                elif op.kind == OperatorKind.FM:
+                    mo = map_fm(
+                        sparse_count, blk.dim_s, op.weight_bits, reram, out_dim=blk.dim_d, **at
+                    )
+                elif op.kind == OperatorKind.EFC:
+                    mo = map_efc(sparse_count, n_s, blk.dim_s, op.weight_bits, reram, **at)
+                else:  # DSI: an FC producing n_s * dim_s values, then a reshape
+                    mo = map_fc(
+                        dense_w, n_s * blk.dim_s, op.weight_bits, reram,
+                        kind=OperatorKind.DSI, **at,
+                    )
+                operators.append(mo)
+                edges.extend((_stream_ref(s, st), op_id) for s, st in consumes)
 
     last = model.blocks[-1].index
-    final = map_fc(model.blocks[-1].dim_d, 1, model.final_fc_bits, reram, op_id="final_fc")
-    final = _attach(final, last + 1, "dense", ((last, "dense"),))
+    final = map_fc(
+        model.blocks[-1].dim_d, 1, model.final_fc_bits, reram, op_id="final_fc",
+        block_index=last + 1, branch="dense", consumes=((last, "dense"),),
+    )
     operators.append(final)
     edges.append((_stream_ref(last, "dense"), "final_fc"))
 
@@ -419,10 +416,6 @@ def map_model(
         tile_plan=tile_plan,
         edges=tuple(edges),
     )
-
-
-def _attach(mo: MappedOperator, block_index, branch, consumes) -> MappedOperator:
-    return replace(mo, block_index=block_index, branch=branch, consumes=consumes)
 
 
 def _stream_ref(source: int, stream: str) -> str:
@@ -514,16 +507,6 @@ def fm_engine_forward(vectors, reram, a_bits=DEFAULT_ACTIVATION_BITS):
     for v in vecs:  # squared by the MBSA as each producer vector arrives
         sum_of_squares += mbsa_square(np.abs(v), v_bits)
     return square_of_sum - sum_of_squares, log
-
-
-def weight_shapes(mm: MappedModel) -> dict[str, tuple[int, int]]:
-    """Shapes (out, in) of every weight-carrying leaf, keyed by op id."""
-    shapes: dict[str, tuple[int, int]] = {}
-    for op in mm.operators:
-        for leaf in op.leaves():
-            if leaf.engine is Engine.MVM:
-                shapes[leaf.op_id] = (leaf.out_dim, leaf.in_dim)
-    return shapes
 
 
 def random_weights(mm: MappedModel, seed: int) -> dict[str, np.ndarray]:

@@ -99,28 +99,12 @@ def zipf_lookup_model(
     return LookupModel(placement=placement, trace=tuple(trace), t_bank=t_bank)
 
 
-def load_trace(path: str) -> tuple:
-    """Trace file: one query per line, comma-separated embedding ids."""
-    queries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            queries.append(tuple(x.strip() for x in line.split(",") if x.strip()))
-    return tuple(queries)
-
-
 @dataclass(frozen=True)
 class StageEvent:
     stage_id: str
     start: float
     end: float
     kind: str  # lookup | compute | program
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)

@@ -227,16 +227,16 @@ def run_search(
     """Run the evolution loop; see the module docstring for the semantics."""
     t0 = time.perf_counter()
     rng = Random(cfg.seed)
-    cache: dict[str, tuple[float, tuple[float, float, float]]] = {}
     skipped = 0
 
     def evaluate(point: DesignPoint):
-        """(loss, metrics) of a point, or the exception its evaluation raised."""
+        """(loss, metrics) of a point, or the exception its evaluation raised.
+
+        Evaluation is a pure function of the point, so a repeated child is
+        simply evaluated again and gets the same numbers.
+        """
         try:
-            pid = point.point_id
-            if pid not in cache:
-                cache[pid] = (loss_fn(point), tuple(metric_fn(point)))
-            return cache[pid]
+            return loss_fn(point), tuple(metric_fn(point))
         except Exception as exc:  # noqa: BLE001 - isolated per child
             return exc
 

@@ -70,6 +70,44 @@ class TestSpace:
         assert code == EXIT_PARSE and "cannot load" in err
 
 
+class TestUnrealizableSpace:
+    """A descriptor the crossbar cannot realize is refused when loaded, by
+    every command, before anything is sampled, mapped or costed."""
+
+    def assert_every_command_exits_2(self, capsys, tmp_path, point_file, space, field):
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(space))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"num_generations": 1, "population_init_size": 2}')
+        out = str(tmp_path / "out")
+        for argv in (
+            ("space", "sample"),
+            ("map", "--point", point_file),
+            ("simulate", "--point", point_file),
+            ("search", "--search-config", str(cfg), "--out", out),
+        ):
+            code, _, err = run_cli(capsys, *argv, "--space", str(p))
+            assert code == EXIT_PARSE, argv
+            assert "cannot load space descriptor" in err and field in err
+
+    def test_zero_blocks(self, capsys, tmp_path, point_file):
+        # Used to exit 4 with "tuple index out of range" in map/simulate/search.
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, {"num_blocks": 0}, "num_blocks")
+
+    def test_adc_width_without_converter(self, capsys, tmp_path, point_file):
+        # Used to exit 4 with "KeyError: 10" in simulate/search.
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, {"adc_bits": [10]}, "adc_bits")
+
+    def test_weight_width_program_signed_rejects(self, capsys, tmp_path, point_file):
+        # Used to let the search explore 2-bit weights and exit 0.
+        space = {"weight_bits": [2, 4, 8]}
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, space, "weight_bits")
+
+    def test_adc_menu_with_no_feasible_combination(self, capsys, tmp_path, point_file):
+        # Used to make `space sample` print a point that fails validation.
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, {"adc_bits": [1]}, "adc_bits")
+
+
 class TestMapSimulate:
     def test_map_output_is_stable_json(self, capsys, point_file):
         code, out1, _ = run_cli(capsys, "map", "--point", point_file)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimdse.crossbar import (
-    CapacityExceeded,
     ConverterSpec,
     CrossbarSpec,
     OutOfRange,
@@ -18,7 +17,6 @@ from pimdse.crossbar import (
     mvm,
     program_signed,
     tiles_to_json,
-    transposed_program,
 )
 
 
@@ -285,13 +283,18 @@ def test_batched_read_matches_tile_loop(
 
 
 class TestTransposedProgram:
+    """Producer vectors programmed as the DP and FM engines program them:
+    vector j is input row j, so a read with input u returns sum_j u_j * v_j."""
+
+    spec = CrossbarSpec(16, 16, 2)
+
     def test_all_ones_read_returns_per_row_sums(self):
-        pt = transposed_program([[1, 2], [3, 4]], CrossbarSpec(16, 16, 2))
+        pt = program_signed([[1, 2], [3, 4]], 8, self.spec, orientation="transposed-write")
         s, log = mvm(pt, [1, 1], 2, ConverterSpec(1, 8))
         assert s.tolist() == [4, 6] and log.clean
 
     def test_single_vector_roundtrip(self):
-        pt = transposed_program([[5, -3, 2]], CrossbarSpec(16, 16, 2))
+        pt = program_signed([[5, -3, 2]], 8, self.spec, orientation="transposed-write")
         s, log = mvm(pt, [1], 2, ConverterSpec(1, 8))
         assert s.tolist() == [5, -3, 2] and log.clean
 
@@ -299,19 +302,12 @@ class TestTransposedProgram:
         # Feeding a vector back against its own programmed copy: per-row
         # contributions v_i^2 summing to sum(v^2) on the owning line.
         v = np.array([2, -1, 3])
-        stacked = transposed_program([v], CrossbarSpec(16, 16, 2))
+        stacked = program_signed([v], 8, self.spec, orientation="transposed-write")
         # Normal-direction read of the same content: program v as a column.
         pt = program_signed(v.reshape(-1, 1), 8, CrossbarSpec(16, 16, 2))
         y, log = mvm(pt, v, 8, ConverterSpec(1, 8))
         assert log.clean and y.tolist() == [int((v * v).sum())]
         assert stacked.orientation == "transposed-write"
-
-    def test_capacity_errors(self):
-        spec = CrossbarSpec(16, 16, 1)
-        with pytest.raises(CapacityExceeded):
-            transposed_program([list(range(17))], spec)
-        with pytest.raises(CapacityExceeded):
-            transposed_program([[1]] * 17, spec)
 
 
 class TestMbsaSquare:

@@ -1,6 +1,8 @@
 """Design-space validation, sampling, mutation, and counting."""
 
+import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -234,6 +236,34 @@ class TestSerialization:
         again = point_from_json(canonical_json(pt))
         assert again == pt
         assert again.point_id == pt.point_id
+
+    def test_point_id_serializes_once_per_object(self, monkeypatch):
+        import pimdse.design_space as ds
+
+        calls = []
+
+        def counting(point):
+            calls.append(point)
+            return canonical_json(point)
+
+        monkeypatch.setattr(ds, "canonical_json", counting)
+        pt = sample_random(42)
+        first = pt.point_id
+        assert pt.point_id == first and pt.point_id == first
+        assert len(calls) == 1
+        twin = sample_random(42)
+        assert twin is not pt and twin == pt and twin.point_id == first
+        assert len(calls) == 2  # a new object hashes its own content once
+
+    def test_point_id_follows_content(self):
+        pt = sample_random(42)
+        pid = pt.point_id
+        child = mutate(pt, seed=1, num_mutations=1)
+        assert child != pt and child.point_id != pid
+        copy = pickle.loads(pickle.dumps(pt))
+        assert copy == pt and copy.point_id == pid
+        assert copy.point_id == hashlib.sha256(canonical_json(copy).encode("ascii")).hexdigest()
+        assert hash(copy) == hash(pt) and pt.to_dict() == copy.to_dict()
 
     def test_canonical_form_is_stable(self):
         pt = sample_random(42)

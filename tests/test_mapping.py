@@ -27,7 +27,6 @@ from pimdse.mapping import (
     map_model,
     random_weights,
     run_efc,
-    weight_shapes,
 )
 from pimdse.reference import (
     fm_interaction,
@@ -287,7 +286,12 @@ class TestFunctionalForward:
 
     def test_weight_shapes_cover_all_leaves(self):
         mm = map_model(two_block_point(with_dp=True, with_fm=True))
-        shapes = weight_shapes(mm)
+        shapes = {
+            leaf.op_id: (leaf.out_dim, leaf.in_dim)
+            for op in mm.operators
+            for leaf in op.leaves()
+            if leaf.engine is Engine.MVM
+        }
         w = random_weights(mm, seed=3)
         assert set(shapes) == set(w)
         for op_id, shape in shapes.items():

@@ -10,7 +10,6 @@ from pimdse.design_space import sample_random
 from pimdse.mapping import map_model
 from pimdse.pipeline import (
     UnplacedId,
-    load_trace,
     place_embeddings,
     schedule,
     simulate,
@@ -246,11 +245,6 @@ class TestLookupModel:
         b = zipf_lookup_model(4, 64, 4, 8, seed=3, t_bank=5.0)
         assert a.trace == b.trace
         assert a.latencies == b.latencies
-
-    def test_trace_file_round_trip(self, tmp_path):
-        p = tmp_path / "trace.txt"
-        p.write_text("# comment\n a,b , c\n\nd\n")
-        assert load_trace(str(p)) == (("a", "b", "c"), ("d",))
 
     def test_placement_covers_trace(self):
         lm = zipf_lookup_model(6, 32, 4, 16, seed=9, t_bank=2.0)
