@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .crossbar import SUPPORTED_BITS
 from .design_space import ReRAMConfig
 from .mapping import DEFAULT_ACTIVATION_BITS, Engine, MappedModel, MappedOperator
 
@@ -64,7 +65,13 @@ class TechParams:
             raise ValueError("technology parameters must be positive")
         if self.controller_overhead_fraction < 0:
             raise ValueError("controller overhead must be nonnegative")
-        for table in (self.adc_energy, self.adc_area):
+        for name, table in (("adc_energy", self.adc_energy), ("adc_area", self.adc_area)):
+            missing = sorted(set(SUPPORTED_BITS["adc_bits"]) - set(table))
+            if missing:
+                raise ValueError(
+                    f"{name} has no entry for adc_bits {missing} "
+                    f"(every supported width {list(SUPPORTED_BITS['adc_bits'])} needs one)"
+                )
             keys = sorted(table)
             vals = [table[k] for k in keys]
             if any(v <= 0 for v in vals) or any(a > b for a, b in zip(vals, vals[1:])):
@@ -159,14 +166,14 @@ def _n_slices(a_bits: int, reram: ReRAMConfig) -> int:
     return math.ceil(a_bits / reram.dac_bits)
 
 
-def _active_cols(mo: MappedOperator, reram: ReRAMConfig) -> int:
-    return min(mo.out_dim * mo.planes * 2, reram.xbar_size)
-
-
 def read_latency(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig, a_bits: int) -> float:
-    """Read-side latency of one leaf: bit-serial sweeps plus MBSA passes."""
-    per_sweep = _n_slices(a_bits, reram) * (
-        tp.xbar_read_time + math.ceil(_active_cols(mo, reram) / tp.adcs_per_xbar) * tp.adc_time
+    """Read-side latency of one leaf: bit-serial sweeps plus MBSA passes.
+
+    Slices are ``ceil(a_bits / dac_bits)``; a tile converts at most
+    ``xbar_size`` active columns."""
+    active_cols = min(mo.out_dim * mo.planes * 2, reram.xbar_size)
+    per_sweep = math.ceil(a_bits / reram.dac_bits) * (
+        tp.xbar_read_time + math.ceil(active_cols / tp.adcs_per_xbar) * tp.adc_time
     )
     return mo.passes * per_sweep + mo.mbsa_passes * a_bits * tp.mbsa_time
 
@@ -269,16 +276,26 @@ def stage_times(mm: MappedModel, tp: TechParams, overlap: bool = True) -> dict[s
     stream, and the FM engine overlaps the sparse production of its source
     blocks (the stem stream counts the bank access time per vector).
     """
+    return _stage_times(mm, tp, overlap, None)
+
+
+def _stage_times(
+    mm: MappedModel, tp: TechParams, overlap: bool, latencies: dict | None
+) -> dict[str, float]:
+    """:func:`stage_times`; an operator that is not overlapped occupies its
+    stage for its serial ``op_latency``, read from ``latencies`` (op_id ->
+    value) when given, so :func:`model_cost` computes each one once."""
     reram = mm.reram
     times: dict[str, float] = {}
     sparse_branch: dict[int, float] = {0: tp.t_bank}  # stem production = lookup
     for blk in mm.model.blocks:
         sparse_branch[blk.index] = 0.0
 
+    MVM, DP = Engine.MVM, Engine.DP
     for op in mm.operators:
-        if op.engine is Engine.MVM or not overlap:
-            t = op_latency(op, tp, reram)
-        elif op.engine is Engine.DP:
+        if op.engine is MVM or not overlap:
+            t = op_latency(op, tp, reram) if latencies is None else latencies[op.op_id]
+        elif op.engine is DP:
             *front, engine, fc_out = op.parts
             produced = sum(read_latency(p, tp, reram, DEFAULT_ACTIVATION_BITS) for p in front)
             t_e = produced / engine.programming_vectors
@@ -309,7 +326,7 @@ def model_cost(mm: MappedModel, tp: TechParams) -> CostReport:
     op_areas = {op.op_id: op_area(op, tp, reram) for op in mm.operators}
     op_energies = {op.op_id: op_energy(op, tp, reram) for op in mm.operators}
     latencies = {op.op_id: op_latency(op, tp, reram) for op in mm.operators}
-    stages = stage_times(mm, tp, overlap=True)
+    stages = _stage_times(mm, tp, True, latencies)
 
     memory_area = mm.tile_plan["memory_tiles"] * reram.xbar_size**2 * tp.cell_area
     cells_per_value = math.ceil(DEFAULT_ACTIVATION_BITS / reram.cell_bits)

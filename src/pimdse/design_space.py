@@ -182,6 +182,26 @@ class DesignPoint:
         )
 
 
+def _fm_starved(kind: OperatorKind, n_s: int, n_inputs: int) -> bool:
+    """True for an FM fed fewer than two sparse vectors (``validate`` rejects it)."""
+    return kind is OperatorKind.FM and n_s * n_inputs < 2
+
+
+def _input_subset_count(kind: OperatorKind, n_sources: int, n_s: int) -> int:
+    """Input subsets of ``n_sources`` sources that ``validate`` accepts for ``kind``."""
+    subsets = (1 << n_sources) - 1
+    if _fm_starved(kind, n_s, 1):  # then single-source inputs starve the FM
+        subsets -= n_sources
+    return subsets
+
+
+# SpaceDescriptor fields that list the choices of one configuration field.
+_MENUS = (
+    "dense_operators", "sparse_operators", "dense_dims", "sparse_dims", "weight_bits",
+    "dac_bits", "cell_bits", "xbar_sizes", "adc_bits",
+)
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """Menus of allowed values, mirroring the searchable configuration table."""
@@ -200,15 +220,34 @@ class SpaceDescriptor:
     embedding_dim: int = 16
 
     def __post_init__(self):
-        """Reject menus that would only fail later, inside mapping or costing."""
+        """Reject menus that would only fail later, inside sampling, mapping
+        or costing, and spaces with no valid point."""
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
+        for name in _MENUS:
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for name in ("dense_dims", "sparse_dims", "xbar_sizes"):
+            if min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must all be >= 1")
+        for name in ("num_sparse_features", "embedding_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in SUPPORTED_BITS:
             unsupported = sorted(set(getattr(self, name)) - set(SUPPORTED_BITS[name]))
             if unsupported:
                 raise ValueError(
                     f"{name} {unsupported} not supported by the crossbar "
                     f"(supported: {list(SUPPORTED_BITS[name])})"
+                )
+        # Block 1, fed by the stem alone, has the fewest valid input subsets:
+        # if one of its branches has no operator to draw, no point is valid.
+        for name in ("dense_operators", "sparse_operators"):
+            if not any(_input_subset_count(k, 1, self.num_sparse_features) for k in getattr(self, name)):
+                raise ValueError(
+                    f"{name} leaves block 1 no valid operator, so the space has no valid "
+                    "points: an FM needs at least two incoming sparse vectors "
+                    f"(num_sparse_features is {self.num_sparse_features})"
                 )
 
     def to_dict(self) -> dict:
@@ -326,7 +365,7 @@ def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> Vali
                 for s in op.inputs:
                     if not (0 <= s < pos):
                         v.append(f"{name}: {op.kind.value} input {s} violates DAG order")
-                if op.kind is OperatorKind.FM and model.num_sparse_features * len(op.inputs) < 2:
+                if _fm_starved(op.kind, model.num_sparse_features, len(op.inputs)):
                     v.append(f"{name}: FM needs at least two incoming sparse vectors")
 
     if reram.dac_bits not in space.dac_bits:
@@ -358,25 +397,28 @@ def _random_branch(
     menu: Sequence[OperatorKind],
     n_sources: int,
     bits_menu: Sequence[int],
+    n_s: int,
 ) -> tuple[OperatorChoice, ...]:
+    # Kinds with no valid input subset here cannot be drawn; with
+    # n_s >= 2 that is none, and the draws are unaffected.
+    menu = [kind for kind in menu if _input_subset_count(kind, n_sources, n_s)]
     present_mask = rng.randrange(1, 1 << len(menu))
     ops = []
     for i, kind in enumerate(menu):
         if not present_mask >> i & 1:
             continue
-        ops.append(
-            OperatorChoice(
-                kind=kind,
-                weight_bits=rng.choice(list(bits_menu)),
-                inputs=_random_subset(rng, n_sources),
-            )
-        )
+        weight_bits = rng.choice(list(bits_menu))
+        inputs = _random_subset(rng, n_sources)
+        while _fm_starved(kind, n_s, len(inputs)):  # uniform over the valid subsets
+            inputs = _random_subset(rng, n_sources)
+        ops.append(OperatorChoice(kind=kind, weight_bits=weight_bits, inputs=inputs))
     return _sort_ops(ops)
 
 
 def sample_random(seed: int, space: SpaceDescriptor = DEFAULT_SPACE) -> DesignPoint:
     """Draw a valid point; identical seed gives an identical point."""
     rng = random.Random(seed)
+    n_s = space.num_sparse_features
     blocks = []
     for i in range(1, space.num_blocks + 1):
         blocks.append(
@@ -384,8 +426,8 @@ def sample_random(seed: int, space: SpaceDescriptor = DEFAULT_SPACE) -> DesignPo
                 index=i,
                 dim_d=rng.choice(list(space.dense_dims)),
                 dim_s=rng.choice(list(space.sparse_dims)),
-                dense_ops=_random_branch(rng, space.dense_operators, i, space.weight_bits),
-                sparse_ops=_random_branch(rng, space.sparse_operators, i, space.weight_bits),
+                dense_ops=_random_branch(rng, space.dense_operators, i, space.weight_bits, n_s),
+                sparse_ops=_random_branch(rng, space.sparse_operators, i, space.weight_bits, n_s),
             )
         )
     for _ in range(64):  # menu combinations may be infeasible in custom spaces
@@ -610,22 +652,26 @@ def _reram_combo_count(space: SpaceDescriptor) -> int:
     )
 
 
-def _branch_count(n_kinds: int, n_sources: int, n_bits: int) -> int:
-    # Per operator: absent, or present with a bit-width and a nonempty
-    # input subset; at least one operator present per branch.
-    per_op = 1 + n_bits * ((1 << n_sources) - 1)
-    return per_op**n_kinds - 1
+def _branch_count(
+    menu: Sequence[OperatorKind], n_sources: int, n_bits: int, n_s: int
+) -> int:
+    # Per operator: absent, or present with a bit-width and an input subset
+    # it accepts; at least one operator present per branch.
+    count = 1
+    for kind in menu:
+        count *= 1 + n_bits * _input_subset_count(kind, n_sources, n_s)
+    return count - 1
 
 
 def cardinality(space: SpaceDescriptor = DEFAULT_SPACE) -> int:
     """Exact count of valid points under this artifact's conventions."""
     total = len(space.weight_bits)  # final FC bits
     total *= _reram_combo_count(space)
-    n_bits = len(space.weight_bits)
+    n_bits, n_s = len(space.weight_bits), space.num_sparse_features
     for i in range(1, space.num_blocks + 1):
         block = len(space.dense_dims) * len(space.sparse_dims)
-        block *= _branch_count(len(space.dense_operators), i, n_bits)
-        block *= _branch_count(len(space.sparse_operators), i, n_bits)
+        block *= _branch_count(space.dense_operators, i, n_bits, n_s)
+        block *= _branch_count(space.sparse_operators, i, n_bits, n_s)
         total *= block
     return total
 

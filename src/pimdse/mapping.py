@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,7 @@ class Engine(str, Enum):
     FM = "FM"
 
 
-@dataclass(frozen=True)
-class DPGeometry:
+class DPGeometry(NamedTuple):
     """Reduced geometry of the dot-product interaction stage."""
 
     k_sparse: int      # sparse features after the front EFC reduction
@@ -70,8 +70,7 @@ class DPGeometry:
         return DPGeometry(k_sparse=k, merged_rows=m, pair_count=m * (m - 1) // 2)
 
 
-@dataclass(frozen=True)
-class MappedOperator:
+class MappedOperator(NamedTuple):
     """One mapped operator: a leaf with its own tiles, or a composite.
 
     A composite (``engine`` DP or FM) has ``parts == (*front, engine,
@@ -79,6 +78,10 @@ class MappedOperator:
     FC and EFC; FM: none, its operands are source sparse vectors), the
     runtime-programmed engine leaf, and the trailing MVM FC. Every other
     operator is a leaf with ``parts == ()``.
+
+    Mapped records (``MappedOperator``, ``DPGeometry``) are immutable
+    ``NamedTuple``s: cheap to build once per candidate, compared and hashed
+    by value, and any field assignment raises ``AttributeError``.
     """
 
     op_id: str
@@ -353,12 +356,8 @@ _CONSUMED_STREAMS = {
     OperatorKind.EFC: ("sparse",),
     OperatorKind.DSI: ("dense",),
 }
-
-
-def _dense_width(model: ModelConfig, source: int) -> int:
-    if source == STEM:
-        return model.embedding_dim
-    return model.blocks[source - 1].dim_d
+_KIND_NAMES = {kind: kind.value for kind in OperatorKind}
+_PLAN_KEYS = {Engine.MVM: "mvm_tiles", Engine.DP: "dp_tiles", Engine.FM: "fm_tiles"}
 
 
 def map_model(
@@ -368,29 +367,33 @@ def map_model(
     """Map every operator of a valid design point onto engines and tiles."""
     model, reram = point.model, point.reram
     n_s = model.num_sparse_features
+    FC, DP, FM, EFC = OperatorKind.FC, OperatorKind.DP, OperatorKind.FM, OperatorKind.EFC
+    # Dense output width of each source: the stem, then block 1, 2, ...
+    dense_width = (model.embedding_dim, *(blk.dim_d for blk in model.blocks))
     operators: list[MappedOperator] = []
     edges: list[tuple[str, str]] = []
 
     for blk in model.blocks:
         for branch, ops in (("dense", blk.dense_ops), ("sparse", blk.sparse_ops)):
             for op in ops:
-                op_id = f"b{blk.index}.{branch}.{op.kind.value}"
-                consumes = tuple((s, st) for st in _CONSUMED_STREAMS[op.kind] for s in op.inputs)
+                kind, inputs = op.kind, op.inputs
+                op_id = f"b{blk.index}.{branch}.{_KIND_NAMES[kind]}"
+                consumes = tuple((s, st) for st in _CONSUMED_STREAMS[kind] for s in inputs)
                 at = dict(op_id=op_id, block_index=blk.index, branch=branch, consumes=consumes)
-                dense_w = sum(_dense_width(model, s) for s in op.inputs)
-                sparse_count = n_s * len(op.inputs)
-                if op.kind == OperatorKind.FC:
+                dense_w = sum(dense_width[s] for s in inputs)
+                sparse_count = n_s * len(inputs)
+                if kind is FC:
                     mo = map_fc(dense_w, blk.dim_d, op.weight_bits, reram, **at)
-                elif op.kind == OperatorKind.DP:
+                elif kind is DP:
                     mo = map_dp(
                         blk.dim_d, blk.dim_s, sparse_count, op.weight_bits, reram,
                         dense_in_dim=dense_w, out_dim=blk.dim_d, **at,
                     )
-                elif op.kind == OperatorKind.FM:
+                elif kind is FM:
                     mo = map_fm(
                         sparse_count, blk.dim_s, op.weight_bits, reram, out_dim=blk.dim_d, **at
                     )
-                elif op.kind == OperatorKind.EFC:
+                elif kind is EFC:
                     mo = map_efc(sparse_count, n_s, blk.dim_s, op.weight_bits, reram, **at)
                 else:  # DSI: an FC producing n_s * dim_s values, then a reshape
                     mo = map_fc(
@@ -423,11 +426,10 @@ def _stream_ref(source: int, stream: str) -> str:
 
 
 def _tile_plan(operators, model, reram, rows_per_table) -> dict:
-    plan = {"mvm_tiles": 0, "dp_tiles": 0, "fm_tiles": 0}
+    plan = dict.fromkeys(_PLAN_KEYS.values(), 0)
     for op in operators:
-        for leaf in op.leaves():
-            key = {"MVM": "mvm_tiles", "DP": "dp_tiles", "FM": "fm_tiles"}[leaf.engine.value]
-            plan[key] += leaf.row_tiles * leaf.col_tiles
+        for leaf in op.parts or (op,):  # parts are leaves
+            plan[_PLAN_KEYS[leaf.engine]] += leaf.row_tiles * leaf.col_tiles
     cells_per_value = math.ceil(DEFAULT_ACTIVATION_BITS / reram.cell_bits)
     total_cells = model.num_sparse_features * rows_per_table * model.embedding_dim * cells_per_value
     plan["memory_tiles"] = math.ceil(total_cells / (reram.xbar_size**2))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .cost_model import TechParams, _engine_ready, stage_times
 from .mapping import Engine, MappedModel
@@ -99,8 +100,9 @@ def zipf_lookup_model(
     return LookupModel(placement=placement, trace=tuple(trace), t_bank=t_bank)
 
 
-@dataclass(frozen=True)
-class StageEvent:
+class StageEvent(NamedTuple):
+    """One stage's interval on the timeline; an immutable record."""
+
     stage_id: str
     start: float
     end: float
@@ -172,20 +174,25 @@ def schedule(
     occ = stage_times(mm, tp, overlap=overlap)
 
     events = [StageEvent("lookup", 0.0, lookup_t, "lookup")]
-    edges: list[tuple[str, str]] = []
     dense_ready = {0: lookup_t}   # both stem streams are available post-lookup
     sparse_ready = {0: lookup_t}
     sparse_start = {0: 0.0}       # when stem production (the lookup) begins
 
-    def stream_ready(source: int, stream: str) -> float:
-        return dense_ready[source] if stream == "dense" else sparse_ready[source]
+    # Operators grouped by block in one pass; the final FC is timed last.
+    block_ops: dict[int, list] = {blk.index: [] for blk in mm.model.blocks}
+    for op in mm.operators:
+        if op.block_index in block_ops:
+            block_ops[op.block_index].append(op)
 
+    FM = Engine.FM
     for blk in mm.model.blocks:
         dense_ends, sparse_ends, branch_starts = [], [], []
-        for op in (o for o in mm.operators if o.block_index == blk.index):
-            start = max(stream_ready(s, stream) for s, stream in op.consumes)
+        for op in block_ops[blk.index]:
+            start = max(
+                (dense_ready if stream == "dense" else sparse_ready)[s] for s, stream in op.consumes
+            )
             end = start + occ[op.op_id]
-            if overlap and op.engine is Engine.FM:
+            if overlap and op.engine is FM:
                 # Occupancy has no timeline, so it spreads the source
                 # branches' summed production over the vectors. Here the
                 # branches' start and end times are known, so the engine is
@@ -197,8 +204,6 @@ def schedule(
                 t_e = window / engine.programming_vectors
                 end = _engine_ready(start, t_e, engine, fc_out, tp, mm.reram)
             events.append(StageEvent(op.op_id, start, end, "compute"))
-            for s, stream in op.consumes:
-                edges.append((_stream_event(s, stream), op.op_id))
             if op.branch == "dense":
                 dense_ends.append(end)
             else:
@@ -210,12 +215,9 @@ def schedule(
 
     start = dense_ready[mm.model.blocks[-1].index]
     events.append(StageEvent("final_fc", start, start + occ["final_fc"], "compute"))
-    edges.append((_stream_event(mm.model.blocks[-1].index, "dense"), "final_fc"))
-    return Schedule(events=tuple(events), edges=tuple(edges), occupancy=occ)
-
-
-def _stream_event(source: int, stream: str) -> str:
-    return "lookup" if source == 0 else f"b{source}.{stream}"
+    # The mapping's data edges, with the stem's streams produced by the lookup.
+    edges = tuple(("lookup" if src == "stem" else src, dst) for src, dst in mm.edges)
+    return Schedule(events=tuple(events), edges=edges, occupancy=occ)
 
 
 def simulate(

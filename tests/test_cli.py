@@ -107,6 +107,68 @@ class TestUnrealizableSpace:
         # Used to make `space sample` print a point that fails validation.
         self.assert_every_command_exits_2(capsys, tmp_path, point_file, {"adc_bits": [1]}, "adc_bits")
 
+    def test_empty_menu(self, capsys, tmp_path, point_file):
+        # Used to make `space sample` exit 4 ("Cannot choose from an empty sequence").
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, {"dac_bits": []}, "dac_bits")
+
+    def test_zero_crossbar_size(self, capsys, tmp_path, point_file):
+        # Used to let `space sample` exit 0 and `map` exit 4 ("division by zero").
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, {"xbar_sizes": [0]}, "xbar_sizes")
+
+    def test_zero_dense_dim(self, capsys, tmp_path, point_file):
+        # Used to let `space sample` exit 0 and `map` exit 4 ("dims must be >= 1").
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, {"dense_dims": [0]}, "dense_dims")
+
+    def test_zero_embedding_dim(self, capsys, tmp_path, point_file):
+        # Used to make `space sample` print a point that fails validation.
+        space = {"embedding_dim": 0}
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, space, "embedding_dim")
+
+    def test_fm_only_dense_menu_with_one_sparse_feature(self, capsys, tmp_path, point_file):
+        # Block 1 reads only the stem, one sparse vector, and an FM needs two:
+        # no point is valid. `space count` used to print 8.5e42 and
+        # `space sample` a point that `map` rejected with exit 3.
+        space = {"num_sparse_features": 1, "dense_operators": ["FM"]}
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, space, "dense_operators")
+
+
+class TestTechFile:
+    """A technology file is checked when loaded, before any point is costed."""
+
+    @pytest.fixture
+    def tech_without_adc8(self, tmp_path):
+        from importlib import resources
+
+        tech = json.loads(resources.files("pimdse.data").joinpath("default_tech.json").read_text())
+        for table in ("adc_energy", "adc_area"):
+            del tech[table]["8"]
+        path = tmp_path / "tech.json"
+        path.write_text(json.dumps(tech))
+        return str(path)
+
+    @pytest.fixture
+    def adc8_point_file(self, tmp_path):
+        seed = next(s for s in range(100) if sample_random(s).reram.adc_bits == 8)
+        path = tmp_path / "adc8.json"
+        path.write_text(canonical_json(sample_random(seed)))
+        return str(path)
+
+    def test_simulate_rejects_missing_adc_width(self, capsys, tech_without_adc8, adc8_point_file):
+        # Used to exit 4 with "internal error: 8" (a KeyError in op_area).
+        code, _, err = run_cli(capsys, "simulate", "--point", adc8_point_file, "--tech", tech_without_adc8)
+        assert code == EXIT_PARSE
+        assert "cannot load tech params" in err and "adc_bits [8]" in err
+
+    def test_search_rejects_missing_adc_width(self, capsys, tmp_path, tech_without_adc8):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"num_generations": 1, "population_init_size": 2}')
+        code, _, err = run_cli(
+            capsys, "search", "--search-config", str(cfg), "--out", str(tmp_path / "out"),
+            "--tech", tech_without_adc8,
+        )
+        assert code == EXIT_PARSE
+        assert "cannot load tech params" in err and "adc_bits [8]" in err
+
 
 class TestMapSimulate:
     def test_map_output_is_stable_json(self, capsys, point_file):

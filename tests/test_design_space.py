@@ -1,9 +1,11 @@
 """Design-space validation, sampling, mutation, and counting."""
 
 import hashlib
+import itertools
 import json
 import pickle
 import random
+import types
 
 import pytest
 
@@ -228,6 +230,75 @@ class TestCardinality:
         # published order of magnitude (~2e54).
         est = int(report["global_quant_count"])
         assert 10**52 <= est <= 10**56
+
+
+FC, DP, FM, EFC, DSI = (OperatorKind(k) for k in ("FC", "DP", "FM", "EFC", "DSI"))
+TINY_MENUS = [  # each on top of one-item menus for every other field
+    dict(num_blocks=1, dense_operators=(FC, FM), sparse_operators=(EFC, DSI),
+         weight_bits=(4, 8), dense_dims=(16, 32), xbar_sizes=(16, 32)),
+    dict(num_blocks=2, dense_operators=(FC, FM), sparse_operators=(EFC,)),
+    dict(num_blocks=2, dense_operators=(DP, FM), sparse_operators=(DSI,), adc_bits=(4, 8)),
+    dict(num_blocks=1, dense_operators=(FM,), sparse_operators=(EFC,)),
+    dict(num_blocks=2, dense_operators=(FM,), sparse_operators=(EFC, DSI)),
+]
+
+
+def _every_point(menus):
+    """Every point over the menus, valid or not: each branch any subset of
+    its operator menu (empty too), each operator any width and any subset
+    of the sources before its block (empty too)."""
+    def branches(menu, n_sources):
+        subsets = [
+            tuple(i for i in range(n_sources) if mask >> i & 1) for mask in range(1 << n_sources)
+        ]
+        per_kind = [
+            [None] + [OperatorChoice(k, b, ins) for b in menus.weight_bits for ins in subsets]
+            for k in menu
+        ]
+        return [tuple(op for op in ops if op) for ops in itertools.product(*per_kind)]
+
+    blocks_per_index = [
+        [
+            BlockConfig(i, d, s, dense, sparse)
+            for d in menus.dense_dims
+            for s in menus.sparse_dims
+            for dense in branches(menus.dense_operators, i)
+            for sparse in branches(menus.sparse_operators, i)
+        ]
+        for i in range(1, menus.num_blocks + 1)
+    ]
+    rerams = [
+        ReRAMConfig(*combo)
+        for combo in itertools.product(menus.dac_bits, menus.cell_bits, menus.xbar_sizes, menus.adc_bits)
+    ]
+    for blocks in itertools.product(*blocks_per_index):
+        for bits in menus.weight_bits:
+            model = ModelConfig(blocks, bits, menus.num_sparse_features, menus.embedding_dim)
+            for reram in rerams:
+                yield DesignPoint(model, reram)
+
+
+class TestCardinalityByEnumeration:
+    @pytest.mark.parametrize("n_s", [1, 2])
+    @pytest.mark.parametrize("menu", TINY_MENUS)
+    def test_count_matches_enumerated_valid_points(self, menu, n_s):
+        fields = dict(
+            dense_dims=(16,), sparse_dims=(16,), weight_bits=(4,), dac_bits=(1,),
+            cell_bits=(2,), xbar_sizes=(16,), adc_bits=(4,), embedding_dim=4,
+        )
+        fields.update(menu, num_sparse_features=n_s)
+        # validate reads only the menus, so the brute-force count needs no
+        # SpaceDescriptor, whose constructor refuses spaces with no valid point.
+        menus = types.SimpleNamespace(**fields)
+        valid = sum(validate(p, menus).ok for p in _every_point(menus))
+        if valid == 0:
+            with pytest.raises(ValueError, match="no valid points"):
+                SpaceDescriptor(**fields)
+            return
+        space = SpaceDescriptor(**fields)
+        assert cardinality(space) == valid
+        for seed in range(30):
+            assert validate(sample_random(seed, space), space).ok
 
 
 class TestSerialization:

@@ -214,6 +214,21 @@ class TestMapModel:
         doc = mm.to_dict()
         assert set(doc) == {"model", "reram", "operators", "tile_plan", "edges"}
 
+    def test_mapped_records_are_immutable(self):
+        mm = map_model(two_block_point(with_dp=True, with_fm=True))
+        dp = mm.operator("b2.dense.DP")
+        for record, field in (
+            (dp, "row_tiles"), (dp.parts[0], "op_id"), (dp.geometry, "k_sparse"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1)
+
+    def test_mapping_twice_gives_equal_operators(self):
+        pt = two_block_point(with_dp=True, with_fm=True)
+        a, b = map_model(pt).operators, map_model(pt).operators
+        assert a == b and a is not b
+        assert [hash(op) for op in a] == [hash(op) for op in b]
+
 
 class TestFunctionalForward:
     def test_all_zero_inputs_give_zero(self):

@@ -155,6 +155,12 @@ class TestSchedule:
                 src_end = max(ready[(s, stream)] for s, stream in op.consumes)
                 assert ev.end >= src_end + TECH.xbar_write_time - 1e-9
 
+    def test_stage_events_are_immutable(self):
+        sched = schedule(map_model(sample_random(3)), TECH)
+        for field in ("stage_id", "start", "end", "kind"):
+            with pytest.raises(AttributeError):
+                setattr(sched.events[1], field, 0)
+
     def test_events_well_formed(self):
         mm = map_model(sample_random(3))
         sched = schedule(mm, TECH)
