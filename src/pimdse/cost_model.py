@@ -13,14 +13,26 @@ controller overhead fraction. Runtime-programmed engines add one
 ``xbar_write_time`` per programmed vector (overlappable, see
 :func:`stage_times`), and the MBSA unit adds ``a_bits * mbsa_time`` per
 squaring pass.
+
+Pricing is a pure function of an operator and the technology table, so it
+need not be repeated: ``map_model(point, table=tech.operator_table)`` takes
+each operator that the :class:`TechParams` object's bounded
+:class:`OperatorTable` still holds, prices included, and maps and prices
+only the rest; :func:`model_cost`, :func:`stage_times` and
+:func:`pimdse.pipeline.schedule` then read those entries. A model mapped
+without the table is priced afresh by the same functions, with the same
+results.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from importlib import resources
+from typing import NamedTuple
 
 from .crossbar import SUPPORTED_BITS
 from .design_space import ReRAMConfig
@@ -78,30 +90,17 @@ class TechParams:
                 raise ValueError("ADC tables must be positive and nondecreasing in resolution")
 
     def scaled_times(self, c: float) -> "TechParams":
-        """All time entries multiplied by c; used by scale-freeness checks."""
-        return TechParams(
-            xbar_read_time=self.xbar_read_time * c,
-            xbar_write_time=self.xbar_write_time * c,
-            xbar_write_energy=self.xbar_write_energy,
-            adc_time=self.adc_time * c,
-            adc_energy=dict(self.adc_energy),
-            adc_area=dict(self.adc_area),
-            dac_energy=self.dac_energy,
-            dac_area=self.dac_area,
-            cell_read_energy=self.cell_read_energy,
-            cell_area=self.cell_area,
-            mbsa_time=self.mbsa_time * c,
-            mbsa_energy=self.mbsa_energy,
-            mbsa_area=self.mbsa_area,
-            buffer_read_energy=self.buffer_read_energy,
-            buffer_write_energy=self.buffer_write_energy,
-            buffer_area_per_byte=self.buffer_area_per_byte,
-            controller_overhead_fraction=self.controller_overhead_fraction,
-            adcs_per_xbar=self.adcs_per_xbar,
-            t_bank=self.t_bank * c,
-            activation_time=self.activation_time * c,
-            label=self.label,
-        )
+        """All time entries multiplied by c; used by scale-freeness checks.
+
+        A new object, so its operator table starts empty."""
+        return replace(self, **{name: getattr(self, name) * c for name in _TIME_FIELDS})
+
+    @cached_property
+    def operator_table(self) -> "OperatorTable":
+        """This table's priced operators, filled by ``map_model(point,
+        table=tech.operator_table)``; kept outside the dataclass fields, so
+        it is never compared, copied by ``replace`` or serialized."""
+        return OperatorTable(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TechParams":
@@ -116,10 +115,15 @@ class TechParams:
             return TechParams.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["adc_energy"] = {str(k): v for k, v in self.adc_energy.items()}
         d["adc_area"] = {str(k): v for k, v in self.adc_area.items()}
         return d
+
+
+_TIME_FIELDS = (
+    "xbar_read_time", "xbar_write_time", "adc_time", "mbsa_time", "t_bank", "activation_time",
+)
 
 
 def default_tech() -> TechParams:
@@ -162,42 +166,23 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def _n_slices(a_bits: int, reram: ReRAMConfig) -> int:
-    return math.ceil(a_bits / reram.dac_bits)
+def _leaf_costs(
+    mo: MappedOperator, tp: TechParams, reram: ReRAMConfig, a_bits: int
+) -> tuple[float, float, float, float]:
+    """``(area, energy, read latency, write latency)`` of one leaf, from
+    its counts times the per-unit table entries; every cost function below
+    reads its leaf figures from here.
 
+    Area is a strict component sum: crossbar cells, converter shares, MBSA
+    and buffer. Energy counts conversions, cell reads, writes and buffer
+    traffic. The read side is bit-serial sweeps plus MBSA passes: slices
+    are ``ceil(a_bits / dac_bits)``, and a tile converts at most
+    ``xbar_size`` active columns. The write side is one write per
+    runtime-programmed vector.
+    """
+    n_slices = math.ceil(a_bits / reram.dac_bits)
+    vcols = mo.out_dim * mo.planes * 2
 
-def read_latency(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig, a_bits: int) -> float:
-    """Read-side latency of one leaf: bit-serial sweeps plus MBSA passes.
-
-    Slices are ``ceil(a_bits / dac_bits)``; a tile converts at most
-    ``xbar_size`` active columns."""
-    active_cols = min(mo.out_dim * mo.planes * 2, reram.xbar_size)
-    per_sweep = math.ceil(a_bits / reram.dac_bits) * (
-        tp.xbar_read_time + math.ceil(active_cols / tp.adcs_per_xbar) * tp.adc_time
-    )
-    return mo.passes * per_sweep + mo.mbsa_passes * a_bits * tp.mbsa_time
-
-
-def write_latency(mo: MappedOperator, tp: TechParams) -> float:
-    return mo.programming_vectors * tp.xbar_write_time
-
-
-def op_latency(
-    mo: MappedOperator,
-    tp: TechParams,
-    reram: ReRAMConfig,
-    a_bits: int = DEFAULT_ACTIVATION_BITS,
-) -> float:
-    """Serial latency of an operator (no cross-stage overlap applied)."""
-    if mo.parts:
-        return sum(op_latency(p, tp, reram, a_bits) for p in mo.parts)
-    return read_latency(mo, tp, reram, a_bits) + write_latency(mo, tp)
-
-
-def op_area(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> float:
-    """Strict component sum: crossbar cells, converter shares, MBSA, buffer."""
-    if mo.parts:
-        return sum(op_area(p, tp, reram) for p in mo.parts)
     tiles = mo.row_tiles * mo.col_tiles
     per_tile = (
         reram.xbar_size**2 * tp.cell_area
@@ -209,20 +194,7 @@ def op_area(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> float:
         area += tp.mbsa_area
     buffer_bytes = max(mo.in_dim, mo.out_dim) * DEFAULT_ACTIVATION_BITS / 8
     area += buffer_bytes * tp.buffer_area_per_byte
-    return area
 
-
-def op_energy(
-    mo: MappedOperator,
-    tp: TechParams,
-    reram: ReRAMConfig,
-    a_bits: int = DEFAULT_ACTIVATION_BITS,
-) -> float:
-    """Per-inference energy: conversions, cell reads, writes, buffer traffic."""
-    if mo.parts:
-        return sum(op_energy(p, tp, reram, a_bits) for p in mo.parts)
-    n_slices = _n_slices(a_bits, reram)
-    vcols = mo.out_dim * mo.planes * 2
     reads = mo.passes * n_slices
     energy = reads * (
         mo.in_dim * mo.col_tiles * tp.dac_energy          # every col tile re-drives its rows
@@ -234,7 +206,46 @@ def op_energy(
     energy += mo.passes * (
         mo.in_dim * tp.buffer_read_energy + mo.out_dim * tp.buffer_write_energy
     )
-    return energy
+
+    active_cols = min(vcols, reram.xbar_size)
+    per_sweep = n_slices * (
+        tp.xbar_read_time + math.ceil(active_cols / tp.adcs_per_xbar) * tp.adc_time
+    )
+    read = mo.passes * per_sweep + mo.mbsa_passes * a_bits * tp.mbsa_time
+    write = mo.programming_vectors * tp.xbar_write_time
+    return area, energy, read, write
+
+
+def op_latency(
+    mo: MappedOperator,
+    tp: TechParams,
+    reram: ReRAMConfig,
+    a_bits: int = DEFAULT_ACTIVATION_BITS,
+) -> float:
+    """Serial latency of an operator (no cross-stage overlap applied)."""
+    if mo.parts:
+        return sum(op_latency(p, tp, reram, a_bits) for p in mo.parts)
+    _, _, read, write = _leaf_costs(mo, tp, reram, a_bits)
+    return read + write
+
+
+def op_area(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> float:
+    """Strict component sum: crossbar cells, converter shares, MBSA, buffer."""
+    if mo.parts:
+        return sum(op_area(p, tp, reram) for p in mo.parts)
+    return _leaf_costs(mo, tp, reram, DEFAULT_ACTIVATION_BITS)[0]
+
+
+def op_energy(
+    mo: MappedOperator,
+    tp: TechParams,
+    reram: ReRAMConfig,
+    a_bits: int = DEFAULT_ACTIVATION_BITS,
+) -> float:
+    """Per-inference energy: conversions, cell reads, writes, buffer traffic."""
+    if mo.parts:
+        return sum(op_energy(p, tp, reram, a_bits) for p in mo.parts)
+    return _leaf_costs(mo, tp, reram, a_bits)[1]
 
 
 def overlap_ready_time(k: int, t_e: float, t_p: float) -> float:
@@ -248,24 +259,109 @@ def overlap_ready_time(k: int, t_e: float, t_p: float) -> float:
     return t_e + (k - 1) * max(t_e, t_p) + t_p
 
 
-def _engine_ready(
-    t0: float,
-    t_e: float,
-    engine: MappedOperator,
-    fc_out: MappedOperator,
-    tp: TechParams,
-    reram: ReRAMConfig,
-) -> float:
-    """``t0`` plus the overlapped programming train of a runtime-programmed
-    engine (per-vector production time ``t_e``), its read and its trailing FC.
+def _engine_ready(t0: float, t_e: float, k: int, tail: tuple[float, float], tp: TechParams) -> float:
+    """``t0`` plus the overlapped programming train of ``k`` engine vectors
+    (per-vector production time ``t_e``), then the engine's read and its
+    trailing FC, ``tail`` as kept by :class:`PricedOperator`.
 
     The one engine-overlap formula, shared by :func:`stage_times` and
     :func:`pimdse.pipeline.schedule`. The sum is taken left to right from
     ``t0``; reordering it would move results in the last bit.
     """
-    t = t0 + overlap_ready_time(engine.programming_vectors, t_e, tp.xbar_write_time)
-    t = t + read_latency(engine, tp, reram, DEFAULT_ACTIVATION_BITS)
-    return t + op_latency(fc_out, tp, reram)
+    read, fc_out = tail
+    t = t0 + overlap_ready_time(k, t_e, tp.xbar_write_time)
+    return t + read + fc_out
+
+
+# ---------------------------------------------------------------------------
+# priced operators and the per-technology operator table
+# ---------------------------------------------------------------------------
+
+OPERATOR_TABLE_SIZE = 1024  # entries per TechParams; least recently used goes first
+
+
+class PricedOperator(NamedTuple):
+    """One mapped operator with its prices under one technology table."""
+
+    op: MappedOperator
+    area: float
+    energy: float
+    latency: float           # serial op_latency
+    occupancy: float | None  # overlapped stage occupancy; None for FM (see price_operator)
+    tail: tuple[float, float] = ()  # DP/FM: engine read, trailing FC latency
+
+
+def price_operator(op: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> PricedOperator:
+    """Area, energy, serial latency and, where it depends on the operator
+    alone, overlapped stage occupancy: an MVM stage is held for its serial
+    latency, and a DP engine overlaps its own front FC/EFC output stream.
+    An FM engine overlaps its source blocks' sparse production, so its
+    occupancy is computed per model by :func:`stage_times`.
+
+    Each leaf is costed once; the totals are the sums :func:`op_area`,
+    :func:`op_energy` and :func:`op_latency` take, in the same order.
+    """
+    a_bits = DEFAULT_ACTIVATION_BITS
+    if not op.parts:
+        area, energy, read, write = _leaf_costs(op, tp, reram, a_bits)
+        latency = read + write
+        return PricedOperator(op, area, energy, latency, latency)
+    costs = [_leaf_costs(p, tp, reram, a_bits) for p in op.parts]  # (*front, engine, fc_out)
+    latencies = [read + write for _, _, read, write in costs]
+    area = sum(c[0] for c in costs)
+    energy = sum(c[1] for c in costs)
+    latency = sum(latencies)
+    tail = (costs[-2][2], latencies[-1])  # the engine's read, the trailing FC
+    if op.engine is Engine.FM:
+        return PricedOperator(op, area, energy, latency, None, tail)
+    k = op.parts[-2].programming_vectors
+    t_e = sum(c[2] for c in costs[:-2]) / k  # DP: the front FC/EFC reads
+    return PricedOperator(op, area, energy, latency, _engine_ready(0.0, t_e, k, tail, tp), tail)
+
+
+class OperatorTable:
+    """Bounded least-recently-used table of priced operators for one
+    ``TechParams``.
+
+    :func:`pimdse.mapping.map_model` keys it by the plain values that fix
+    an operator record completely, placement included: ``(block_index,
+    branch, kind, weight_bits, inputs, dense_w, dim_d, dim_s, n_s,
+    dac_bits, cell_bits, xbar_size, adc_bits)``. A hit therefore shares the
+    record and its prices. Pricing is a pure function of the operator and
+    the technology, so a hit gives exactly what pricing afresh would.
+    """
+
+    def __init__(self, tech: TechParams, size: int = OPERATOR_TABLE_SIZE):
+        if size < 1:
+            raise ValueError("size must be >= 1")
+        self.tech = tech
+        self.size = size
+        self.entries: OrderedDict[tuple, PricedOperator] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(self, key: tuple) -> PricedOperator | None:
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            self.hits += 1
+        return entry
+
+    def insert(self, key: tuple, op: MappedOperator, reram: ReRAMConfig) -> PricedOperator:
+        """Price ``op`` (mapped for ``reram``) and keep it under ``key``."""
+        self.misses += 1
+        entry = self.entries[key] = price_operator(op, self.tech, reram)
+        if len(self.entries) > self.size:
+            self.entries.popitem(last=False)
+        return entry
+
+
+def priced_operators(mm: MappedModel, tp: TechParams) -> tuple[PricedOperator, ...]:
+    """Every operator of ``mm`` priced under ``tp``: the entries ``map_model``
+    took from ``tp``'s operator table, or priced afresh."""
+    if mm.priced_by is tp:
+        return mm.priced
+    return tuple(price_operator(op, tp, mm.reram) for op in mm.operators)
 
 
 def stage_times(mm: MappedModel, tp: TechParams, overlap: bool = True) -> dict[str, float]:
@@ -275,40 +371,33 @@ def stage_times(mm: MappedModel, tp: TechParams, overlap: bool = True) -> dict[s
     behind production: the DP engine overlaps its own front FC/EFC output
     stream, and the FM engine overlaps the sparse production of its source
     blocks (the stem stream counts the bank access time per vector).
+    Without it, every operator occupies its stage for its serial latency.
     """
-    return _stage_times(mm, tp, overlap, None)
+    return _stage_times(mm, tp, overlap, priced_operators(mm, tp))
 
 
 def _stage_times(
-    mm: MappedModel, tp: TechParams, overlap: bool, latencies: dict | None
+    mm: MappedModel, tp: TechParams, overlap: bool, priced: tuple[PricedOperator, ...]
 ) -> dict[str, float]:
-    """:func:`stage_times`; an operator that is not overlapped occupies its
-    stage for its serial ``op_latency``, read from ``latencies`` (op_id ->
-    value) when given, so :func:`model_cost` computes each one once."""
-    reram = mm.reram
     times: dict[str, float] = {}
     sparse_branch: dict[int, float] = {0: tp.t_bank}  # stem production = lookup
     for blk in mm.model.blocks:
         sparse_branch[blk.index] = 0.0
 
-    MVM, DP = Engine.MVM, Engine.DP
-    for op in mm.operators:
-        if op.engine is MVM or not overlap:
-            t = op_latency(op, tp, reram) if latencies is None else latencies[op.op_id]
-        elif op.engine is DP:
-            *front, engine, fc_out = op.parts
-            produced = sum(read_latency(p, tp, reram, DEFAULT_ACTIVATION_BITS) for p in front)
-            t_e = produced / engine.programming_vectors
-            t = _engine_ready(0.0, t_e, engine, fc_out, tp, reram)
+    for op, _, _, latency, occupancy, tail in priced:
+        if not overlap:
+            t = latency
+        elif occupancy is not None:
+            t = occupancy
         else:  # FM: producers are the source blocks' sparse branches
-            *_, engine, fc_out = op.parts
+            k = op.parts[-2].programming_vectors
             produced = sum(
                 sparse_branch[s] for s, stream in op.consumes if stream == "sparse"
             )
-            t_e = produced / engine.programming_vectors
+            t_e = produced / k
             # Occupancy counts from the first vector's arrival: the engine is
             # held through the arrival-limited programming train.
-            t = _engine_ready(-t_e, t_e, engine, fc_out, tp, reram)
+            t = _engine_ready(-t_e, t_e, k, tail, tp)
         times[op.op_id] = t
         if op.branch == "sparse" and op.block_index in sparse_branch:
             sparse_branch[op.block_index] += t
@@ -322,13 +411,12 @@ def model_cost(mm: MappedModel, tp: TechParams) -> CostReport:
     mapping's own ReRAM configuration and activation width price them.
     """
     reram = mm.reram
+    priced = priced_operators(mm, tp)
+    op_energies = {p.op.op_id: p.energy for p in priced}
+    latencies = {p.op.op_id: p.latency for p in priced}
+    stages = _stage_times(mm, tp, True, priced)
 
-    op_areas = {op.op_id: op_area(op, tp, reram) for op in mm.operators}
-    op_energies = {op.op_id: op_energy(op, tp, reram) for op in mm.operators}
-    latencies = {op.op_id: op_latency(op, tp, reram) for op in mm.operators}
-    stages = _stage_times(mm, tp, True, latencies)
-
-    memory_area = mm.tile_plan["memory_tiles"] * reram.xbar_size**2 * tp.cell_area
+    memory_area = mm.memory_tiles * reram.xbar_size**2 * tp.cell_area
     cells_per_value = math.ceil(DEFAULT_ACTIVATION_BITS / reram.cell_bits)
     memory_energy = (
         mm.model.num_sparse_features
@@ -337,7 +425,7 @@ def model_cost(mm: MappedModel, tp: TechParams) -> CostReport:
         * tp.cell_read_energy
     )
 
-    operator_area = sum(op_areas.values())
+    operator_area = sum(p.area for p in priced)
     operator_energy = sum(op_energies.values())
     controller_area = tp.controller_overhead_fraction * (operator_area + memory_area)
     controller_energy = tp.controller_overhead_fraction * (operator_energy + memory_energy)

@@ -224,9 +224,22 @@ class SpaceDescriptor:
         or costing, and spaces with no valid point."""
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
+        plain = self.to_dict()
         for name in _MENUS:
-            if not getattr(self, name):
+            menu = plain[name]
+            if not menu:
                 raise ValueError(f"{name} must not be empty")
+            if len(set(menu)) != len(menu):
+                raise ValueError(f"{name} lists an entry more than once: {menu}")
+        for name, branch_kinds in (
+            ("dense_operators", DENSE_KINDS), ("sparse_operators", SPARSE_KINDS)
+        ):
+            stray = [k.value for k in getattr(self, name) if k not in branch_kinds]
+            if stray:
+                raise ValueError(
+                    f"{name} lists {stray}, which belong to the other branch "
+                    f"(allowed: {[k.value for k in branch_kinds]})"
+                )
         for name in ("dense_dims", "sparse_dims", "xbar_sizes"):
             if min(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must all be >= 1")

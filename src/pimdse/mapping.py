@@ -23,9 +23,10 @@ Dataflow conventions (shared with :mod:`pimdse.reference`):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -39,12 +40,17 @@ from .crossbar import (
     program_signed,
 )
 from .design_space import (
+    DENSE_KINDS,
+    SPARSE_KINDS,
     STEM,
     DesignPoint,
     ModelConfig,
     OperatorKind,
     ReRAMConfig,
 )
+
+if TYPE_CHECKING:
+    from .cost_model import OperatorTable, PricedOperator, TechParams
 
 DEFAULT_ACTIVATION_BITS = 8
 DEFAULT_EMBEDDING_ROWS = 1024  # assumed rows per embedding table for sizing
@@ -148,11 +154,47 @@ class MappedOperator(NamedTuple):
 
 @dataclass(frozen=True)
 class MappedModel:
+    """A mapped design point; ``edges`` and ``tile_plan`` derive from it.
+
+    Mapped through an operator table, it also carries each operator's
+    table entry (``priced``, in operator order) and the technology that
+    priced them (``priced_by``); neither is compared or serialized.
+    """
+
     model: ModelConfig
     reram: ReRAMConfig
     operators: tuple[MappedOperator, ...]  # block operators plus the final FC
-    tile_plan: dict
-    edges: tuple[tuple[str, str], ...]
+    embedding_rows_per_table: int = DEFAULT_EMBEDDING_ROWS
+    priced: tuple[PricedOperator, ...] = field(default=(), compare=False, repr=False)
+    priced_by: TechParams | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """(source stream, consumer op_id) per consumed stream, in operator order."""
+        return tuple(
+            (_stream_ref(s, stream), op.op_id) for op in self.operators for s, stream in op.consumes
+        )
+
+    @cached_property
+    def memory_tiles(self) -> int:
+        """Crossbar tiles holding the embedding tables."""
+        cells_per_value = math.ceil(DEFAULT_ACTIVATION_BITS / self.reram.cell_bits)
+        model = self.model
+        total_cells = (
+            model.num_sparse_features * self.embedding_rows_per_table
+            * model.embedding_dim * cells_per_value
+        )
+        return math.ceil(total_cells / (self.reram.xbar_size**2))
+
+    @cached_property
+    def tile_plan(self) -> dict:
+        """Tiles per engine kind, plus the embedding memory tiles."""
+        plan = dict.fromkeys(_PLAN_KEYS.values(), 0)
+        for op in self.operators:
+            for leaf in op.parts or (op,):  # parts are leaves
+                plan[_PLAN_KEYS[leaf.engine]] += leaf.row_tiles * leaf.col_tiles
+        plan["memory_tiles"] = self.memory_tiles
+        return plan
 
     def operator(self, op_id: str) -> MappedOperator:
         for op in self.operators:
@@ -363,77 +405,96 @@ _PLAN_KEYS = {Engine.MVM: "mvm_tiles", Engine.DP: "dp_tiles", Engine.FM: "fm_til
 def map_model(
     point: DesignPoint,
     embedding_rows_per_table: int = DEFAULT_EMBEDDING_ROWS,
+    table: OperatorTable | None = None,
 ) -> MappedModel:
-    """Map every operator of a valid design point onto engines and tiles."""
+    """Map every operator of a valid design point onto engines and tiles.
+
+    With ``table`` (a :class:`pimdse.cost_model.OperatorTable`) each
+    operator is looked up by the plain values that fix its record, and is
+    mapped and priced only when the table does not hold it yet; the model
+    then carries the priced entries for ``table.tech``.
+    """
     model, reram = point.model, point.reram
     n_s = model.num_sparse_features
-    FC, DP, FM, EFC = OperatorKind.FC, OperatorKind.DP, OperatorKind.FM, OperatorKind.EFC
+    dac, cell, xbar, adc = reram.dac_bits, reram.cell_bits, reram.xbar_size, reram.adc_bits
     # Dense output width of each source: the stem, then block 1, 2, ...
     dense_width = (model.embedding_dim, *(blk.dim_d for blk in model.blocks))
+    if table is not None:
+        lookup, insert = table.lookup, table.insert
     operators: list[MappedOperator] = []
-    edges: list[tuple[str, str]] = []
+    priced: list[PricedOperator] = []
 
     for blk in model.blocks:
         for branch, ops in (("dense", blk.dense_ops), ("sparse", blk.sparse_ops)):
             for op in ops:
-                kind, inputs = op.kind, op.inputs
-                op_id = f"b{blk.index}.{branch}.{_KIND_NAMES[kind]}"
-                consumes = tuple((s, st) for st in _CONSUMED_STREAMS[kind] for s in inputs)
-                at = dict(op_id=op_id, block_index=blk.index, branch=branch, consumes=consumes)
-                dense_w = sum(dense_width[s] for s in inputs)
-                sparse_count = n_s * len(inputs)
-                if kind is FC:
-                    mo = map_fc(dense_w, blk.dim_d, op.weight_bits, reram, **at)
-                elif kind is DP:
-                    mo = map_dp(
-                        blk.dim_d, blk.dim_s, sparse_count, op.weight_bits, reram,
-                        dense_in_dim=dense_w, out_dim=blk.dim_d, **at,
-                    )
-                elif kind is FM:
-                    mo = map_fm(
-                        sparse_count, blk.dim_s, op.weight_bits, reram, out_dim=blk.dim_d, **at
-                    )
-                elif kind is EFC:
-                    mo = map_efc(sparse_count, n_s, blk.dim_s, op.weight_bits, reram, **at)
-                else:  # DSI: an FC producing n_s * dim_s values, then a reshape
-                    mo = map_fc(
-                        dense_w, n_s * blk.dim_s, op.weight_bits, reram,
-                        kind=OperatorKind.DSI, **at,
-                    )
-                operators.append(mo)
-                edges.extend((_stream_ref(s, st), op_id) for s, st in consumes)
+                dense_w = sum(dense_width[s] for s in op.inputs)
+                if table is None:
+                    operators.append(_map_block_op(blk, branch, op, dense_w, n_s, reram))
+                    continue
+                key = (
+                    blk.index, branch, op.kind, op.weight_bits, op.inputs, dense_w,
+                    blk.dim_d, blk.dim_s, n_s, dac, cell, xbar, adc,
+                )
+                # Entries are nonempty tuples, so ``or`` maps only on a miss.
+                priced.append(
+                    lookup(key) or insert(key, _map_block_op(blk, branch, op, dense_w, n_s, reram), reram)
+                )
 
-    last = model.blocks[-1].index
-    final = map_fc(
-        model.blocks[-1].dim_d, 1, model.final_fc_bits, reram, op_id="final_fc",
-        block_index=last + 1, branch="dense", consumes=((last, "dense"),),
-    )
-    operators.append(final)
-    edges.append((_stream_ref(last, "dense"), "final_fc"))
+    last = model.blocks[-1]
+    if table is None:
+        operators.append(_map_final_fc(last, model.final_fc_bits, reram))
+    else:  # kind None: no block operator's key; dim_d 1, the single logit
+        key = (
+            last.index + 1, "dense", None, model.final_fc_bits, (last.index,), last.dim_d,
+            1, 0, n_s, dac, cell, xbar, adc,
+        )
+        priced.append(lookup(key) or insert(key, _map_final_fc(last, model.final_fc_bits, reram), reram))
+        operators = [entry.op for entry in priced]
 
-    tile_plan = _tile_plan(operators, model, reram, embedding_rows_per_table)
     return MappedModel(
         model=model,
         reram=reram,
         operators=tuple(operators),
-        tile_plan=tile_plan,
-        edges=tuple(edges),
+        embedding_rows_per_table=embedding_rows_per_table,
+        priced=tuple(priced),
+        priced_by=None if table is None else table.tech,
+    )
+
+
+def _map_block_op(blk, branch, op, dense_w, n_s, reram) -> MappedOperator:
+    """One block operator, mapped and placed."""
+    kind, inputs = op.kind, op.inputs
+    consumes = tuple((s, st) for st in _CONSUMED_STREAMS[kind] for s in inputs)
+    at = dict(
+        op_id=f"b{blk.index}.{branch}.{_KIND_NAMES[kind]}", block_index=blk.index, branch=branch,
+        consumes=consumes,
+    )
+    sparse_count = n_s * len(inputs)
+    if kind is OperatorKind.FC:
+        return map_fc(dense_w, blk.dim_d, op.weight_bits, reram, **at)
+    if kind is OperatorKind.DP:
+        return map_dp(
+            blk.dim_d, blk.dim_s, sparse_count, op.weight_bits, reram,
+            dense_in_dim=dense_w, out_dim=blk.dim_d, **at,
+        )
+    if kind is OperatorKind.FM:
+        return map_fm(sparse_count, blk.dim_s, op.weight_bits, reram, out_dim=blk.dim_d, **at)
+    if kind is OperatorKind.EFC:
+        return map_efc(sparse_count, n_s, blk.dim_s, op.weight_bits, reram, **at)
+    # DSI: an FC producing n_s * dim_s values, then a reshape
+    return map_fc(dense_w, n_s * blk.dim_s, op.weight_bits, reram, kind=OperatorKind.DSI, **at)
+
+
+def _map_final_fc(last, w_bits, reram) -> MappedOperator:
+    """The final FC: the last block's dense output to one logit."""
+    return map_fc(
+        last.dim_d, 1, w_bits, reram, op_id="final_fc",
+        block_index=last.index + 1, branch="dense", consumes=((last.index, "dense"),),
     )
 
 
 def _stream_ref(source: int, stream: str) -> str:
     return "stem" if source == STEM else f"b{source}.{stream}"
-
-
-def _tile_plan(operators, model, reram, rows_per_table) -> dict:
-    plan = dict.fromkeys(_PLAN_KEYS.values(), 0)
-    for op in operators:
-        for leaf in op.parts or (op,):  # parts are leaves
-            plan[_PLAN_KEYS[leaf.engine]] += leaf.row_tiles * leaf.col_tiles
-    cells_per_value = math.ceil(DEFAULT_ACTIVATION_BITS / reram.cell_bits)
-    total_cells = model.num_sparse_features * rows_per_table * model.embedding_dim * cells_per_value
-    plan["memory_tiles"] = math.ceil(total_cells / (reram.xbar_size**2))
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +629,7 @@ def functional_forward(
                 logs[op_id] = lg
             elif op.kind == OperatorKind.DP:
                 y = _dp_forward(op, op_id, blk, gather_dense, gather_sparse, weights, reram, a_bits, logs)
-            else:  # FM
+            elif op.kind == OperatorKind.FM:
                 xs = gather_sparse(op.inputs, blk.dim_s)
                 ix, lg = fm_engine_forward(xs, reram, a_bits)
                 logs[f"{op_id}.engine"] = lg
@@ -577,6 +638,8 @@ def functional_forward(
                     op.weight_bits, reram, a_bits,
                 )
                 logs[f"{op_id}.fc_out"] = lg2
+            else:
+                raise _wrong_branch(op_id, op.kind, DENSE_KINDS)
             d_acc += clamp_activations(y, a_bits)
         d_acc = clamp_activations(np.maximum(d_acc, 0), a_bits)  # ReLU on dense
 
@@ -588,9 +651,11 @@ def functional_forward(
                     weights[op_id], gather_sparse(op.inputs, blk.dim_s),
                     op.weight_bits, reram, a_bits,
                 )
-            else:  # DSI
+            elif op.kind == OperatorKind.DSI:
                 flat, lg = run_fc(weights[op_id], gather_dense(op.inputs), op.weight_bits, reram, a_bits)
                 ys = flat.reshape(n_s, blk.dim_s)
+            else:
+                raise _wrong_branch(op_id, op.kind, SPARSE_KINDS)
             logs[op_id] = lg
             s_acc += clamp_activations(ys, a_bits)
         s_acc = clamp_activations(s_acc, a_bits)  # identity activation
@@ -604,6 +669,12 @@ def functional_forward(
     )
     logs["final_fc"] = lg
     return logit, logs
+
+
+def _wrong_branch(op_id: str, kind: OperatorKind, allowed) -> ValueError:
+    return ValueError(
+        f"{op_id}: {kind.value} cannot run in this branch (allowed: {[k.value for k in allowed]})"
+    )
 
 
 def _dp_forward(op, op_id, blk, gather_dense, gather_sparse, weights, reram, a_bits, logs):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .cost_model import TechParams, _engine_ready, stage_times
-from .mapping import Engine, MappedModel
+from .cost_model import TechParams, _engine_ready, priced_operators, stage_times
+from .mapping import MappedModel
 
 
 class UnplacedId(KeyError):
@@ -112,8 +112,14 @@ class StageEvent(NamedTuple):
 @dataclass(frozen=True)
 class Schedule:
     events: tuple[StageEvent, ...]
-    edges: tuple[tuple[str, str], ...]  # (producer event, consumer event)
+    mapped: MappedModel  # the model the timeline is for; not serialized
     occupancy: dict  # stage_times the timeline was built from; not serialized
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """(producer event, consumer event): the mapping's data edges, with
+        the stem's streams produced by the lookup."""
+        return tuple(("lookup" if src == "stem" else src, dst) for src, dst in self.mapped.edges)
 
     @property
     def end_time(self) -> float:
@@ -180,29 +186,29 @@ def schedule(
 
     # Operators grouped by block in one pass; the final FC is timed last.
     block_ops: dict[int, list] = {blk.index: [] for blk in mm.model.blocks}
-    for op in mm.operators:
-        if op.block_index in block_ops:
-            block_ops[op.block_index].append(op)
+    for p in priced_operators(mm, tp):
+        if p.op.block_index in block_ops:
+            block_ops[p.op.block_index].append(p)
 
-    FM = Engine.FM
     for blk in mm.model.blocks:
         dense_ends, sparse_ends, branch_starts = [], [], []
-        for op in block_ops[blk.index]:
-            start = max(
-                (dense_ready if stream == "dense" else sparse_ready)[s] for s, stream in op.consumes
-            )
-            end = start + occ[op.op_id]
-            if overlap and op.engine is FM:
+        for op, _, _, _, occupancy, tail in block_ops[blk.index]:
+            if overlap and occupancy is None:  # FM
                 # Occupancy has no timeline, so it spreads the source
                 # branches' summed production over the vectors. Here the
                 # branches' start and end times are known, so the engine is
                 # programmed across the observed production window instead;
                 # eager programming can only improve on the serialized plan.
-                *_, engine, fc_out = op.parts
+                k = op.parts[-2].programming_vectors
                 start = max(sparse_start[s] for s, stream in op.consumes)
                 window = max(sparse_ready[s] for s, stream in op.consumes) - start
-                t_e = window / engine.programming_vectors
-                end = _engine_ready(start, t_e, engine, fc_out, tp, mm.reram)
+                end = _engine_ready(start, window / k, k, tail, tp)
+            else:
+                start = max(
+                    (dense_ready if stream == "dense" else sparse_ready)[s]
+                    for s, stream in op.consumes
+                )
+                end = start + occ[op.op_id]
             events.append(StageEvent(op.op_id, start, end, "compute"))
             if op.branch == "dense":
                 dense_ends.append(end)
@@ -215,9 +221,7 @@ def schedule(
 
     start = dense_ready[mm.model.blocks[-1].index]
     events.append(StageEvent("final_fc", start, start + occ["final_fc"], "compute"))
-    # The mapping's data edges, with the stem's streams produced by the lookup.
-    edges = tuple(("lookup" if src == "stem" else src, dst) for src, dst in mm.edges)
-    return Schedule(events=tuple(events), edges=edges, occupancy=occ)
+    return Schedule(events=tuple(events), mapped=mm, occupancy=occ)
 
 
 def simulate(

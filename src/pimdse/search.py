@@ -191,8 +191,10 @@ def default_hw_metrics(
             t_bank=tech.t_bank,
         )
 
+    table = tech.operator_table  # shared by every search priced with this tech
+
     def metrics(point: DesignPoint) -> tuple[float, float, float]:
-        mm = map_model(point)
+        mm = map_model(point, table=table)
         cost = model_cost(mm, tech)
         report = simulate(mm, tech, lookup_model=lookup_model)
         return (1.0 / report.throughput, cost.area, cost.peak_power)

@@ -131,6 +131,25 @@ class TestUnrealizableSpace:
         space = {"num_sparse_features": 1, "dense_operators": ["FM"]}
         self.assert_every_command_exits_2(capsys, tmp_path, point_file, space, "dense_operators")
 
+    def test_duplicate_operator_in_menu(self, capsys, tmp_path, point_file):
+        # Used to load, and `space count` counted each copy (3 for a one-point space).
+        space = {"dense_operators": ["FC", "FC"]}
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, space, "dense_operators")
+
+    def test_duplicate_dim_in_menu(self, capsys, tmp_path, point_file):
+        # Used to load, and `space count` counted each copy.
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, {"dense_dims": [16, 16]}, "dense_dims")
+
+    def test_sparse_kind_in_dense_menu(self, capsys, tmp_path, point_file):
+        # Used to sample, map and simulate, then `functional_forward` raised
+        # KeyError: 'b1.dense.EFC.fc_out'.
+        space = {"num_blocks": 2, "dense_operators": ["EFC"]}
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, space, "dense_operators")
+
+    def test_dense_kind_in_sparse_menu(self, capsys, tmp_path, point_file):
+        space = {"sparse_operators": ["EFC", "FC"]}
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, space, "sparse_operators")
+
 
 class TestTechFile:
     """A technology file is checked when loaded, before any point is costed."""

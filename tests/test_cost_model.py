@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimdse.cost_model import (
+    OperatorTable,
     TechParams,
     default_tech,
     model_cost,
@@ -14,8 +17,17 @@ from pimdse.cost_model import (
     overlap_ready_time,
     stage_times,
 )
-from pimdse.design_space import ReRAMConfig, sample_random
+from pimdse.design_space import (
+    DEFAULT_SPACE,
+    OperatorKind,
+    ReRAMConfig,
+    SpaceDescriptor,
+    mutate,
+    sample_random,
+)
 from pimdse.mapping import map_dp, map_fc, map_fm, map_model
+from pimdse.pipeline import schedule, simulate, zipf_lookup_model
+from pimdse.search import default_hw_metrics
 
 TECH = default_tech()
 R16 = ReRAMConfig(dac_bits=1, cell_bits=2, xbar_size=16, adc_bits=8)
@@ -188,3 +200,92 @@ class TestStageTimes:
         assert overlap_ready_time(3, 2.0, 3.0) == 11.0
         assert overlap_ready_time(1, 2.0, 3.0) == 5.0
         assert overlap_ready_time(4, 2.0, 0.0001) == pytest.approx(8.0001, abs=1e-9)
+
+
+# The default space and two small ones: few dims, so operators repeat, and
+# a one-feature space where FMs need two or more sources.
+TABLE_SPACES = (
+    DEFAULT_SPACE,
+    SpaceDescriptor(
+        num_blocks=2, dense_dims=(16, 32), sparse_dims=(16,), num_sparse_features=4, embedding_dim=8
+    ),
+    SpaceDescriptor(
+        num_blocks=3, dense_operators=(OperatorKind.DP, OperatorKind.FM),
+        sparse_operators=(OperatorKind.DSI,), dense_dims=(16, 64), sparse_dims=(16, 32),
+        num_sparse_features=1, embedding_dim=4,
+    ),
+)
+
+
+class TestOperatorTable:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        space_index=st.sampled_from(range(len(TABLE_SPACES))),
+        first=st.integers(0, 2**32 - 1),
+        # each step mutates the previous point (1-3 edits) or samples anew (0)
+        walk=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3)), max_size=8),
+    )
+    def test_table_path_equals_table_free_path(self, space_index, first, walk):
+        space = TABLE_SPACES[space_index]
+        tech = default_tech()
+        lookup = zipf_lookup_model(space.num_sparse_features, 256, 8, 16, 1, tech.t_bank)
+        metric_fn = default_hw_metrics(tech, space, lookup_model=lookup)
+        small = OperatorTable(tech, size=8)  # far fewer entries than a walk maps
+        point = sample_random(first, space)
+        for seed, edits in [(None, 0), *walk]:
+            if seed is not None:
+                point = mutate(point, seed, edits, space) if edits else sample_random(seed, space)
+            plain = map_model(point)
+            cost, report = model_cost(plain, tech), simulate(plain, tech, lookup_model=lookup)
+            expected = (1.0 / report.throughput, cost.area, cost.peak_power)
+            assert tuple(metric_fn(point)) == expected
+            mm = map_model(point, table=small)
+            assert mm.priced_by is tech and mm == plain and mm.edges == plain.edges
+            assert model_cost(mm, tech).to_dict() == cost.to_dict()
+            assert simulate(mm, tech, lookup_model=lookup).to_dict() == report.to_dict()
+            for overlap in (True, False):
+                assert schedule(mm, tech, overlap).to_dict() == schedule(plain, tech, overlap).to_dict()
+            assert len(small.entries) <= small.size
+
+    def test_bound_and_counts(self):
+        tech = default_tech()
+        table = OperatorTable(tech, size=64)  # about three default-space models
+        operators = 0
+        point = sample_random(0)
+        for seed in range(40):
+            point = mutate(point, seed, 2)
+            operators += len(map_model(point, table=table).operators)
+            assert len(table.entries) <= 64
+        assert table.hits + table.misses == operators
+        assert table.hits > 0 and table.misses > 64  # children share operators; entries were evicted
+        assert tech.operator_table.size == 1024 and tech.operator_table is tech.operator_table
+
+    def test_lookup_refreshes_recency(self):
+        table = OperatorTable(TECH, size=2)
+        op = map_fc(16, 16, 4, R16)
+        for key in ("a", "b"):
+            table.insert(key, op, R16)
+        assert table.lookup("a") is not None  # "a" is now the most recent
+        table.insert("c", op, R16)
+        assert list(table.entries) == ["a", "c"]
+        assert table.lookup("b") is None and (table.hits, table.misses) == (1, 3)
+
+    def test_scaled_times_prices_with_the_scaled_times(self):
+        tech = default_tech()
+        point = sample_random(5)
+        priced = map_model(point, table=tech.operator_table)
+        scaled = tech.scaled_times(3.0)
+        assert scaled.operator_table is not tech.operator_table
+        assert not scaled.operator_table.entries and scaled.xbar_read_time == 3.0 * tech.xbar_read_time
+        fresh = model_cost(map_model(point), scaled).to_dict()
+        # a model priced under another tech is priced afresh, not read from its entries
+        assert model_cost(priced, scaled).to_dict() == fresh
+        assert model_cost(map_model(point, table=scaled.operator_table), scaled).to_dict() == fresh
+        assert fresh != model_cost(priced, tech).to_dict()
+
+    def test_table_is_not_serialized(self):
+        tech = default_tech()
+        map_model(sample_random(1), table=tech.operator_table)
+        d = tech.to_dict()
+        assert "operator_table" not in d
+        assert TechParams.from_dict(d) == tech

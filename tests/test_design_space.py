@@ -278,14 +278,17 @@ def _every_point(menus):
                 yield DesignPoint(model, reram)
 
 
+ONE_ITEM_MENUS = dict(
+    dense_dims=(16,), sparse_dims=(16,), weight_bits=(4,), dac_bits=(1,),
+    cell_bits=(2,), xbar_sizes=(16,), adc_bits=(4,), embedding_dim=4,
+)
+
+
 class TestCardinalityByEnumeration:
     @pytest.mark.parametrize("n_s", [1, 2])
     @pytest.mark.parametrize("menu", TINY_MENUS)
     def test_count_matches_enumerated_valid_points(self, menu, n_s):
-        fields = dict(
-            dense_dims=(16,), sparse_dims=(16,), weight_bits=(4,), dac_bits=(1,),
-            cell_bits=(2,), xbar_sizes=(16,), adc_bits=(4,), embedding_dim=4,
-        )
+        fields = dict(ONE_ITEM_MENUS)
         fields.update(menu, num_sparse_features=n_s)
         # validate reads only the menus, so the brute-force count needs no
         # SpaceDescriptor, whose constructor refuses spaces with no valid point.
@@ -299,6 +302,25 @@ class TestCardinalityByEnumeration:
         assert cardinality(space) == valid
         for seed in range(30):
             assert validate(sample_random(seed, space), space).ok
+
+    @pytest.mark.parametrize(
+        "name, menu",
+        [("dense_operators", (FC, FC)), ("dense_dims", (16, 16)), ("xbar_sizes", (16, 32, 16))],
+    )
+    def test_duplicate_menu_entries_are_refused(self, name, menu):
+        # cardinality counted every copy: (FC, FC) gave 3 and (16, 16) gave 2
+        # for spaces that hold one valid point.
+        fields = dict(
+            ONE_ITEM_MENUS, num_blocks=1, dense_operators=(FC,), sparse_operators=(EFC,),
+            num_sparse_features=2,
+        )
+        fields[name] = menu
+        menus = types.SimpleNamespace(**fields)
+        distinct = {p for p in _every_point(menus) if validate(p, menus).ok}
+        with pytest.raises(ValueError, match=name):
+            SpaceDescriptor(**fields)
+        deduplicated = SpaceDescriptor(**{**fields, name: tuple(dict.fromkeys(menu))})
+        assert cardinality(deduplicated) == len(distinct)
 
 
 class TestSerialization:

@@ -231,6 +231,25 @@ class TestMapModel:
 
 
 class TestFunctionalForward:
+    @pytest.mark.parametrize(
+        "dense, sparse, message",
+        [
+            # used to fall into the FM path: KeyError 'b1.dense.EFC.fc_out'
+            (OperatorKind.EFC, OperatorKind.EFC, "b1.dense.EFC: EFC cannot run in this branch"),
+            (OperatorKind.FC, OperatorKind.FC, "b1.sparse.FC: FC cannot run in this branch"),
+        ],
+    )
+    def test_kind_on_the_wrong_branch_raises(self, dense, sparse, message):
+        block = BlockConfig(
+            1, 16, 16, (OperatorChoice(dense, 4, (0,)),), (OperatorChoice(sparse, 4, (0,)),)
+        )
+        model = ModelConfig((block,), final_fc_bits=4, num_sparse_features=4, embedding_dim=16)
+        mm = map_model(DesignPoint(model=model, reram=R16))
+        with pytest.raises(ValueError, match=message):
+            functional_forward(
+                mm, np.zeros(16, dtype=int), np.zeros((4, 16), dtype=int), random_weights(mm, 0)
+            )
+
     def test_all_zero_inputs_give_zero(self):
         pt = two_block_point()
         mm = map_model(pt)
