@@ -331,11 +331,8 @@ class OperatorTable:
     the technology, so a hit gives exactly what pricing afresh would.
     """
 
-    def __init__(self, tech: TechParams, size: int = OPERATOR_TABLE_SIZE):
-        if size < 1:
-            raise ValueError("size must be >= 1")
+    def __init__(self, tech: TechParams):
         self.tech = tech
-        self.size = size
         self.entries: OrderedDict[tuple, PricedOperator] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -351,7 +348,7 @@ class OperatorTable:
         """Price ``op`` (mapped for ``reram``) and keep it under ``key``."""
         self.misses += 1
         entry = self.entries[key] = price_operator(op, self.tech, reram)
-        if len(self.entries) > self.size:
+        if len(self.entries) > OPERATOR_TABLE_SIZE:
             self.entries.popitem(last=False)
         return entry
 
@@ -384,11 +381,12 @@ def _stage_times(
     for blk in mm.model.blocks:
         sparse_branch[blk.index] = 0.0
 
-    for op, _, _, latency, occupancy, tail in priced:
+    for p in priced:
+        op = p.op
         if not overlap:
-            t = latency
-        elif occupancy is not None:
-            t = occupancy
+            t = p.latency
+        elif p.occupancy is not None:
+            t = p.occupancy
         else:  # FM: producers are the source blocks' sparse branches
             k = op.parts[-2].programming_vectors
             produced = sum(
@@ -397,7 +395,7 @@ def _stage_times(
             t_e = produced / k
             # Occupancy counts from the first vector's arrival: the engine is
             # held through the arrival-limited programming train.
-            t = _engine_ready(-t_e, t_e, k, tail, tp)
+            t = _engine_ready(-t_e, t_e, k, p.tail, tp)
         times[op.op_id] = t
         if op.branch == "sparse" and op.block_index in sparse_branch:
             sparse_branch[op.block_index] += t

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .cost_model import TechParams, _engine_ready, priced_operators, stage_times
-from .mapping import MappedModel
+from .mapping import Engine, MappedModel
 
 
 class UnplacedId(KeyError):
@@ -112,14 +112,8 @@ class StageEvent(NamedTuple):
 @dataclass(frozen=True)
 class Schedule:
     events: tuple[StageEvent, ...]
-    mapped: MappedModel  # the model the timeline is for; not serialized
+    edges: tuple[tuple[str, str], ...]  # (producer event, consumer event)
     occupancy: dict  # stage_times the timeline was built from; not serialized
-
-    @cached_property
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        """(producer event, consumer event): the mapping's data edges, with
-        the stem's streams produced by the lookup."""
-        return tuple(("lookup" if src == "stem" else src, dst) for src, dst in self.mapped.edges)
 
     @property
     def end_time(self) -> float:
@@ -190,10 +184,12 @@ def schedule(
         if p.op.block_index in block_ops:
             block_ops[p.op.block_index].append(p)
 
+    FM = Engine.FM
     for blk in mm.model.blocks:
         dense_ends, sparse_ends, branch_starts = [], [], []
-        for op, _, _, _, occupancy, tail in block_ops[blk.index]:
-            if overlap and occupancy is None:  # FM
+        for p in block_ops[blk.index]:
+            op = p.op
+            if overlap and op.engine is FM:
                 # Occupancy has no timeline, so it spreads the source
                 # branches' summed production over the vectors. Here the
                 # branches' start and end times are known, so the engine is
@@ -202,7 +198,7 @@ def schedule(
                 k = op.parts[-2].programming_vectors
                 start = max(sparse_start[s] for s, stream in op.consumes)
                 window = max(sparse_ready[s] for s, stream in op.consumes) - start
-                end = _engine_ready(start, window / k, k, tail, tp)
+                end = _engine_ready(start, window / k, k, p.tail, tp)
             else:
                 start = max(
                     (dense_ready if stream == "dense" else sparse_ready)[s]
@@ -221,7 +217,9 @@ def schedule(
 
     start = dense_ready[mm.model.blocks[-1].index]
     events.append(StageEvent("final_fc", start, start + occ["final_fc"], "compute"))
-    return Schedule(events=tuple(events), mapped=mm, occupancy=occ)
+    # The mapping's data edges, with the stem's streams produced by the lookup.
+    edges = tuple(("lookup" if src == "stem" else src, dst) for src, dst in mm.edges)
+    return Schedule(events=tuple(events), edges=edges, occupancy=occ)
 
 
 def simulate(

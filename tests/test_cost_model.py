@@ -1,12 +1,15 @@
 """Cost-model arithmetic, additivity, monotonicity, scale-freeness."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimdse import cost_model
 from pimdse.cost_model import (
+    OPERATOR_TABLE_SIZE,
     OperatorTable,
     TechParams,
     default_tech,
@@ -230,26 +233,30 @@ class TestOperatorTable:
         tech = default_tech()
         lookup = zipf_lookup_model(space.num_sparse_features, 256, 8, 16, 1, tech.t_bank)
         metric_fn = default_hw_metrics(tech, space, lookup_model=lookup)
-        small = OperatorTable(tech, size=8)  # far fewer entries than a walk maps
+        small = OperatorTable(tech)
         point = sample_random(first, space)
-        for seed, edits in [(None, 0), *walk]:
-            if seed is not None:
-                point = mutate(point, seed, edits, space) if edits else sample_random(seed, space)
-            plain = map_model(point)
-            cost, report = model_cost(plain, tech), simulate(plain, tech, lookup_model=lookup)
-            expected = (1.0 / report.throughput, cost.area, cost.peak_power)
-            assert tuple(metric_fn(point)) == expected
-            mm = map_model(point, table=small)
-            assert mm.priced_by is tech and mm == plain and mm.edges == plain.edges
-            assert model_cost(mm, tech).to_dict() == cost.to_dict()
-            assert simulate(mm, tech, lookup_model=lookup).to_dict() == report.to_dict()
-            for overlap in (True, False):
-                assert schedule(mm, tech, overlap).to_dict() == schedule(plain, tech, overlap).to_dict()
-            assert len(small.entries) <= small.size
+        # far fewer entries than a walk maps, so entries are evicted
+        with mock.patch.object(cost_model, "OPERATOR_TABLE_SIZE", 8):
+            for seed, edits in [(None, 0), *walk]:
+                if seed is not None:
+                    point = mutate(point, seed, edits, space) if edits else sample_random(seed, space)
+                plain = map_model(point)
+                cost, report = model_cost(plain, tech), simulate(plain, tech, lookup_model=lookup)
+                expected = (1.0 / report.throughput, cost.area, cost.peak_power)
+                assert tuple(metric_fn(point)) == expected
+                mm = map_model(point, table=small)
+                assert mm.priced_by is tech and mm == plain and mm.edges == plain.edges
+                assert model_cost(mm, tech).to_dict() == cost.to_dict()
+                assert simulate(mm, tech, lookup_model=lookup).to_dict() == report.to_dict()
+                for overlap in (True, False):
+                    sched = schedule(mm, tech, overlap)
+                    assert sched.to_dict() == schedule(plain, tech, overlap).to_dict()
+                assert len(small.entries) <= 8
 
+    @mock.patch.object(cost_model, "OPERATOR_TABLE_SIZE", 64)  # about three default-space models
     def test_bound_and_counts(self):
         tech = default_tech()
-        table = OperatorTable(tech, size=64)  # about three default-space models
+        table = OperatorTable(tech)
         operators = 0
         point = sample_random(0)
         for seed in range(40):
@@ -258,10 +265,21 @@ class TestOperatorTable:
             assert len(table.entries) <= 64
         assert table.hits + table.misses == operators
         assert table.hits > 0 and table.misses > 64  # children share operators; entries were evicted
-        assert tech.operator_table.size == 1024 and tech.operator_table is tech.operator_table
+        assert tech.operator_table is tech.operator_table
 
+    def test_default_bound_evicts_the_least_recent(self):
+        table = OperatorTable(TECH)
+        op = map_fc(16, 16, 4, R16)
+        for key in range(OPERATOR_TABLE_SIZE + 1):
+            table.insert(key, op, R16)
+            if key == 1:
+                assert table.lookup(0) is not None  # 0 is now more recent than 1
+        assert len(table.entries) == OPERATOR_TABLE_SIZE
+        assert 1 not in table.entries and 0 in table.entries
+
+    @mock.patch.object(cost_model, "OPERATOR_TABLE_SIZE", 2)
     def test_lookup_refreshes_recency(self):
-        table = OperatorTable(TECH, size=2)
+        table = OperatorTable(TECH)
         op = map_fc(16, 16, 4, R16)
         for key in ("a", "b"):
             table.insert(key, op, R16)
