@@ -14,6 +14,7 @@ from .design_space import (
     SpaceDescriptor,
     cardinality,
     canonical_json,
+    from_plain,
     mutate,
     point_from_json,
     sample_random,

@@ -4,6 +4,15 @@ Subcommands: ``space count``, ``space sample``, ``map``, ``simulate``,
 ``search``. All output JSON is emitted with sorted keys so reruns with the
 same inputs are byte-identical. Exit codes: 0 ok, 2 parse error,
 3 validation error, 4 internal error. Set PIMDSE_LOG to control verbosity.
+
+Every input file (``--point``, ``--space``, ``--tech``, ``--search-config``)
+is decoded by :func:`pimdse.design_space.from_plain`: each record is a JSON
+object with no unknown key; every value has its field's JSON type (integers
+for ``int``, never booleans or fractions; finite numbers for ``float``; lists
+of the stated length; a listed operator kind); keys a record gives defaults
+for may be left out. A file that breaks one of these rules exits 2 naming the
+field by its JSON path, as does one that fails the record's own range checks
+(naming the field); a design point that decodes but fails ``validate`` exits 3.
 """
 
 from __future__ import annotations
@@ -20,11 +29,12 @@ from . import __version__
 from .cost_model import TechParams, default_tech, model_cost
 from .design_space import (
     DEFAULT_SPACE,
+    DesignPoint,
     SpaceDescriptor,
     canonical_json,
     cardinality,
     cardinality_report,
-    point_from_json,
+    from_plain,
     sample_random,
     validate,
 )
@@ -59,30 +69,25 @@ def _dump(obj: dict, stream=None) -> None:
     stream.write("\n")
 
 
-def _load_space(path: str | None) -> SpaceDescriptor:
-    if path is None:
-        return DEFAULT_SPACE
-    try:
-        return SpaceDescriptor.from_json(path)
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load space descriptor {path}: {exc}", EXIT_PARSE) from exc
-
-
-def _load_tech(path: str | None) -> TechParams:
-    if path is None:
-        return default_tech()
-    try:
-        return TechParams.from_json(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot load tech params {path}: {exc}", EXIT_PARSE) from exc
-
-
-def _load_point(path: str, space: SpaceDescriptor):
+def _load(cls, path: str, what: str):
+    """Decode ``cls`` from the JSON file at ``path``, or exit 2."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            point = point_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load design point {path}: {exc}", EXIT_PARSE) from exc
+            return from_plain(cls, json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot load {what} {path}: {exc}", EXIT_PARSE) from exc
+
+
+def _space(args) -> SpaceDescriptor:
+    return _load(SpaceDescriptor, args.space, "space descriptor") if args.space else DEFAULT_SPACE
+
+
+def _tech(args) -> TechParams:
+    return _load(TechParams, args.tech, "tech params") if args.tech else default_tech()
+
+
+def _point(args, space: SpaceDescriptor) -> DesignPoint:
+    point = _load(DesignPoint, args.point, "design point")
     report = validate(point, space)
     if not report.ok:
         raise CliError(
@@ -93,7 +98,7 @@ def _load_point(path: str, space: SpaceDescriptor):
 
 
 def cmd_space(args) -> int:
-    space = _load_space(args.space)
+    space = _space(args)
     if args.action == "count":
         if args.report:
             _dump(cardinality_report(space))
@@ -108,17 +113,15 @@ def cmd_space(args) -> int:
 
 
 def cmd_map(args) -> int:
-    space = _load_space(args.space)
-    point = _load_point(args.point, space)
+    point = _point(args, _space(args))
     mm = map_model(point)
     _dump(mm.to_dict())
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    space = _load_space(args.space)
-    point = _load_point(args.point, space)
-    tech = _load_tech(args.tech)
+    point = _point(args, _space(args))
+    tech = _tech(args)
     mm = map_model(point)
     cost = model_cost(mm, tech)
     lookup = zipf_lookup_model(
@@ -147,12 +150,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    space = _load_space(args.space)
-    tech = _load_tech(args.tech)
-    try:
-        cfg = SearchConfig.from_json(args.search_config)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot load search config {args.search_config}: {exc}", EXIT_PARSE) from exc
+    space = _space(args)
+    tech = _tech(args)
+    cfg = _load(SearchConfig, args.search_config, "search config")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
 

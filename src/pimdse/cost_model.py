@@ -35,7 +35,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .crossbar import SUPPORTED_BITS
-from .design_space import ReRAMConfig
+from .design_space import ReRAMConfig, from_plain
 from .mapping import DEFAULT_ACTIVATION_BITS, Engine, MappedModel, MappedOperator
 
 
@@ -47,8 +47,8 @@ class TechParams:
     xbar_write_time: float      # per programmed vector
     xbar_write_energy: float    # per programmed vector
     adc_time: float             # per conversion
-    adc_energy: dict            # adc_bits -> energy per conversion
-    adc_area: dict              # adc_bits -> area per ADC instance
+    adc_energy: dict[int, float]  # adc_bits -> energy per conversion
+    adc_area: dict[int, float]    # adc_bits -> area per ADC instance
     dac_energy: float           # per row drive per slice
     dac_area: float             # per row driver
     cell_read_energy: float     # per occupied cell per slice read
@@ -102,18 +102,6 @@ class TechParams:
         it is never compared, copied by ``replace`` or serialized."""
         return OperatorTable(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "TechParams":
-        d = dict(d)
-        for key in ("adc_energy", "adc_area"):
-            d[key] = {int(k): float(v) for k, v in d[key].items()}
-        return TechParams(**d)
-
-    @staticmethod
-    def from_json(path: str) -> "TechParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return TechParams.from_dict(json.load(fh))
-
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["adc_energy"] = {str(k): v for k, v in self.adc_energy.items()}
@@ -128,7 +116,7 @@ _TIME_FIELDS = (
 
 def default_tech() -> TechParams:
     text = resources.files("pimdse.data").joinpath("default_tech.json").read_text()
-    return TechParams.from_dict(json.loads(text))
+    return from_plain(TechParams, json.loads(text))
 
 
 @dataclass
@@ -167,7 +155,7 @@ class CostReport:
 
 
 def _leaf_costs(
-    mo: MappedOperator, tp: TechParams, reram: ReRAMConfig, a_bits: int
+    mo: MappedOperator, tp: TechParams, reram: ReRAMConfig
 ) -> tuple[float, float, float, float]:
     """``(area, energy, read latency, write latency)`` of one leaf, from
     its counts times the per-unit table entries; every cost function below
@@ -176,10 +164,11 @@ def _leaf_costs(
     Area is a strict component sum: crossbar cells, converter shares, MBSA
     and buffer. Energy counts conversions, cell reads, writes and buffer
     traffic. The read side is bit-serial sweeps plus MBSA passes: slices
-    are ``ceil(a_bits / dac_bits)``, and a tile converts at most
-    ``xbar_size`` active columns. The write side is one write per
-    runtime-programmed vector.
+    are ``ceil(a_bits / dac_bits)`` at the activation width, and a tile
+    converts at most ``xbar_size`` active columns. The write side is one
+    write per runtime-programmed vector.
     """
+    a_bits = DEFAULT_ACTIVATION_BITS
     n_slices = math.ceil(a_bits / reram.dac_bits)
     vcols = mo.out_dim * mo.planes * 2
 
@@ -216,16 +205,11 @@ def _leaf_costs(
     return area, energy, read, write
 
 
-def op_latency(
-    mo: MappedOperator,
-    tp: TechParams,
-    reram: ReRAMConfig,
-    a_bits: int = DEFAULT_ACTIVATION_BITS,
-) -> float:
+def op_latency(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> float:
     """Serial latency of an operator (no cross-stage overlap applied)."""
     if mo.parts:
-        return sum(op_latency(p, tp, reram, a_bits) for p in mo.parts)
-    _, _, read, write = _leaf_costs(mo, tp, reram, a_bits)
+        return sum(op_latency(p, tp, reram) for p in mo.parts)
+    _, _, read, write = _leaf_costs(mo, tp, reram)
     return read + write
 
 
@@ -233,19 +217,14 @@ def op_area(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> float:
     """Strict component sum: crossbar cells, converter shares, MBSA, buffer."""
     if mo.parts:
         return sum(op_area(p, tp, reram) for p in mo.parts)
-    return _leaf_costs(mo, tp, reram, DEFAULT_ACTIVATION_BITS)[0]
+    return _leaf_costs(mo, tp, reram)[0]
 
 
-def op_energy(
-    mo: MappedOperator,
-    tp: TechParams,
-    reram: ReRAMConfig,
-    a_bits: int = DEFAULT_ACTIVATION_BITS,
-) -> float:
+def op_energy(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> float:
     """Per-inference energy: conversions, cell reads, writes, buffer traffic."""
     if mo.parts:
-        return sum(op_energy(p, tp, reram, a_bits) for p in mo.parts)
-    return _leaf_costs(mo, tp, reram, a_bits)[1]
+        return sum(op_energy(p, tp, reram) for p in mo.parts)
+    return _leaf_costs(mo, tp, reram)[1]
 
 
 def overlap_ready_time(k: int, t_e: float, t_p: float) -> float:
@@ -301,12 +280,11 @@ def price_operator(op: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> Pr
     Each leaf is costed once; the totals are the sums :func:`op_area`,
     :func:`op_energy` and :func:`op_latency` take, in the same order.
     """
-    a_bits = DEFAULT_ACTIVATION_BITS
     if not op.parts:
-        area, energy, read, write = _leaf_costs(op, tp, reram, a_bits)
+        area, energy, read, write = _leaf_costs(op, tp, reram)
         latency = read + write
         return PricedOperator(op, area, energy, latency, latency)
-    costs = [_leaf_costs(p, tp, reram, a_bits) for p in op.parts]  # (*front, engine, fc_out)
+    costs = [_leaf_costs(p, tp, reram) for p in op.parts]  # (*front, engine, fc_out)
     latencies = [read + write for _, _, read, write in costs]
     area = sum(c[0] for c in costs)
     energy = sum(c[1] for c in costs)

@@ -20,10 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+import re
+import sys
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cache, cached_property
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from .crossbar import SUPPORTED_BITS
 
@@ -57,13 +60,17 @@ MUTATION_ACTIONS = (
 MUTATION_RETRIES = 16  # redraws per requested mutation before giving up
 
 
+def _sort_ops(ops: Iterable[OperatorChoice]) -> tuple[OperatorChoice, ...]:
+    return tuple(sorted(ops, key=lambda o: o.kind.value))
+
+
 @dataclass(frozen=True)
 class OperatorChoice:
     """One operator instance inside a block branch."""
 
     kind: OperatorKind
     weight_bits: int
-    inputs: tuple[int, ...]  # sorted source indices, 0 = stem
+    inputs: tuple[int, ...] = field(metadata={"normalize": sorted})  # sorted source indices, 0 = stem
 
     def to_dict(self) -> dict:
         return {
@@ -72,22 +79,14 @@ class OperatorChoice:
             "inputs": list(self.inputs),
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "OperatorChoice":
-        return OperatorChoice(
-            kind=OperatorKind(d["kind"]),
-            weight_bits=int(d["weight_bits"]),
-            inputs=tuple(sorted(int(x) for x in d["inputs"])),
-        )
-
 
 @dataclass(frozen=True)
 class BlockConfig:
     index: int  # 1-based position
     dim_d: int  # dense feature dimension
     dim_s: int  # sparse feature dimension
-    dense_ops: tuple[OperatorChoice, ...]
-    sparse_ops: tuple[OperatorChoice, ...]
+    dense_ops: tuple[OperatorChoice, ...] = field(metadata={"normalize": _sort_ops})
+    sparse_ops: tuple[OperatorChoice, ...] = field(metadata={"normalize": _sort_ops})
 
     def to_dict(self) -> dict:
         return {
@@ -97,16 +96,6 @@ class BlockConfig:
             "dense_ops": [op.to_dict() for op in self.dense_ops],
             "sparse_ops": [op.to_dict() for op in self.sparse_ops],
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "BlockConfig":
-        return BlockConfig(
-            index=int(d["index"]),
-            dim_d=int(d["dim_d"]),
-            dim_s=int(d["dim_s"]),
-            dense_ops=_sort_ops(OperatorChoice.from_dict(x) for x in d["dense_ops"]),
-            sparse_ops=_sort_ops(OperatorChoice.from_dict(x) for x in d["sparse_ops"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -124,15 +113,6 @@ class ModelConfig:
             "embedding_dim": self.embedding_dim,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            blocks=tuple(BlockConfig.from_dict(b) for b in d["blocks"]),
-            final_fc_bits=int(d["final_fc_bits"]),
-            num_sparse_features=int(d["num_sparse_features"]),
-            embedding_dim=int(d["embedding_dim"]),
-        )
-
 
 @dataclass(frozen=True)
 class ReRAMConfig:
@@ -149,15 +129,6 @@ class ReRAMConfig:
             "adc_bits": self.adc_bits,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ReRAMConfig":
-        return ReRAMConfig(
-            dac_bits=int(d["dac_bits"]),
-            cell_bits=int(d["cell_bits"]),
-            xbar_size=int(d["xbar_size"]),
-            adc_bits=int(d["adc_bits"]),
-        )
-
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -173,13 +144,6 @@ class DesignPoint:
 
     def to_dict(self) -> dict:
         return {"model": self.model.to_dict(), "reram": self.reram.to_dict()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DesignPoint":
-        return DesignPoint(
-            model=ModelConfig.from_dict(d["model"]),
-            reram=ReRAMConfig.from_dict(d["reram"]),
-        )
 
 
 def _fm_starved(kind: OperatorKind, n_s: int, n_inputs: int) -> bool:
@@ -222,15 +186,17 @@ class SpaceDescriptor:
     def __post_init__(self):
         """Reject menus that would only fail later, inside sampling, mapping
         or costing, and spaces with no valid point."""
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
-        plain = self.to_dict()
+        for name in ("num_blocks", "num_sparse_features", "embedding_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in _MENUS:
-            menu = plain[name]
+            menu = getattr(self, name)
             if not menu:
                 raise ValueError(f"{name} must not be empty")
             if len(set(menu)) != len(menu):
-                raise ValueError(f"{name} lists an entry more than once: {menu}")
+                raise ValueError(
+                    f"{name} lists an entry more than once: {[getattr(x, 'value', x) for x in menu]}"
+                )
         for name, branch_kinds in (
             ("dense_operators", DENSE_KINDS), ("sparse_operators", SPARSE_KINDS)
         ):
@@ -243,9 +209,6 @@ class SpaceDescriptor:
         for name in ("dense_dims", "sparse_dims", "xbar_sizes"):
             if min(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must all be >= 1")
-        for name in ("num_sparse_features", "embedding_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         for name in SUPPORTED_BITS:
             unsupported = sorted(set(getattr(self, name)) - set(SUPPORTED_BITS[name]))
             if unsupported:
@@ -263,49 +226,6 @@ class SpaceDescriptor:
                     f"(num_sparse_features is {self.num_sparse_features})"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "num_blocks": self.num_blocks,
-            "dense_operators": [k.value for k in self.dense_operators],
-            "sparse_operators": [k.value for k in self.sparse_operators],
-            "dense_dims": list(self.dense_dims),
-            "sparse_dims": list(self.sparse_dims),
-            "weight_bits": list(self.weight_bits),
-            "dac_bits": list(self.dac_bits),
-            "cell_bits": list(self.cell_bits),
-            "xbar_sizes": list(self.xbar_sizes),
-            "adc_bits": list(self.adc_bits),
-            "num_sparse_features": self.num_sparse_features,
-            "embedding_dim": self.embedding_dim,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SpaceDescriptor":
-        base = SpaceDescriptor()
-        return SpaceDescriptor(
-            num_blocks=int(d.get("num_blocks", base.num_blocks)),
-            dense_operators=tuple(
-                OperatorKind(k) for k in d.get("dense_operators", [k.value for k in base.dense_operators])
-            ),
-            sparse_operators=tuple(
-                OperatorKind(k) for k in d.get("sparse_operators", [k.value for k in base.sparse_operators])
-            ),
-            dense_dims=tuple(int(x) for x in d.get("dense_dims", base.dense_dims)),
-            sparse_dims=tuple(int(x) for x in d.get("sparse_dims", base.sparse_dims)),
-            weight_bits=tuple(int(x) for x in d.get("weight_bits", base.weight_bits)),
-            dac_bits=tuple(int(x) for x in d.get("dac_bits", base.dac_bits)),
-            cell_bits=tuple(int(x) for x in d.get("cell_bits", base.cell_bits)),
-            xbar_sizes=tuple(int(x) for x in d.get("xbar_sizes", base.xbar_sizes)),
-            adc_bits=tuple(int(x) for x in d.get("adc_bits", base.adc_bits)),
-            num_sparse_features=int(d.get("num_sparse_features", base.num_sparse_features)),
-            embedding_dim=int(d.get("embedding_dim", base.embedding_dim)),
-        )
-
-    @staticmethod
-    def from_json(path: str) -> "SpaceDescriptor":
-        with open(path, "r", encoding="utf-8") as fh:
-            return SpaceDescriptor.from_dict(json.load(fh))
-
 
 DEFAULT_SPACE = SpaceDescriptor()
 
@@ -316,17 +236,98 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
 
 
-def _sort_ops(ops: Iterable[OperatorChoice]) -> tuple[OperatorChoice, ...]:
-    return tuple(sorted(ops, key=lambda o: o.kind.value))
-
-
 def canonical_json(point: DesignPoint) -> str:
     """Canonical serialized form: sorted keys, no whitespace, ASCII only."""
     return json.dumps(point.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def point_from_json(text: str) -> DesignPoint:
-    return DesignPoint.from_dict(json.loads(text))
+    return from_plain(DesignPoint, json.loads(text))
+
+
+# ---------------------------------------------------------------------------
+# typed decoding of plain JSON forms
+# ---------------------------------------------------------------------------
+
+def from_plain(cls, data):
+    """Build the config dataclass ``cls`` from its plain JSON form, by its
+    field types: dataclasses, ``tuple[X, ...]``, fixed-length tuples,
+    ``X | None``, enums, ``dict[int, float]``, ``int``, ``float``, ``str``.
+
+    Keys left out keep their defaults; a field whose metadata names a
+    ``normalize`` function is passed through it. Anything malformed raises
+    ``ValueError`` naming its JSON path, e.g.
+    ``model.blocks[0].dense_ops[0].weight_bits: expected int, got [4]``.
+    """
+    return _decode(cls, data, "")
+
+
+@cache
+def _field_types(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: (f, hints[f.name]) for f in fields(cls)}
+
+
+def _decode(tp, value, path: str):
+    def bad(message, where=path):
+        return ValueError(f"{where}: {message}" if where else message)
+
+    def expected(what):
+        return bad(f"expected {what}, got {json.dumps(value, default=repr)}")
+
+    def at(key):
+        return f"{path}.{key}" if path else str(key)
+
+    origin, args = get_origin(tp), get_args(tp)
+    if (is_dataclass(tp) or origin is dict) and not isinstance(value, dict):
+        raise expected("an object")
+    if is_dataclass(tp):
+        known = _field_types(tp)
+        for key in value:
+            if key not in known:
+                raise bad(f"unknown key (known: {', '.join(known)})", at(key))
+        kwargs = {}
+        for name, (f, ftp) in known.items():
+            if name in value:
+                kwargs[name] = _decode(ftp, value[name], at(name))
+                if "normalize" in f.metadata:
+                    kwargs[name] = tuple(f.metadata["normalize"](kwargs[name]))
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise bad("missing required key", at(name))
+        return tp(**kwargs)
+    if origin is types.UnionType:
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decode(inner, value, path)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise expected("a list")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise bad(f"expected {len(args)} items, got {len(value)}")
+        return tuple(_decode(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if origin is dict:  # JSON keys are strings: "4" is the int key 4
+        key_tp, val_tp = args
+
+        def key(k):
+            numeral = isinstance(k, str) and re.fullmatch(r"-?[0-9]+", k)
+            return int(k) if key_tp is int and numeral else k
+
+        return {_decode(key_tp, key(k), at(k)): _decode(val_tp, v, at(k)) for k, v in value.items()}
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise expected(f"one of {', '.join(str(m.value) for m in tp)}") from None
+    if tp is int and (type(value) is int or type(value) is float and value.is_integer()):
+        return int(value)  # booleans and fractions are refused
+    if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if tp is str and isinstance(value, str):
+        return value
+    raise expected("a finite number" if tp is float else tp.__name__)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,6 @@ class MappedModel:
     model: ModelConfig
     reram: ReRAMConfig
     operators: tuple[MappedOperator, ...]  # block operators plus the final FC
-    embedding_rows_per_table: int = DEFAULT_EMBEDDING_ROWS
     priced: tuple[PricedOperator, ...] = field(default=(), compare=False, repr=False)
     priced_by: TechParams | None = field(default=None, compare=False, repr=False)
 
@@ -181,7 +180,7 @@ class MappedModel:
         cells_per_value = math.ceil(DEFAULT_ACTIVATION_BITS / self.reram.cell_bits)
         model = self.model
         total_cells = (
-            model.num_sparse_features * self.embedding_rows_per_table
+            model.num_sparse_features * DEFAULT_EMBEDDING_ROWS
             * model.embedding_dim * cells_per_value
         )
         return math.ceil(total_cells / (self.reram.xbar_size**2))
@@ -402,11 +401,7 @@ _KIND_NAMES = {kind: kind.value for kind in OperatorKind}
 _PLAN_KEYS = {Engine.MVM: "mvm_tiles", Engine.DP: "dp_tiles", Engine.FM: "fm_tiles"}
 
 
-def map_model(
-    point: DesignPoint,
-    embedding_rows_per_table: int = DEFAULT_EMBEDDING_ROWS,
-    table: OperatorTable | None = None,
-) -> MappedModel:
+def map_model(point: DesignPoint, table: OperatorTable | None = None) -> MappedModel:
     """Map every operator of a valid design point onto engines and tiles.
 
     With ``table`` (a :class:`pimdse.cost_model.OperatorTable`) each
@@ -455,7 +450,6 @@ def map_model(
         model=model,
         reram=reram,
         operators=tuple(operators),
-        embedding_rows_per_table=embedding_rows_per_table,
         priced=tuple(priced),
         priced_by=None if table is None else table.tech,
     )

@@ -67,20 +67,6 @@ class SearchConfig:
         ):
             raise ValueError("targets must be three positive values")
 
-    @staticmethod
-    def from_dict(d: dict) -> "SearchConfig":
-        kwargs = dict(d)
-        if "lambdas" in kwargs:
-            kwargs["lambdas"] = tuple(float(x) for x in kwargs["lambdas"])
-        if kwargs.get("targets") is not None:
-            kwargs["targets"] = tuple(float(x) for x in kwargs["targets"])
-        return SearchConfig(**kwargs)
-
-    @staticmethod
-    def from_json(path: str) -> "SearchConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return SearchConfig.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class PopulationEntry:

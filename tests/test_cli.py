@@ -189,6 +189,83 @@ class TestTechFile:
         assert "cannot load tech params" in err and "adc_bits [8]" in err
 
 
+def _set(doc, keys, value):
+    """``doc`` with the value at the key path ``keys`` set; ``()`` replaces it."""
+    if not keys:
+        return value
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return doc
+
+
+class TestMalformedFiles:
+    """Every input file is decoded by field type. An unknown key or a value
+    of the wrong JSON type exits 2 with a message naming its path: never 4,
+    never a silent default, and never a truncated or coerced value."""
+
+    CASES = [
+        # (file kind, key path in the file, value, what the message names)
+        # Each used to exit 4 ...
+        ("point", ("model", "blocks", 0, "dense_ops", 0, "weight_bits"), [4],
+         "model.blocks[0].dense_ops[0].weight_bits: expected int"),
+        ("point", ("model", "blocks", 0, "dense_ops", 0, "inputs"), 0,
+         "model.blocks[0].dense_ops[0].inputs: expected a list"),
+        ("point", ("model", "blocks"), 5, "model.blocks: expected a list"),
+        ("point", ("reram",), None, "reram: expected an object"),
+        ("space", ("dense_dims",), 16, "dense_dims: expected a list"),
+        ("space", (), [1, 2], "expected an object"),
+        ("space", ("num_blocks",), None, "num_blocks: expected int"),
+        ("search", ("num_generations",), 2.5, "num_generations: expected int"),
+        ("tech", ("adc_energy",), [1, 2], "adc_energy: expected an object"),
+        # ... or was ignored, truncated or accepted
+        ("point", ("reram", "adc_bitz"), 8, "reram.adc_bitz: unknown key"),
+        ("space", ("num_blok",), 2, "num_blok: unknown key"),
+        ("space", ("dense_dims",), [16.7, 32], "dense_dims[0]: expected int"),
+        ("space", ("num_blocks",), True, "num_blocks: expected int"),
+        ("search", ("seed",), "abc", "seed: expected int"),
+        ("tech", ("adcs_per_xbar",), 1.5, "adcs_per_xbar: expected int"),
+        # ... and other rules, whose messages used to name no path
+        ("space", ("dense_operators",), ["XX"], "dense_operators[0]: expected one of FC, EFC"),
+        ("search", ("lambdas",), [1, 2], "lambdas: expected 3 items, got 2"),
+        ("tech", ("t_bank",), "50", "t_bank: expected a finite number"),
+    ]
+    NAMES = {
+        "point": "design point", "space": "space descriptor", "search": "search config",
+        "tech": "tech params",
+    }
+
+    @pytest.fixture
+    def files(self, point_file):
+        from importlib import resources
+
+        return {
+            "point": json.loads(open(point_file).read()),
+            "space": {},
+            "search": {"num_generations": 1, "population_init_size": 2},
+            "tech": json.loads(resources.files("pimdse.data").joinpath("default_tech.json").read_text()),
+        }
+
+    @pytest.mark.parametrize(
+        "kind, keys, value, named",
+        CASES,
+        ids=[f"{c[0]}:{'.'.join(map(str, c[1]))}={json.dumps(c[2])}" for c in CASES],
+    )
+    def test_exits_2_naming_the_path(self, capsys, tmp_path, point_file, files, kind, keys, value, named):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(_set(files[kind], keys, value)))
+        argv = {
+            "point": ("map", "--point", str(path)),
+            "space": ("space", "count", "--space", str(path)),
+            "search": ("search", "--search-config", str(path), "--out", str(tmp_path / "out")),
+            "tech": ("simulate", "--point", point_file, "--tech", str(path)),
+        }[kind]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert f"cannot load {self.NAMES[kind]} {path}: {named}" in err
+
+
 class TestMapSimulate:
     def test_map_output_is_stable_json(self, capsys, point_file):
         code, out1, _ = run_cli(capsys, "map", "--point", point_file)

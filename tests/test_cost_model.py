@@ -25,6 +25,7 @@ from pimdse.design_space import (
     OperatorKind,
     ReRAMConfig,
     SpaceDescriptor,
+    from_plain,
     mutate,
     sample_random,
 )
@@ -37,7 +38,7 @@ R16 = ReRAMConfig(dac_bits=1, cell_bits=2, xbar_size=16, adc_bits=8)
 
 
 def tech_with(**overrides) -> TechParams:
-    return TechParams.from_dict({**TECH.to_dict(), **overrides})
+    return from_plain(TechParams, {**TECH.to_dict(), **overrides})
 
 
 class TestTechParams:
@@ -56,15 +57,15 @@ class TestTechParams:
 class TestOpLatency:
     def test_slice_count_halves_with_wider_dac(self):
         mo = map_fc(16, 16, 4, R16)
-        t1 = op_latency(mo, TECH, R16, a_bits=8)
-        t2 = op_latency(mo, TECH, ReRAMConfig(2, 2, 16, 8), a_bits=8)
+        t1 = op_latency(mo, TECH, R16)
+        t2 = op_latency(mo, TECH, ReRAMConfig(2, 2, 16, 8))
         assert t1 == 2 * t2  # ceil(8/1) = 8 slices vs ceil(8/2) = 4
 
     def test_single_tile_formula(self):
         # One 16-wide tile, 16 ADCs, unit read and conversion times, 8 slices.
         tp = tech_with(xbar_read_time=1.0, adc_time=1.0, adcs_per_xbar=16)
         mo = map_fc(16, 4, 4, R16)  # 4 outputs x 2 planes x 2 = 16 active cols
-        assert op_latency(mo, tp, R16, a_bits=8) == 16
+        assert op_latency(mo, tp, R16) == 16
 
     def test_fm_write_component_is_linear_in_vectors(self):
         base = map_fm(2, 16, 4, R16)
@@ -77,7 +78,7 @@ class TestOpLatency:
         delta_writes = 4 * TECH.xbar_write_time
         extra_mbsa = 4 * 8 * TECH.mbsa_time  # 4 extra squaring passes
         engines = [mo.parts[0] for mo in (base, bigger)]
-        lat = [op_latency(e, TECH, R16, a_bits=8) for e in engines]
+        lat = [op_latency(e, TECH, R16) for e in engines]
         assert math.isclose(lat[1] - lat[0], delta_writes + extra_mbsa)
 
 
@@ -154,11 +155,11 @@ class TestModelCost:
         )
         mo = map_fc(16, 16, 4, R16)  # 1 row tile, 4 col tiles, planes 2
         # latency: 8 slices * (2 + ceil(16/4)*3) = 8 * 14 = 112
-        assert op_latency(mo, tp, R16, a_bits=8) == 112
+        assert op_latency(mo, tp, R16) == 112
         # energy: reads = 8; dac 16 rows x 4 col tiles x 0.5 = 32/slice;
         # cells = 16 x 64 x 0.25 = 256/slice; adc = 64 cols x 1 row tile x e8
         expected = 8 * (32 + 256 + 64 * tp.adc_energy[8]) + (16 * 0.1 + 16 * 0.2)
-        assert math.isclose(op_energy(mo, tp, R16, a_bits=8), expected)
+        assert math.isclose(op_energy(mo, tp, R16), expected)
 
     def test_scale_freeness(self):
         mm = map_model(sample_random(13))
@@ -221,7 +222,7 @@ TABLE_SPACES = (
 
 
 class TestOperatorTable:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         space_index=st.sampled_from(range(len(TABLE_SPACES))),
         first=st.integers(0, 2**32 - 1),
@@ -306,4 +307,4 @@ class TestOperatorTable:
         map_model(sample_random(1), table=tech.operator_table)
         d = tech.to_dict()
         assert "operator_table" not in d
-        assert TechParams.from_dict(d) == tech
+        assert from_plain(TechParams, d) == tech

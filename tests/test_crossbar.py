@@ -245,7 +245,7 @@ class TestMvm:
                 assert np.array_equal(rxy, rx + ry)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(
     xbar=st.sampled_from([16, 32, 64]),
     cell=st.sampled_from([1, 2]),

@@ -8,7 +8,10 @@ import random
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pimdse.cost_model import default_tech, model_cost
 from pimdse.design_space import (
     DEFAULT_SPACE,
     BlockConfig,
@@ -21,11 +24,14 @@ from pimdse.design_space import (
     canonical_json,
     cardinality,
     cardinality_report,
+    from_plain,
     mutate,
     point_from_json,
     sample_random,
     validate,
 )
+from pimdse.mapping import map_model
+from pimdse.pipeline import simulate
 
 
 def minimal_point(num_blocks=7):
@@ -362,3 +368,81 @@ class TestSerialization:
         pt = sample_random(42)
         doc = json.loads(canonical_json(pt))
         assert canonical_json(point_from_json(json.dumps(doc))) == canonical_json(pt)
+
+    def test_inputs_and_operators_out_of_order_decode_to_the_sorted_point(self):
+        def shuffleable(p):
+            return any(
+                len(b.dense_ops) > 1 and any(len(o.inputs) > 1 for o in b.dense_ops)
+                for b in p.model.blocks
+            )
+
+        pt = next(p for p in map(sample_random, range(100)) if shuffleable(p))
+        doc = json.loads(canonical_json(pt))
+        for blk in doc["model"]["blocks"]:
+            for branch in ("dense_ops", "sparse_ops"):
+                blk[branch].reverse()
+                for op in blk[branch]:
+                    op["inputs"].reverse()
+        shuffled = json.dumps(doc)
+        assert shuffled != canonical_json(pt)
+        again = point_from_json(shuffled)
+        assert again == pt and again.point_id == pt.point_id
+
+
+class TestFromPlain:
+    """One typed decoder builds every input record from its JSON form."""
+
+    def test_partial_space_keeps_defaults(self):
+        space = from_plain(SpaceDescriptor, {"num_blocks": 2, "dense_dims": [16, 32.0]})
+        assert space == SpaceDescriptor(num_blocks=2, dense_dims=(16, 32))
+
+    def test_point_errors_name_the_path(self):
+        doc = json.loads(canonical_json(sample_random(3)))
+        doc["model"]["blocks"][0]["dense_ops"][0]["weight_bits"] = [4]
+        with pytest.raises(ValueError, match=r"^model\.blocks\[0\]\.dense_ops\[0\]\.weight_bits: expected int, got \[4\]$"):
+            from_plain(DesignPoint, doc)
+        doc = json.loads(canonical_json(sample_random(3)))
+        del doc["reram"]["adc_bits"]
+        with pytest.raises(ValueError, match=r"^reram\.adc_bits: missing required key$"):
+            from_plain(DesignPoint, doc)
+
+
+# Two small custom spaces beside the default: FM and DP with a single
+# sparse feature, and one-item converter menus with a wide sparse menu.
+PROPERTY_SPACES = (
+    DEFAULT_SPACE,
+    SpaceDescriptor(
+        num_blocks=3, dense_operators=(OperatorKind.DP, OperatorKind.FM),
+        sparse_operators=(OperatorKind.DSI,), dense_dims=(16, 64), sparse_dims=(16, 32),
+        num_sparse_features=1, embedding_dim=4,
+    ),
+    SpaceDescriptor(
+        num_blocks=2, dense_operators=(OperatorKind.FC,), dense_dims=(8,), sparse_dims=(4, 16),
+        weight_bits=(8,), dac_bits=(2,), cell_bits=(2,), xbar_sizes=(16,), adc_bits=(4, 6),
+        num_sparse_features=3, embedding_dim=8,
+    ),
+)
+TECH = default_tech()
+
+
+class TestPointProperties:
+    @settings(max_examples=60)
+    @given(
+        space_index=st.sampled_from(range(len(PROPERTY_SPACES))),
+        seed=st.integers(0, 2**32 - 1),
+        mutation_seed=st.integers(0, 2**32 - 1),
+        edits=st.integers(1, 4),
+    )
+    def test_sampled_and_mutated_points_validate_round_trip_and_cost(
+        self, space_index, seed, mutation_seed, edits
+    ):
+        space = PROPERTY_SPACES[space_index]
+        parent = sample_random(seed, space)
+        child = mutate(parent, mutation_seed, edits, space)
+        for point in (parent, child):
+            assert validate(point, space).ok
+            again = point_from_json(canonical_json(point))
+            assert again == point and again.point_id == point.point_id
+            mm = map_model(point)
+            model_cost(mm, TECH)
+            simulate(mm, TECH)
