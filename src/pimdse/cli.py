@@ -74,7 +74,7 @@ def _load(cls, path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return from_plain(cls, json.load(fh))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # deep nesting recurses
         raise CliError(f"cannot load {what} {path}: {exc}", EXIT_PARSE) from exc
 
 

@@ -97,6 +97,11 @@ class BlockConfig:
             "sparse_ops": [op.to_dict() for op in self.sparse_ops],
         }
 
+    @cached_property
+    def canonical_fragment(self) -> str:
+        """This block's part of :func:`canonical_json`, encoded once per object."""
+        return _canonical(self.to_dict())
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -128,6 +133,11 @@ class ReRAMConfig:
             "xbar_size": self.xbar_size,
             "adc_bits": self.adc_bits,
         }
+
+    @cached_property
+    def canonical_fragment(self) -> str:
+        """This record's part of :func:`canonical_json`, encoded once per object."""
+        return _canonical(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -236,13 +246,33 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
 
 
+def _canonical(plain) -> str:
+    return json.dumps(plain, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(point: DesignPoint) -> str:
-    """Canonical serialized form: sorted keys, no whitespace, ASCII only."""
-    return json.dumps(point.to_dict(), sort_keys=True, separators=(",", ":"))
+    """Canonical serialized form: sorted keys, no whitespace, ASCII only.
+
+    Byte-identical to ``json.dumps(point.to_dict(), sort_keys=True,
+    separators=(",", ":"))``, but joined from the blocks' and the ReRAM
+    record's cached fragments, so a mutated child encodes only the records
+    it does not share with its parent."""
+    model = point.model
+    blocks = ",".join(blk.canonical_fragment for blk in model.blocks)
+    scalars = _canonical({  # closes the model object; "blocks" sorts first
+        "embedding_dim": model.embedding_dim,
+        "final_fc_bits": model.final_fc_bits,
+        "num_sparse_features": model.num_sparse_features,
+    })
+    return f'{{"model":{{"blocks":[{blocks}],{scalars[1:]},"reram":{point.reram.canonical_fragment}}}'
 
 
 def point_from_json(text: str) -> DesignPoint:
-    return from_plain(DesignPoint, json.loads(text))
+    """Decode a design point; malformed or too deeply nested JSON raises ``ValueError``."""
+    try:
+        return from_plain(DesignPoint, json.loads(text))
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -335,52 +365,31 @@ def _decode(tp, value, path: str):
 # ---------------------------------------------------------------------------
 
 def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> ValidationReport:
-    """Check every structural invariant; violations are data, not exceptions."""
+    """Check every structural invariant; violations are data, not exceptions.
+
+    A block's violations depend only on the block, its position, the space
+    and ``num_sparse_features``, so they are kept on the frozen block with
+    that key (space by identity) and a child re-checks only the blocks it
+    does not share with its parent."""
     v: list[str] = []
     model, reram = point.model, point.reram
+    n_s = model.num_sparse_features
 
     if len(model.blocks) != space.num_blocks:
         v.append(f"model: expected {space.num_blocks} blocks, got {len(model.blocks)}")
     if model.final_fc_bits not in space.weight_bits:
         v.append(f"final_fc: weight_bits {model.final_fc_bits} not in menu")
-    if model.num_sparse_features < 1:
+    if n_s < 1:
         v.append("model: num_sparse_features must be >= 1")
     if model.embedding_dim < 1:
         v.append("model: embedding_dim must be >= 1")
 
     for pos, blk in enumerate(model.blocks, start=1):
-        name = f"block {pos}"
-        if blk.index != pos:
-            v.append(f"{name}: index {blk.index} out of order")
-        if blk.dim_d not in space.dense_dims:
-            v.append(f"{name}: dim_d {blk.dim_d} not in menu")
-        if blk.dim_s not in space.sparse_dims:
-            v.append(f"{name}: dim_s {blk.dim_s} not in menu")
-        if not blk.dense_ops:
-            v.append(f"{name}: dense branch empty")
-        if not blk.sparse_ops:
-            v.append(f"{name}: sparse branch empty")
-        for branch, ops, menu in (
-            ("dense", blk.dense_ops, space.dense_operators),
-            ("sparse", blk.sparse_ops, space.sparse_operators),
-        ):
-            kinds = [op.kind for op in ops]
-            if len(set(kinds)) != len(kinds):
-                v.append(f"{name}: duplicate operator in {branch} branch")
-            for op in ops:
-                if op.kind not in menu:
-                    v.append(f"{name}: {op.kind.value} not allowed in {branch} branch")
-                if op.weight_bits not in space.weight_bits:
-                    v.append(f"{name}: {op.kind.value} weight_bits {op.weight_bits} not in menu")
-                if not op.inputs:
-                    v.append(f"{name}: {op.kind.value} has no inputs")
-                if len(set(op.inputs)) != len(op.inputs):
-                    v.append(f"{name}: {op.kind.value} has duplicate inputs")
-                for s in op.inputs:
-                    if not (0 <= s < pos):
-                        v.append(f"{name}: {op.kind.value} input {s} violates DAG order")
-                if _fm_starved(op.kind, model.num_sparse_features, len(op.inputs)):
-                    v.append(f"{name}: FM needs at least two incoming sparse vectors")
+        memo = blk.__dict__.get("_violations")  # beside the fields, as cached_property stores
+        if memo is None or memo[0] is not space or memo[1] != pos or memo[2] != n_s:
+            memo = (space, pos, n_s, tuple(_block_violations(blk, pos, space, n_s)))
+            blk.__dict__["_violations"] = memo
+        v.extend(memo[3])
 
     if reram.dac_bits not in space.dac_bits:
         v.append(f"reram: dac_bits {reram.dac_bits} not in menu")
@@ -394,6 +403,44 @@ def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> Vali
         v.append("reram: adc_bits < dac_bits + cell_bits")
 
     return ValidationReport(ok=not v, violations=v)
+
+
+def _block_violations(blk: BlockConfig, pos: int, space: SpaceDescriptor, n_s: int) -> list[str]:
+    """Violations of the block at 1-based position ``pos``."""
+    v: list[str] = []
+    name = f"block {pos}"
+    if blk.index != pos:
+        v.append(f"{name}: index {blk.index} out of order")
+    if blk.dim_d not in space.dense_dims:
+        v.append(f"{name}: dim_d {blk.dim_d} not in menu")
+    if blk.dim_s not in space.sparse_dims:
+        v.append(f"{name}: dim_s {blk.dim_s} not in menu")
+    if not blk.dense_ops:
+        v.append(f"{name}: dense branch empty")
+    if not blk.sparse_ops:
+        v.append(f"{name}: sparse branch empty")
+    for branch, ops, menu in (
+        ("dense", blk.dense_ops, space.dense_operators),
+        ("sparse", blk.sparse_ops, space.sparse_operators),
+    ):
+        kinds = [op.kind for op in ops]
+        if len(set(kinds)) != len(kinds):
+            v.append(f"{name}: duplicate operator in {branch} branch")
+        for op in ops:
+            if op.kind not in menu:
+                v.append(f"{name}: {op.kind.value} not allowed in {branch} branch")
+            if op.weight_bits not in space.weight_bits:
+                v.append(f"{name}: {op.kind.value} weight_bits {op.weight_bits} not in menu")
+            if not op.inputs:
+                v.append(f"{name}: {op.kind.value} has no inputs")
+            if len(set(op.inputs)) != len(op.inputs):
+                v.append(f"{name}: {op.kind.value} has duplicate inputs")
+            for s in op.inputs:
+                if not (0 <= s < pos):
+                    v.append(f"{name}: {op.kind.value} input {s} violates DAG order")
+            if _fm_starved(op.kind, n_s, len(op.inputs)):
+                v.append(f"{name}: FM needs at least two incoming sparse vectors")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ def schedule(
     overlap: bool = True,
     lookup_time: float | None = None,
 ) -> Schedule:
-    """Timeline of one query through the mapped model.
+    """Timeline of one query through the mapped model, with the mapping's
+    data edges (the stem's streams are produced by the lookup).
 
     Each operator starts once every source stream is ready and holds its
     stage for its :func:`~pimdse.cost_model.stage_times` occupancy, which
@@ -170,6 +171,16 @@ def schedule(
     engine programming, for comparison. Dense branches pay one functional-unit
     activation pass; sparse branches pass through.
     """
+    events, occ = _timeline(mm, tp, overlap, lookup_time)
+    edges = tuple(("lookup" if src == "stem" else src, dst) for src, dst in mm.edges)
+    return Schedule(events=events, edges=edges, occupancy=occ)
+
+
+def _timeline(
+    mm: MappedModel, tp: TechParams, overlap: bool, lookup_time: float | None
+) -> tuple[tuple[StageEvent, ...], dict]:
+    """The events and occupancy of :func:`schedule`, without the edges,
+    which :func:`simulate` does not read."""
     lookup_t = tp.t_bank if lookup_time is None else lookup_time
     occ = stage_times(mm, tp, overlap=overlap)
 
@@ -217,9 +228,7 @@ def schedule(
 
     start = dense_ready[mm.model.blocks[-1].index]
     events.append(StageEvent("final_fc", start, start + occ["final_fc"], "compute"))
-    # The mapping's data edges, with the stem's streams produced by the lookup.
-    edges = tuple(("lookup" if src == "stem" else src, dst) for src, dst in mm.edges)
-    return Schedule(events=tuple(events), edges=edges, occupancy=occ)
+    return tuple(events), occ
 
 
 def simulate(
@@ -236,10 +245,10 @@ def simulate(
     else:
         first_lookup = worst_lookup = tp.t_bank
 
-    sched = schedule(mm, tp, overlap=overlap, lookup_time=first_lookup)
-    latency = sched.end_time + tp.activation_time  # final functional-unit pass
+    events, occ = _timeline(mm, tp, overlap, first_lookup)
+    latency = max(e.end for e in events) + tp.activation_time  # final functional-unit pass
 
-    stages = dict(sched.occupancy)
+    stages = dict(occ)
     stages["lookup"] = worst_lookup
     bottleneck = max(stages, key=lambda k: (stages[k], k))
     bottleneck_time = stages[bottleneck]

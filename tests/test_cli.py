@@ -69,6 +69,13 @@ class TestSpace:
         code, _, err = run_cli(capsys, "space", "count", "--space", str(p))
         assert code == EXIT_PARSE and "cannot load" in err
 
+    def test_deeply_nested_space_file_is_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "space.json"
+        p.write_text("[" * 200_000)
+        code, _, err = run_cli(capsys, "space", "count", "--space", str(p))
+        assert code == EXIT_PARSE
+        assert f"cannot load space descriptor {p}: maximum recursion depth" in err
+
 
 class TestUnrealizableSpace:
     """A descriptor the crossbar cannot realize is refused when loaded, by
@@ -342,6 +349,13 @@ class TestMapSimulate:
         bad.write_text("not json")
         code, _, _ = run_cli(capsys, "map", "--point", str(bad))
         assert code == EXIT_PARSE
+
+    def test_deeply_nested_point_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000)
+        code, _, err = run_cli(capsys, "map", "--point", str(bad))
+        assert code == EXIT_PARSE
+        assert f"cannot load design point {bad}: maximum recursion depth" in err
 
     def test_invalid_point_exits_3(self, capsys, tmp_path, point_file):
         doc = json.loads(open(point_file).read())

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import types
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,75 @@ class TestValidate:
         pt = DesignPoint(model=ModelConfig(blocks, 4, 26, 16), reram=pt.reram)
         report = validate(pt)
         assert any("violates DAG order" in v for v in report.violations)
+
+
+def memo_free(point):
+    """The same point built from new objects, so none of its records has cached anything."""
+    return from_plain(DesignPoint, point.to_dict())
+
+
+class TestValidateMemo:
+    """``validate`` keeps each block's violations on the block, keyed by its
+    position, the space (by identity) and ``num_sparse_features``."""
+
+    def test_block_moved_to_another_position(self):
+        pt = sample_random(7)
+        assert validate(pt).ok
+        deep = next(  # a block reading from block 2 or later, checked at its own position
+            b for b in pt.model.blocks[3:] if any(max(o.inputs) > 1 for o in b.dense_ops + b.sparse_ops)
+        )
+        blocks = (pt.model.blocks[0], deep) + pt.model.blocks[2:]
+        moved = DesignPoint(replace(pt.model, blocks=blocks), pt.reram)
+        report = validate(moved)
+        assert report == validate(memo_free(moved))
+        assert f"block 2: index {deep.index} out of order" in report.violations
+        assert any("violates DAG order" in v for v in report.violations)
+        assert validate(pt).ok  # and back at its own position it is valid again
+
+    def test_block_under_two_space_descriptors(self):
+        pt = sample_random(7)
+        narrow = replace(DEFAULT_SPACE, dense_dims=(16,), weight_bits=(4,))
+        twin = replace(DEFAULT_SPACE)  # equal, but another object
+        assert validate(pt, DEFAULT_SPACE).ok
+        report = validate(pt, narrow)
+        assert report == validate(memo_free(pt), narrow) and not report.ok
+        assert any("dim_d" in v or "weight_bits" in v for v in report.violations)
+        assert validate(pt, twin) == validate(memo_free(pt), twin) == validate(pt, DEFAULT_SPACE)
+
+    def test_block_under_a_model_that_starves_its_fm(self):
+        fm = OperatorChoice(OperatorKind.FM, 4, (0,))  # one source: two vectors only if n_s >= 2
+        blk = BlockConfig(1, 16, 16, (fm,), (OperatorChoice(OperatorKind.EFC, 4, (0,)),))
+        rest = minimal_point().model.blocks[1:]
+        fed = DesignPoint(ModelConfig((blk,) + rest, 4, 26, 16), ReRAMConfig(1, 1, 16, 4))
+        starved = DesignPoint(replace(fed.model, num_sparse_features=1), fed.reram)
+        assert validate(fed).ok
+        report = validate(starved)
+        assert report == validate(memo_free(starved))
+        assert report.violations == ["block 1: FM needs at least two incoming sparse vectors"]
+        assert validate(fed).ok
+
+    def test_child_rechecks_only_the_blocks_it_changed(self, monkeypatch):
+        import pimdse.design_space as ds
+
+        checked = []
+        check = ds._block_violations
+
+        def counting(blk, *args):
+            checked.append(blk)
+            return check(blk, *args)
+
+        monkeypatch.setattr(ds, "_block_violations", counting)
+        for seed in range(20):
+            parent = sample_random(seed)
+            checked.clear()
+            assert validate(parent).ok and len(checked) == DEFAULT_SPACE.num_blocks
+            checked.clear()
+            child = mutate(parent, seed, 3)
+            inherited = [b for b in child.model.blocks if any(b is p for p in parent.model.blocks)]
+            assert inherited  # a child shares blocks with its parent by identity
+            assert not any(b is p for b in checked for p in parent.model.blocks)
+            checked.clear()
+            assert validate(child).ok and checked == []
 
 
 class TestSampleRandom:
@@ -369,6 +439,22 @@ class TestSerialization:
         doc = json.loads(canonical_json(pt))
         assert canonical_json(point_from_json(json.dumps(doc))) == canonical_json(pt)
 
+    def test_deeply_nested_json_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^JSON nested too deeply: maximum recursion depth"):
+            point_from_json("[" * 200_000)
+
+    def test_cached_fragments_and_checks_are_not_part_of_the_record(self):
+        pt = sample_random(42)
+        assert validate(pt).ok and pt.point_id
+        fresh = memo_free(pt)
+        for blk, twin in zip(pt.model.blocks, fresh.model.blocks):
+            assert set(vars(blk)) - set(vars(twin)) == {"canonical_fragment", "_violations"}
+            assert blk == twin and hash(blk) == hash(twin) and repr(blk) == repr(twin)
+            assert blk.to_dict() == twin.to_dict()
+        assert set(vars(pt.reram)) - set(vars(fresh.reram)) == {"canonical_fragment"}
+        assert repr(pt.reram) == repr(fresh.reram)
+        assert pt == fresh and hash(pt) == hash(fresh) and pt.to_dict() == fresh.to_dict()
+
     def test_inputs_and_operators_out_of_order_decode_to_the_sorted_point(self):
         def shuffleable(p):
             return any(
@@ -446,3 +532,23 @@ class TestPointProperties:
             mm = map_model(point)
             model_cost(mm, TECH)
             simulate(mm, TECH)
+
+    @settings(max_examples=60)
+    @given(
+        space_index=st.sampled_from(range(len(PROPERTY_SPACES))),
+        seed=st.integers(0, 2**32 - 1),
+        mutation_seed=st.integers(0, 2**32 - 1),
+        edits=st.integers(1, 4),
+    )
+    def test_fragments_and_memoized_checks_match_the_whole_point(
+        self, space_index, seed, mutation_seed, edits
+    ):
+        space = PROPERTY_SPACES[space_index]
+        parent = sample_random(seed, space)
+        child = mutate(parent, mutation_seed, edits, space)
+        grandchild = mutate(child, mutation_seed + 1, edits, space)
+        for point in (parent, child, grandchild):
+            oracle = json.dumps(point.to_dict(), sort_keys=True, separators=(",", ":"))
+            assert canonical_json(point) == oracle
+            for other in PROPERTY_SPACES:  # checks cached under one space, asked under another
+                assert validate(point, other) == validate(memo_free(point), other)

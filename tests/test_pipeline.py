@@ -222,6 +222,19 @@ class TestSimulate:
             ) + TECH.t_bank + (len(mm.model.blocks) + 1) * TECH.activation_time
             assert rep.latency <= serial + 1e-6
 
+    def test_simulate_reads_the_timeline_without_building_edges(self):
+        for seed in range(6):
+            mm = map_model(sample_random(seed))
+            reports = {overlap: simulate(mm, TECH, overlap=overlap) for overlap in (True, False)}
+            assert "edges" not in mm.__dict__  # the cached property was never read
+            for overlap, rep in reports.items():
+                sched = schedule(mm, TECH, overlap=overlap)
+                assert rep.latency == sched.end_time + TECH.activation_time
+                assert rep.bottleneck_time == max({**sched.occupancy, "lookup": TECH.t_bank}.values())
+                assert sched.edges == tuple(
+                    ("lookup" if src == "stem" else src, dst) for src, dst in mm.edges
+                )
+
     def test_overlap_never_hurts(self):
         for seed in range(25):
             mm = map_model(sample_random(seed))
