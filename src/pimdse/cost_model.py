@@ -22,6 +22,11 @@ only the rest; :func:`model_cost`, :func:`stage_times` and
 :func:`pimdse.pipeline.schedule` then read those entries. A model mapped
 without the table is priced afresh by the same functions, with the same
 results.
+
+Stage occupancy is walked once per mapped model, technology object and
+overlap setting: :func:`stage_times` keeps the result on the model, and
+:func:`model_cost`, :func:`pimdse.pipeline.simulate` and
+:func:`pimdse.pipeline.schedule` all read it from there.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .crossbar import SUPPORTED_BITS
-from .design_space import ReRAMConfig, from_plain
+from .design_space import ReRAMConfig, _field_state, from_plain
 from .mapping import DEFAULT_ACTIVATION_BITS, Engine, MappedModel, MappedOperator
 
 
@@ -64,6 +69,8 @@ class TechParams:
     t_bank: float               # memory-tile bank access time
     activation_time: float      # functional-unit pass after a dense branch
     label: str = ""
+
+    __getstate__ = _field_state
 
     def __post_init__(self):
         numeric = [
@@ -99,7 +106,8 @@ class TechParams:
     def operator_table(self) -> "OperatorTable":
         """This table's priced operators, filled by ``map_model(point,
         table=tech.operator_table)``; kept outside the dataclass fields, so
-        it is never compared, copied by ``replace`` or serialized."""
+        it is never compared, serialized, pickled or copied (by ``replace``
+        or ``copy``): a copy starts with an empty table of its own."""
         return OperatorTable(self)
 
     def to_dict(self) -> dict:
@@ -347,19 +355,26 @@ def stage_times(mm: MappedModel, tp: TechParams, overlap: bool = True) -> dict[s
     stream, and the FM engine overlaps the sparse production of its source
     blocks (the stem stream counts the bank access time per vector).
     Without it, every operator occupies its stage for its serial latency.
+
+    The occupancy is walked once per model, technology object and
+    ``overlap``: the model keeps the last result beside its fields, keyed by
+    ``tp`` (by identity) and ``overlap``, and every call returns a copy, so
+    a caller may change the mapping it gets.
     """
-    return _stage_times(mm, tp, overlap, priced_operators(mm, tp))
+    memo = mm.__dict__.get("_stage_times")  # beside the fields, as cached_property stores
+    if memo is None or memo[0] is not tp or memo[1] != overlap:
+        memo = (tp, overlap, _occupancy_walk(mm, tp, overlap))
+        mm.__dict__["_stage_times"] = memo
+    return dict(memo[2])
 
 
-def _stage_times(
-    mm: MappedModel, tp: TechParams, overlap: bool, priced: tuple[PricedOperator, ...]
-) -> dict[str, float]:
+def _occupancy_walk(mm: MappedModel, tp: TechParams, overlap: bool) -> dict[str, float]:
     times: dict[str, float] = {}
     sparse_branch: dict[int, float] = {0: tp.t_bank}  # stem production = lookup
     for blk in mm.model.blocks:
         sparse_branch[blk.index] = 0.0
 
-    for p in priced:
+    for p in priced_operators(mm, tp):
         op = p.op
         if not overlap:
             t = p.latency
@@ -388,9 +403,8 @@ def model_cost(mm: MappedModel, tp: TechParams) -> CostReport:
     """
     reram = mm.reram
     priced = priced_operators(mm, tp)
-    op_energies = {p.op.op_id: p.energy for p in priced}
     latencies = {p.op.op_id: p.latency for p in priced}
-    stages = _stage_times(mm, tp, True, priced)
+    stages = stage_times(mm, tp)
 
     memory_area = mm.memory_tiles * reram.xbar_size**2 * tp.cell_area
     cells_per_value = math.ceil(DEFAULT_ACTIVATION_BITS / reram.cell_bits)
@@ -402,7 +416,7 @@ def model_cost(mm: MappedModel, tp: TechParams) -> CostReport:
     )
 
     operator_area = sum(p.area for p in priced)
-    operator_energy = sum(op_energies.values())
+    operator_energy = sum(p.energy for p in priced)
     controller_area = tp.controller_overhead_fraction * (operator_area + memory_area)
     controller_energy = tp.controller_overhead_fraction * (operator_energy + memory_energy)
 
@@ -418,7 +432,7 @@ def model_cost(mm: MappedModel, tp: TechParams) -> CostReport:
     }
 
     bottleneck = max(stages, key=lambda k: (stages[k], k))
-    peak_power = max(op_energies[k] / stages[k] for k in stages)
+    peak_power = max(p.energy / stages[p.op.op_id] for p in priced)
 
     return CostReport(
         area=sum(area_components.values()),

@@ -60,6 +60,14 @@ MUTATION_ACTIONS = (
 MUTATION_RETRIES = 16  # redraws per requested mutation before giving up
 
 
+def _field_state(record) -> dict:
+    """``__getstate__`` of the records that keep results beside their
+    fields: ``pickle`` and ``copy`` take the compared dataclass fields only,
+    so a restored record computes its cached values again and a field left
+    out reads its class default."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.compare}
+
+
 def _sort_ops(ops: Iterable[OperatorChoice]) -> tuple[OperatorChoice, ...]:
     return tuple(sorted(ops, key=lambda o: o.kind.value))
 
@@ -87,6 +95,8 @@ class BlockConfig:
     dim_s: int  # sparse feature dimension
     dense_ops: tuple[OperatorChoice, ...] = field(metadata={"normalize": _sort_ops})
     sparse_ops: tuple[OperatorChoice, ...] = field(metadata={"normalize": _sort_ops})
+
+    __getstate__ = _field_state
 
     def to_dict(self) -> dict:
         return {
@@ -126,6 +136,8 @@ class ReRAMConfig:
     xbar_size: int
     adc_bits: int
 
+    __getstate__ = _field_state
+
     def to_dict(self) -> dict:
         return {
             "dac_bits": self.dac_bits,
@@ -144,6 +156,8 @@ class ReRAMConfig:
 class DesignPoint:
     model: ModelConfig
     reram: ReRAMConfig
+
+    __getstate__ = _field_state
 
     @cached_property
     def point_id(self) -> str:

@@ -47,6 +47,7 @@ from .design_space import (
     ModelConfig,
     OperatorKind,
     ReRAMConfig,
+    _field_state,
 )
 
 if TYPE_CHECKING:
@@ -158,7 +159,9 @@ class MappedModel:
 
     Mapped through an operator table, it also carries each operator's
     table entry (``priced``, in operator order) and the technology that
-    priced them (``priced_by``); neither is compared or serialized.
+    priced them (``priced_by``); neither is compared, serialized or
+    pickled. :func:`pimdse.cost_model.stage_times` keeps the model's last
+    stage occupancy beside the fields.
     """
 
     model: ModelConfig
@@ -166,6 +169,8 @@ class MappedModel:
     operators: tuple[MappedOperator, ...]  # block operators plus the final FC
     priced: tuple[PricedOperator, ...] = field(default=(), compare=False, repr=False)
     priced_by: TechParams | None = field(default=None, compare=False, repr=False)
+
+    __getstate__ = _field_state
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:

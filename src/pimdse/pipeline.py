@@ -4,13 +4,16 @@ and end-to-end latency/throughput with programming/production overlap.
 Granularity is one stage per top-level operator (plus the embedding lookup
 stage); stage occupancies come from :func:`pimdse.cost_model.stage_times`
 so the throughput bottleneck reported here matches the cost model's by
-construction.
+construction. The occupancy is walked once per mapped model and technology
+object and shared by :func:`~pimdse.cost_model.model_cost`,
+:func:`simulate` and :func:`schedule`. :func:`simulate` derives throughput
+from it alone; the stage timeline is built only when a latency is read.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -138,11 +141,26 @@ class Schedule:
 
 @dataclass
 class ThroughputReport:
-    latency: float
+    """Steady-state throughput of one mapped model, from its stage occupancy."""
+
     throughput: float
     bottleneck_stage: str
     bottleneck_time: float
     stage_utilization: dict
+    timeline_inputs: tuple = field(repr=False)  # (mm, tp, overlap, first lookup)
+
+    @cached_property
+    def latency(self) -> float:
+        """End-to-end latency of one query, from a timeline built on first read."""
+        mm, tp, overlap, lookup_time = self.timeline_inputs
+        events, _ = _timeline(mm, tp, overlap, lookup_time)
+        return max(e.end for e in events) + tp.activation_time  # final functional-unit pass
+
+    def __eq__(self, other) -> bool:
+        """Equal when every reported value is, latency included."""
+        if not isinstance(other, ThroughputReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         return {
@@ -180,7 +198,7 @@ def _timeline(
     mm: MappedModel, tp: TechParams, overlap: bool, lookup_time: float | None
 ) -> tuple[tuple[StageEvent, ...], dict]:
     """The events and occupancy of :func:`schedule`, without the edges,
-    which :func:`simulate` does not read."""
+    which :attr:`ThroughputReport.latency` does not read."""
     lookup_t = tp.t_bank if lookup_time is None else lookup_time
     occ = stage_times(mm, tp, overlap=overlap)
 
@@ -237,7 +255,12 @@ def simulate(
     lookup_model: LookupModel | None = None,
     overlap: bool = True,
 ) -> ThroughputReport:
-    """End-to-end latency and steady-state throughput for one mapped model."""
+    """Steady-state throughput and end-to-end latency for one mapped model.
+
+    Throughput, bottleneck and utilization come from the stage occupancy
+    alone; the timeline is built only when the report's ``latency`` is
+    first read.
+    """
     if lookup_model is not None:
         lookup_lat = lookup_model.latencies
         first_lookup = lookup_lat[0] if lookup_lat else tp.t_bank
@@ -245,17 +268,14 @@ def simulate(
     else:
         first_lookup = worst_lookup = tp.t_bank
 
-    events, occ = _timeline(mm, tp, overlap, first_lookup)
-    latency = max(e.end for e in events) + tp.activation_time  # final functional-unit pass
-
-    stages = dict(occ)
+    stages = stage_times(mm, tp, overlap=overlap)
     stages["lookup"] = worst_lookup
     bottleneck = max(stages, key=lambda k: (stages[k], k))
     bottleneck_time = stages[bottleneck]
     return ThroughputReport(
-        latency=latency,
         throughput=1.0 / bottleneck_time,
         bottleneck_stage=bottleneck,
         bottleneck_time=bottleneck_time,
         stage_utilization={k: v / bottleneck_time for k, v in stages.items()},
+        timeline_inputs=(mm, tp, overlap, first_lookup),
     )

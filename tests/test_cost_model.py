@@ -1,13 +1,15 @@
 """Cost-model arithmetic, additivity, monotonicity, scale-freeness."""
 
+import copy
 import math
+import pickle
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimdse import cost_model
+from pimdse import cost_model, pipeline, search
 from pimdse.cost_model import (
     OPERATOR_TABLE_SIZE,
     OperatorTable,
@@ -308,3 +310,109 @@ class TestOperatorTable:
         d = tech.to_dict()
         assert "operator_table" not in d
         assert from_plain(TechParams, d) == tech
+
+
+class TestOneOccupancyPass:
+    """``stage_times`` walks the occupancy once per model, technology object
+    and overlap setting; each case is checked against a memo-free model."""
+
+    def test_a_search_candidate_walks_once_and_times_only_a_read_latency(self):
+        tech = default_tech()
+        reports = []
+
+        def keep(*args, **kwargs):
+            reports.append(simulate(*args, **kwargs))
+            return reports[-1]
+
+        with (
+            mock.patch.object(search, "simulate", keep),
+            mock.patch.object(cost_model, "_occupancy_walk", wraps=cost_model._occupancy_walk) as walk,
+            mock.patch.object(pipeline, "_timeline", wraps=pipeline._timeline) as timeline,
+        ):
+            default_hw_metrics(tech)(sample_random(3))
+            assert (walk.call_count, timeline.call_count) == (1, 0)
+            latency = reports[0].latency
+            assert reports[0].latency == latency
+            assert (walk.call_count, timeline.call_count) == (1, 1)
+
+    def test_interleaved_techs_and_overlap(self):
+        tech = default_tech()
+        scaled = tech.scaled_times(3.0)
+        lookup = zipf_lookup_model(26, 256, 8, 16, 1, tech.t_bank)
+        calls = [(tech, True), (scaled, True), (tech, False), (tech, True), (scaled, False), (scaled, True)]
+        for seed in range(4):
+            point = sample_random(seed)
+            mm = map_model(point, table=tech.operator_table)
+            for tp, overlap in calls:
+                assert stage_times(mm, tp, overlap) == stage_times(map_model(point), tp, overlap)
+                assert model_cost(mm, tp).to_dict() == model_cost(map_model(point), tp).to_dict()
+                report = simulate(mm, tp, lookup, overlap).to_dict()
+                assert report == simulate(map_model(point), tp, lookup, overlap).to_dict()
+
+    def test_model_priced_by_one_tech_costed_under_another(self):
+        tech = default_tech()
+        other = tech_with(xbar_write_time=7 * TECH.xbar_write_time, mbsa_energy=2 * TECH.mbsa_energy)
+        for seed in range(4):
+            point = sample_random(seed)
+            mm = map_model(point, table=tech.operator_table)
+            for tp in (tech, other, tech):
+                fresh = map_model(point)
+                assert model_cost(mm, tp).to_dict() == model_cost(fresh, tp).to_dict()
+                assert simulate(mm, tp).to_dict() == simulate(fresh, tp).to_dict()
+                assert schedule(mm, tp).to_dict() == schedule(fresh, tp).to_dict()
+            assert model_cost(mm, other).to_dict() != model_cost(mm, tech).to_dict()
+
+    def test_a_changed_result_mapping_changes_no_later_result(self):
+        tech = default_tech()
+        point = sample_random(11)
+        mm = map_model(point, table=tech.operator_table)
+        for returned in (
+            model_cost(mm, tech).stage_times, stage_times(mm, tech), schedule(mm, tech).occupancy,
+        ):
+            for key in returned:
+                returned[key] = 0.0
+            returned["extra"] = 1e9
+        fresh = map_model(point)
+        assert stage_times(mm, tech) == stage_times(fresh, tech)
+        assert simulate(mm, tech).to_dict() == simulate(fresh, tech).to_dict()
+        assert model_cost(mm, tech).to_dict() == model_cost(fresh, tech).to_dict()
+
+    @pytest.mark.parametrize("with_lookup", (False, True))
+    def test_latency_is_the_schedule_end(self, with_lookup):
+        tech = default_tech()
+        lookup = zipf_lookup_model(26, 256, 2, 16, 1, tech.t_bank) if with_lookup else None
+        first = lookup.latencies[0] if with_lookup else tech.t_bank
+        assert with_lookup == (first != tech.t_bank)  # the lookup model moves the timeline
+        for seed in range(6):
+            mm = map_model(sample_random(seed), table=tech.operator_table)
+            for overlap in (True, False):
+                latency = simulate(mm, tech, lookup, overlap).latency
+                end = schedule(mm, tech, overlap, lookup_time=first).end_time
+                assert latency == end + tech.activation_time
+
+
+class TestPickledRecords:
+    def test_tech_pickles_and_copies_without_its_table(self):
+        tech = default_tech()
+        metric_fn = default_hw_metrics(tech)
+        for seed in range(200):
+            metric_fn(sample_random(seed))
+        assert len(tech.operator_table.entries) == OPERATOR_TABLE_SIZE
+        assert len(pickle.dumps(tech)) == len(pickle.dumps(default_tech()))
+        for again in (pickle.loads(pickle.dumps(tech)), copy.deepcopy(tech)):
+            assert again == tech and again.operator_table.tech is again
+            assert not again.operator_table.entries
+        assert len(tech.operator_table.entries) == OPERATOR_TABLE_SIZE
+
+    def test_mapped_model_pickles_without_prices_or_memo(self):
+        tech = default_tech()
+        point = sample_random(4)
+        mm = map_model(point, table=tech.operator_table)
+        assert simulate(mm, tech).latency and mm.edges and mm.tile_plan
+        assert mm.priced_by is tech and "_stage_times" in vars(mm)
+        fresh = map_model(point)
+        assert len(pickle.dumps(mm)) == len(pickle.dumps(fresh))
+        for again in (pickle.loads(pickle.dumps(mm)), copy.deepcopy(mm)):
+            assert again == mm and set(vars(again)) == {"model", "reram", "operators"}
+            assert again.priced == () and again.priced_by is None
+            assert model_cost(again, tech).to_dict() == model_cost(fresh, tech).to_dict()

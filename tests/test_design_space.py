@@ -1,5 +1,6 @@
 """Design-space validation, sampling, mutation, and counting."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -454,6 +455,17 @@ class TestSerialization:
         assert set(vars(pt.reram)) - set(vars(fresh.reram)) == {"canonical_fragment"}
         assert repr(pt.reram) == repr(fresh.reram)
         assert pt == fresh and hash(pt) == hash(fresh) and pt.to_dict() == fresh.to_dict()
+
+    def test_pickles_and_copies_carry_the_fields_only(self):
+        pt = sample_random(42)
+        records = (pt, pt.model.blocks[0], pt.reram)
+        sizes = [len(pickle.dumps(r)) for r in records]
+        assert validate(pt).ok and pt.point_id
+        assert [len(pickle.dumps(r)) for r in records] == sizes
+        for again in (pickle.loads(pickle.dumps(pt)), copy.deepcopy(pt)):
+            assert again == pt and "point_id" not in vars(again)
+            assert not any(vars(b).keys() & {"canonical_fragment", "_violations"} for b in again.model.blocks)
+            assert validate(again).ok and again.point_id == pt.point_id
 
     def test_inputs_and_operators_out_of_order_decode_to_the_sorted_point(self):
         def shuffleable(p):

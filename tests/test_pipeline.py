@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -234,6 +235,14 @@ class TestSimulate:
                 assert sched.edges == tuple(
                     ("lookup" if src == "stem" else src, dst) for src, dst in mm.edges
                 )
+
+    def test_reports_compare_by_every_reported_value(self):
+        mm = map_model(sample_random(5))
+        rep = simulate(mm, TECH)
+        assert rep == simulate(map_model(sample_random(5)), TECH)
+        later = replace(rep, timeline_inputs=(mm, TECH, True, 2 * TECH.t_bank))
+        assert later.throughput == rep.throughput and later.latency > rep.latency
+        assert later != rep
 
     def test_overlap_never_hurts(self):
         for seed in range(25):
