@@ -3,7 +3,10 @@
 ``SEARCH_DIGEST``, ``SCORING_DIGEST`` and ``WEIGHTS_DIGEST`` were recorded
 before the scoring path was simplified (one engine-overlap formula, typed
 composite parts, stage times computed once per ``simulate``).
-``REPEATS_DIGEST`` was recorded while ``run_search`` still cached
+``CLI_DIGEST`` was recorded before the crossbar's orientation tag and
+tile dump, ``Schedule.occupancy`` and the functional path's activation
+width parameter were deleted; it pins the bytes ``pimdse map`` and
+``pimdse simulate`` print and write. ``REPEATS_DIGEST`` was recorded while ``run_search`` still cached
 evaluations by point id, on a small space where that cache answered 17 of
 88 candidates; it shows that evaluating a repeated child again gives the
 same search. Any change in a result, down to the last bit of a float,
@@ -18,7 +21,7 @@ import numpy as np
 
 from pimdse.cli import EXIT_PARSE, main
 from pimdse.cost_model import default_tech, model_cost
-from pimdse.design_space import SpaceDescriptor, sample_random
+from pimdse.design_space import SpaceDescriptor, canonical_json, sample_random
 from pimdse.evaluator import SurrogateParams
 from pimdse.mapping import Engine, map_model, random_weights
 from pimdse.pipeline import schedule, simulate, zipf_lookup_model
@@ -30,6 +33,7 @@ SEARCH_DIGEST = "7d90e40fcfa719efe757489e8d6a73127e8825b9286213d39944d57b12d0776
 SCORING_DIGEST = "6bc3db13d0edc51c1ebb5898f36961baaeec1ed6178cf27255ea92661f0c70e6"
 WEIGHTS_DIGEST = "792242f47e348c69652a0e597175665a96d2f704c2cbe3681b9256fd54950ff0"
 REPEATS_DIGEST = "58a40a1725ee1125981a8e20ab0ecf109aa7221134f2d06e26aa352ed5fde8e1"
+CLI_DIGEST = "1f659d892819f0d4c6d139a534647b0f9aea64c6612fdb39418bbc14ce1428a9"
 
 
 def sha256(text: str) -> str:
@@ -97,6 +101,23 @@ def test_cost_simulate_schedule_digest():
             record[f"schedule_{overlap}"] = schedule(mm, TECH, overlap=overlap).to_dict()
         records.append(record)
     assert sha256(json.dumps(records, sort_keys=True)) == SCORING_DIGEST
+
+
+def test_map_and_simulate_cli_output_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for seed in (21, 22):
+        point = tmp_path / f"point{seed}.json"
+        point.write_text(canonical_json(sample_random(seed)) + "\n")
+        csv = tmp_path / f"cost{seed}.csv"
+        for argv in (
+            ["map", "--point", str(point)],
+            ["simulate", "--point", str(point), "--csv", str(csv)],
+            ["simulate", "--point", str(point), "--no-overlap"],
+        ):
+            assert main(argv) == 0
+            digest.update(capsys.readouterr().out.encode("ascii"))
+        digest.update(csv.read_bytes())
+    assert digest.hexdigest() == CLI_DIGEST
 
 
 def test_random_weights_digest():
