@@ -45,7 +45,6 @@ from .cost_model import (
     TechParams,
     default_tech,
     model_cost,
-    op_latency,
     overlap_ready_time,
 )
 from .pipeline import (

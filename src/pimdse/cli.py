@@ -13,11 +13,14 @@ of the stated length; a listed operator kind); keys a record gives defaults
 for may be left out. A file that breaks one of these rules exits 2 naming the
 field by its JSON path, as does one that fails the record's own range checks
 (naming the field); a design point that decodes but fails ``validate`` exits 3.
+The ``--external`` loss CSV is read with the other inputs, before ``search``
+writes anything; one that cannot be read or holds a bad row exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -40,10 +43,11 @@ from .design_space import (
 )
 from .evaluator import SurrogateParams, ingest_external
 from .mapping import map_model
-from .pipeline import schedule, simulate, zipf_lookup_model
+from .pipeline import schedule, simulate
 from .search import (
     SearchConfig,
     default_hw_metrics,
+    default_lookup_model,
     default_loss,
     derive_seed,
     run_search,
@@ -124,14 +128,7 @@ def cmd_simulate(args) -> int:
     tech = _tech(args)
     mm = map_model(point)
     cost = model_cost(mm, tech)
-    lookup = zipf_lookup_model(
-        num_tables=point.model.num_sparse_features,
-        rows_per_table=256,
-        num_banks=8,
-        num_queries=16,
-        seed=derive_seed(args.seed, "trace"),
-        t_bank=tech.t_bank,
-    )
+    lookup = default_lookup_model(tech, point.model.num_sparse_features, args.seed)
     report = simulate(mm, tech, lookup_model=lookup, overlap=not args.no_overlap)
     timeline = schedule(
         mm, tech, overlap=not args.no_overlap, lookup_time=lookup.latencies[0]
@@ -155,6 +152,12 @@ def cmd_search(args) -> int:
     cfg = _load(SearchConfig, args.search_config, "search config")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    external = None
+    if args.external:
+        try:
+            external = ingest_external(args.external, logger=logger)
+        except (OSError, ValueError, csv.Error) as exc:  # ParseError names the line
+            raise CliError(f"cannot load external losses {args.external}: {exc}", EXIT_PARSE) from exc
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,10 +176,6 @@ def cmd_search(args) -> int:
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         _dump(manifest, fh)  # manifest lands before any result file
-
-    external = None
-    if args.external:
-        external = ingest_external(args.external, logger=logger)
 
     loss_fn = default_loss(SurrogateParams(seed=cfg.seed), external=external)
     metric_fn = default_hw_metrics(tech, space, seed=cfg.seed)

@@ -213,28 +213,6 @@ def _leaf_costs(
     return area, energy, read, write
 
 
-def op_latency(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> float:
-    """Serial latency of an operator (no cross-stage overlap applied)."""
-    if mo.parts:
-        return sum(op_latency(p, tp, reram) for p in mo.parts)
-    _, _, read, write = _leaf_costs(mo, tp, reram)
-    return read + write
-
-
-def op_area(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> float:
-    """Strict component sum: crossbar cells, converter shares, MBSA, buffer."""
-    if mo.parts:
-        return sum(op_area(p, tp, reram) for p in mo.parts)
-    return _leaf_costs(mo, tp, reram)[0]
-
-
-def op_energy(mo: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> float:
-    """Per-inference energy: conversions, cell reads, writes, buffer traffic."""
-    if mo.parts:
-        return sum(op_energy(p, tp, reram) for p in mo.parts)
-    return _leaf_costs(mo, tp, reram)[1]
-
-
 def overlap_ready_time(k: int, t_e: float, t_p: float) -> float:
     """Engine-ready time when programming vector j overlaps producing j+1.
 
@@ -273,7 +251,7 @@ class PricedOperator(NamedTuple):
     op: MappedOperator
     area: float
     energy: float
-    latency: float           # serial op_latency
+    latency: float           # serial latency: every leaf's read plus write
     occupancy: float | None  # overlapped stage occupancy; None for FM (see price_operator)
     tail: tuple[float, float] = ()  # DP/FM: engine read, trailing FC latency
 
@@ -285,8 +263,8 @@ def price_operator(op: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> Pr
     An FM engine overlaps its source blocks' sparse production, so its
     occupancy is computed per model by :func:`stage_times`.
 
-    Each leaf is costed once; the totals are the sums :func:`op_area`,
-    :func:`op_energy` and :func:`op_latency` take, in the same order.
+    Each leaf is costed once by :func:`_leaf_costs`; a composite's totals
+    are its parts' sums, taken in part order.
     """
     if not op.parts:
         area, energy, read, write = _leaf_costs(op, tp, reram)

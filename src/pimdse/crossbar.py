@@ -133,7 +133,6 @@ class ProgrammedTiles:
 
     cells: np.ndarray  # (row_tiles, xbar_size, virtual_cols) float32
     meta: TileMeta
-    orientation: str = "normal"
 
 
 def adc_quantize(analog_sum, adc_bits: int):
@@ -170,7 +169,6 @@ def program_signed(
     matrix,
     w_bits: int,
     spec: CrossbarSpec,
-    orientation: str = "normal",
 ) -> ProgrammedTiles:
     """Decompose a signed integer matrix onto differential bit-plane tiles.
 
@@ -214,7 +212,7 @@ def program_signed(
         col_tiles=col_tiles,
         col_weight=np.tile(np.stack([place, -place], axis=1).ravel(), out_dim),
     )
-    return ProgrammedTiles(cells=cells, meta=meta, orientation=orientation)
+    return ProgrammedTiles(cells=cells, meta=meta)
 
 
 def _drives(x: np.ndarray, a_bits: int, dac_bits: int, row_tiles: int, rows: int):
@@ -291,30 +289,3 @@ def mbsa_square(v, v_bits: int) -> np.ndarray:
         acc += (bit * v) << t  # partial product of bit t, shifted into place
     return acc
 
-
-def tiles_to_json(pt: ProgrammedTiles) -> dict:
-    """Debug dump of a programmed tile grid (cells as plain integer lists)."""
-    meta = pt.meta
-    x = meta.xbar_size
-    padded = np.zeros((meta.row_tiles, x, meta.col_tiles * x), dtype=np.int64)
-    padded[:, :, : meta.virtual_cols] = pt.cells
-    return {
-        "orientation": pt.orientation,
-        "in_dim": meta.in_dim,
-        "out_dim": meta.out_dim,
-        "w_bits": meta.w_bits,
-        "cell_bits": meta.cell_bits,
-        "planes": meta.planes,
-        "xbar_size": meta.xbar_size,
-        "row_tiles": meta.row_tiles,
-        "col_tiles": meta.col_tiles,
-        "tiles": [
-            {
-                "row_tile": rt,
-                "col_tile": ct,
-                "cells": padded[rt, :, ct * x : (ct + 1) * x].tolist(),
-            }
-            for rt in range(meta.row_tiles)
-            for ct in range(meta.col_tiles)
-        ],
-    }

@@ -393,10 +393,10 @@ def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> Vali
         v.append(f"model: expected {space.num_blocks} blocks, got {len(model.blocks)}")
     if model.final_fc_bits not in space.weight_bits:
         v.append(f"final_fc: weight_bits {model.final_fc_bits} not in menu")
-    if n_s < 1:
-        v.append("model: num_sparse_features must be >= 1")
-    if model.embedding_dim < 1:
-        v.append("model: embedding_dim must be >= 1")
+    if n_s != space.num_sparse_features:
+        v.append(f"model: expected num_sparse_features {space.num_sparse_features}, got {n_s}")
+    if model.embedding_dim != space.embedding_dim:
+        v.append(f"model: expected embedding_dim {space.embedding_dim}, got {model.embedding_dim}")
 
     for pos, blk in enumerate(model.blocks, start=1):
         memo = blk.__dict__.get("_violations")  # beside the fields, as cached_property stores

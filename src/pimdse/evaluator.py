@@ -35,8 +35,8 @@ class EvalResult:
     source: str  # "surrogate" or "external"
 
     def __post_init__(self):
-        if self.log_loss <= 0:
-            raise ValueError("log_loss must be positive")
+        if not 0 < self.log_loss < math.inf:  # also refuses nan
+            raise ValueError(f"log_loss must be positive and finite, got {self.log_loss}")
         if self.auc is not None and not 0.0 < self.auc < 1.0:
             raise ValueError("auc must lie in (0, 1)")
 

@@ -500,9 +500,9 @@ def _stream_ref(source: int, stream: str) -> str:
 # functional execution through the crossbar kernel
 # ---------------------------------------------------------------------------
 
-def clamp_activations(values, a_bits: int = DEFAULT_ACTIVATION_BITS) -> np.ndarray:
+def clamp_activations(values) -> np.ndarray:
     """Symmetric saturating quantization to the activation range."""
-    lim = (1 << (a_bits - 1)) - 1
+    lim = (1 << (DEFAULT_ACTIVATION_BITS - 1)) - 1
     return np.clip(np.asarray(values, dtype=np.int64), -lim, lim)
 
 
@@ -514,24 +514,17 @@ def _conv(reram: ReRAMConfig) -> ConverterSpec:
     return ConverterSpec(dac_bits=reram.dac_bits, adc_bits=reram.adc_bits)
 
 
-def run_fc(weight, x, w_bits, reram, a_bits=DEFAULT_ACTIVATION_BITS):
-    """One FC through the crossbar: weight is (out, in), programmed transposed."""
+def run_fc(weight, x, w_bits, reram):
+    """One FC through the crossbar: weight is (out, in), programmed
+    transposed. ``x`` is one input vector, or a matrix whose columns are
+    swept through the one programmed array (an EFC sweeps one column per
+    embedding coordinate)."""
     w = np.asarray(weight, dtype=np.int64)
     pt = program_signed(w.T, w_bits, _xbar_spec(reram))
-    return mvm(pt, x, a_bits, _conv(reram))
+    return mvm(pt, x, DEFAULT_ACTIVATION_BITS, _conv(reram))
 
 
-def run_efc(weight, xs, w_bits, reram, a_bits=DEFAULT_ACTIVATION_BITS):
-    """Sparse-axis matmul: one programmed array swept per feature column."""
-    w = np.asarray(weight, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.shape[0] != w.shape[1]:
-        raise ShapeMismatch(f"EFC expects {w.shape[1]} input features, got {xs.shape[0]}")
-    pt = program_signed(w.T, w_bits, _xbar_spec(reram))
-    return mvm(pt, xs, a_bits, _conv(reram))
-
-
-def dp_engine_forward(x_matrix, reram, a_bits=DEFAULT_ACTIVATION_BITS):
+def dp_engine_forward(x_matrix, reram):
     """Pairwise inner products of the merged rows via runtime programming.
 
     The row matrix is programmed column-wise (its transpose lands on the
@@ -542,12 +535,13 @@ def dp_engine_forward(x_matrix, reram, a_bits=DEFAULT_ACTIVATION_BITS):
     """
     x = np.asarray(x_matrix, dtype=np.int64)
     m = x.shape[0]
-    pt = program_signed(x.T, a_bits, _xbar_spec(reram), orientation="transposed-write")
+    a_bits = DEFAULT_ACTIVATION_BITS  # runtime operands carry activation width
+    pt = program_signed(x.T, a_bits, _xbar_spec(reram))
     products, log = mvm(pt, x[: m - 1].T, a_bits, _conv(reram))  # [j, i] = <x_j, x_i>
     return products.T[np.triu_indices(m - 1, 1, m)], log
 
 
-def fm_engine_forward(vectors, reram, a_bits=DEFAULT_ACTIVATION_BITS):
+def fm_engine_forward(vectors, reram):
     """Square-of-sum minus sum-of-squares over the programmed vectors.
 
     The per-coordinate sum comes from an all-ones word-line read of the
@@ -558,7 +552,7 @@ def fm_engine_forward(vectors, reram, a_bits=DEFAULT_ACTIVATION_BITS):
     vecs = np.asarray(vectors, dtype=np.int64)
     if vecs.ndim != 2 or vecs.shape[0] < 2:
         raise ShapeMismatch("FM needs at least two vectors")
-    pt = program_signed(vecs, a_bits, _xbar_spec(reram), orientation="transposed-write")
+    pt = program_signed(vecs, DEFAULT_ACTIVATION_BITS, _xbar_spec(reram))
     ones = np.ones(vecs.shape[0], dtype=np.int64)
     s, log = mvm(pt, ones, 2, _conv(reram))  # ones need only a 2-bit drive
 
@@ -591,13 +585,13 @@ def functional_forward(
     dense_in,
     sparse_in,
     weights: dict[str, np.ndarray],
-    a_bits: int = DEFAULT_ACTIVATION_BITS,
 ) -> tuple[np.ndarray, dict[str, SaturationLog]]:
     """Execute the mapped model through the crossbar kernel, batch size one.
 
     Returns the final dense output and one saturation log per leaf
-    operator. With lossless converter settings the output matches the
-    pure-integer reference exactly.
+    operator. Activations are ``DEFAULT_ACTIVATION_BITS`` wide, the width
+    the cost model prices. With lossless converter settings the output
+    matches the pure-integer reference exactly.
     """
     model, reram = mm.model, mm.reram
     n_s = model.num_sparse_features
@@ -608,8 +602,8 @@ def functional_forward(
     if sparse_in.shape != (n_s, model.embedding_dim):
         raise ShapeMismatch(f"sparse input must have shape ({n_s}, {model.embedding_dim})")
 
-    dense_out = {STEM: clamp_activations(dense_in, a_bits)}
-    sparse_out = {STEM: clamp_activations(sparse_in, a_bits)}
+    dense_out = {STEM: clamp_activations(dense_in)}
+    sparse_out = {STEM: clamp_activations(sparse_in)}
     logs: dict[str, SaturationLog] = {}
 
     def gather_dense(sources):
@@ -624,47 +618,42 @@ def functional_forward(
         for op in blk.dense_ops:
             op_id = f"b{blk.index}.dense.{op.kind.value}"
             if op.kind == OperatorKind.FC:
-                y, lg = run_fc(weights[op_id], gather_dense(op.inputs), op.weight_bits, reram, a_bits)
+                y, lg = run_fc(weights[op_id], gather_dense(op.inputs), op.weight_bits, reram)
                 logs[op_id] = lg
             elif op.kind == OperatorKind.DP:
-                y = _dp_forward(op, op_id, blk, gather_dense, gather_sparse, weights, reram, a_bits, logs)
+                y = _dp_forward(op, op_id, blk, gather_dense, gather_sparse, weights, reram, logs)
             elif op.kind == OperatorKind.FM:
                 xs = gather_sparse(op.inputs, blk.dim_s)
-                ix, lg = fm_engine_forward(xs, reram, a_bits)
+                ix, lg = fm_engine_forward(xs, reram)
                 logs[f"{op_id}.engine"] = lg
-                y, lg2 = run_fc(
-                    weights[f"{op_id}.fc_out"], clamp_activations(ix, a_bits),
-                    op.weight_bits, reram, a_bits,
-                )
+                y, lg2 = run_fc(weights[f"{op_id}.fc_out"], clamp_activations(ix), op.weight_bits, reram)
                 logs[f"{op_id}.fc_out"] = lg2
             else:
                 raise _wrong_branch(op_id, op.kind, DENSE_KINDS)
-            d_acc += clamp_activations(y, a_bits)
-        d_acc = clamp_activations(np.maximum(d_acc, 0), a_bits)  # ReLU on dense
+            d_acc += clamp_activations(y)
+        d_acc = clamp_activations(np.maximum(d_acc, 0))  # ReLU on dense
 
         s_acc = np.zeros((n_s, blk.dim_s), dtype=np.int64)
         for op in blk.sparse_ops:
             op_id = f"b{blk.index}.sparse.{op.kind.value}"
             if op.kind == OperatorKind.EFC:
-                ys, lg = run_efc(
-                    weights[op_id], gather_sparse(op.inputs, blk.dim_s),
-                    op.weight_bits, reram, a_bits,
+                ys, lg = run_fc(
+                    weights[op_id], gather_sparse(op.inputs, blk.dim_s), op.weight_bits, reram
                 )
             elif op.kind == OperatorKind.DSI:
-                flat, lg = run_fc(weights[op_id], gather_dense(op.inputs), op.weight_bits, reram, a_bits)
+                flat, lg = run_fc(weights[op_id], gather_dense(op.inputs), op.weight_bits, reram)
                 ys = flat.reshape(n_s, blk.dim_s)
             else:
                 raise _wrong_branch(op_id, op.kind, SPARSE_KINDS)
             logs[op_id] = lg
-            s_acc += clamp_activations(ys, a_bits)
-        s_acc = clamp_activations(s_acc, a_bits)  # identity activation
+            s_acc += clamp_activations(ys)
+        s_acc = clamp_activations(s_acc)  # identity activation
 
         dense_out[blk.index] = d_acc
         sparse_out[blk.index] = s_acc
 
     logit, lg = run_fc(
-        weights["final_fc"], dense_out[model.blocks[-1].index],
-        model.final_fc_bits, reram, a_bits,
+        weights["final_fc"], dense_out[model.blocks[-1].index], model.final_fc_bits, reram
     )
     logs["final_fc"] = lg
     return logit, logs
@@ -676,23 +665,17 @@ def _wrong_branch(op_id: str, kind: OperatorKind, allowed) -> ValueError:
     )
 
 
-def _dp_forward(op, op_id, blk, gather_dense, gather_sparse, weights, reram, a_bits, logs):
-    h, lg = run_fc(weights[f"{op_id}.fc_front"], gather_dense(op.inputs), op.weight_bits, reram, a_bits)
+def _dp_forward(op, op_id, blk, gather_dense, gather_sparse, weights, reram, logs):
+    h, lg = run_fc(weights[f"{op_id}.fc_front"], gather_dense(op.inputs), op.weight_bits, reram)
     logs[f"{op_id}.fc_front"] = lg
-    h = clamp_activations(h, a_bits)
-    e, lg = run_efc(
-        weights[f"{op_id}.efc"], gather_sparse(op.inputs, blk.dim_s),
-        op.weight_bits, reram, a_bits,
-    )
+    h = clamp_activations(h)
+    e, lg = run_fc(weights[f"{op_id}.efc"], gather_sparse(op.inputs, blk.dim_s), op.weight_bits, reram)
     logs[f"{op_id}.efc"] = lg
-    e = clamp_activations(e, a_bits)
+    e = clamp_activations(e)
     x = np.vstack([h[None, :], e])
-    pairs, lg = dp_engine_forward(x, reram, a_bits)
+    pairs, lg = dp_engine_forward(x, reram)
     logs[f"{op_id}.engine"] = lg
-    y, lg = run_fc(
-        weights[f"{op_id}.fc_out"], clamp_activations(pairs, a_bits),
-        op.weight_bits, reram, a_bits,
-    )
+    y, lg = run_fc(weights[f"{op_id}.fc_out"], clamp_activations(pairs), op.weight_bits, reram)
     logs[f"{op_id}.fc_out"] = lg
     return y
 

@@ -116,7 +116,6 @@ class StageEvent(NamedTuple):
 class Schedule:
     events: tuple[StageEvent, ...]
     edges: tuple[tuple[str, str], ...]  # (producer event, consumer event)
-    occupancy: dict  # stage_times the timeline was built from; not serialized
 
     @property
     def end_time(self) -> float:
@@ -153,7 +152,7 @@ class ThroughputReport:
     def latency(self) -> float:
         """End-to-end latency of one query, from a timeline built on first read."""
         mm, tp, overlap, lookup_time = self.timeline_inputs
-        events, _ = _timeline(mm, tp, overlap, lookup_time)
+        events = _timeline(mm, tp, overlap, lookup_time)
         return max(e.end for e in events) + tp.activation_time  # final functional-unit pass
 
     def __eq__(self, other) -> bool:
@@ -182,23 +181,22 @@ def schedule(
     data edges (the stem's streams are produced by the lookup).
 
     Each operator starts once every source stream is ready and holds its
-    stage for its :func:`~pimdse.cost_model.stage_times` occupancy, which
-    the schedule keeps. With ``overlap`` an FM engine instead starts
-    programming when the last of its source sparse branches starts, and
-    ends at the shared engine-overlap formula; ``overlap=False`` serializes
-    engine programming, for comparison. Dense branches pay one functional-unit
+    stage for its :func:`~pimdse.cost_model.stage_times` occupancy. With
+    ``overlap`` an FM engine instead starts programming when the last of
+    its source sparse branches starts, and ends at the shared
+    engine-overlap formula; ``overlap=False`` serializes engine
+    programming, for comparison. Dense branches pay one functional-unit
     activation pass; sparse branches pass through.
     """
-    events, occ = _timeline(mm, tp, overlap, lookup_time)
     edges = tuple(("lookup" if src == "stem" else src, dst) for src, dst in mm.edges)
-    return Schedule(events=events, edges=edges, occupancy=occ)
+    return Schedule(events=_timeline(mm, tp, overlap, lookup_time), edges=edges)
 
 
 def _timeline(
     mm: MappedModel, tp: TechParams, overlap: bool, lookup_time: float | None
-) -> tuple[tuple[StageEvent, ...], dict]:
-    """The events and occupancy of :func:`schedule`, without the edges,
-    which :attr:`ThroughputReport.latency` does not read."""
+) -> tuple[StageEvent, ...]:
+    """The events of :func:`schedule`, without the edges, which
+    :attr:`ThroughputReport.latency` does not read."""
     lookup_t = tp.t_bank if lookup_time is None else lookup_time
     occ = stage_times(mm, tp, overlap=overlap)
 
@@ -246,7 +244,7 @@ def _timeline(
 
     start = dense_ready[mm.model.blocks[-1].index]
     events.append(StageEvent("final_fc", start, start + occ["final_fc"], "compute"))
-    return tuple(events), occ
+    return tuple(events)
 
 
 def simulate(

@@ -160,6 +160,19 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def default_lookup_model(tech: TechParams, num_tables: int, seed: int) -> LookupModel:
+    """The Zipf lookup trace a search or ``pimdse simulate`` prices with:
+    256 rows per table on 8 banks, 16 queries, drawn from ``seed``."""
+    return zipf_lookup_model(
+        num_tables=num_tables,
+        rows_per_table=256,
+        num_banks=8,
+        num_queries=16,
+        seed=derive_seed(seed, "trace"),
+        t_bank=tech.t_bank,
+    )
+
+
 def default_hw_metrics(
     tech: TechParams,
     space: SpaceDescriptor = DEFAULT_SPACE,
@@ -168,14 +181,7 @@ def default_hw_metrics(
 ) -> Callable[[DesignPoint], tuple[float, float, float]]:
     """Map -> cost -> pipeline, shared lookup trace across all candidates."""
     if lookup_model is None:
-        lookup_model = zipf_lookup_model(
-            num_tables=space.num_sparse_features,
-            rows_per_table=256,
-            num_banks=8,
-            num_queries=16,
-            seed=derive_seed(seed, "trace"),
-            t_bank=tech.t_bank,
-        )
+        lookup_model = default_lookup_model(tech, space.num_sparse_features, seed)
 
     table = tech.operator_table  # shared by every search priced with this tech
 

@@ -16,9 +16,8 @@ import numpy as np
 from pimdse.cost_model import (
     default_tech,
     model_cost,
-    op_area,
-    op_energy,
     overlap_ready_time,
+    price_operator,
 )
 from pimdse.crossbar import ConverterSpec, CrossbarSpec, mvm, program_signed
 from pimdse.design_space import (
@@ -232,13 +231,13 @@ def test_criterion_8_cost_model_invariances():
         for op in mm.operators:
             if op.parts:
                 assert math.isclose(
-                    op_area(op, TECH, mm.reram),
-                    sum(op_area(p, TECH, mm.reram) for p in op.parts),
+                    price_operator(op, TECH, mm.reram).area,
+                    sum(price_operator(p, TECH, mm.reram).area for p in op.parts),
                     rel_tol=1e-12,
                 )
                 assert math.isclose(
-                    op_energy(op, TECH, mm.reram),
-                    sum(op_energy(p, TECH, mm.reram) for p in op.parts),
+                    price_operator(op, TECH, mm.reram).energy,
+                    sum(price_operator(p, TECH, mm.reram).energy for p in op.parts),
                     rel_tol=1e-12,
                 )
 

@@ -180,7 +180,7 @@ class TestTechFile:
         return str(path)
 
     def test_simulate_rejects_missing_adc_width(self, capsys, tech_without_adc8, adc8_point_file):
-        # Used to exit 4 with "internal error: 8" (a KeyError in op_area).
+        # Used to exit 4 with "internal error: 8" (a KeyError in the area pricing).
         code, _, err = run_cli(capsys, "simulate", "--point", adc8_point_file, "--tech", tech_without_adc8)
         assert code == EXIT_PARSE
         assert "cannot load tech params" in err and "adc_bits [8]" in err
@@ -365,6 +365,18 @@ class TestMapSimulate:
         code, _, err = run_cli(capsys, "map", "--point", str(bad))
         assert code == EXIT_VALIDATION and "sparse branch empty" in err
 
+    def test_point_outside_the_space_exits_3(self, capsys, tmp_path, point_file):
+        doc = json.loads(open(point_file).read())
+        doc["model"]["num_sparse_features"] = 999
+        doc["model"]["embedding_dim"] = 3
+        bad = tmp_path / "elsewhere.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("map", "simulate"):
+            code, _, err = run_cli(capsys, command, "--point", str(bad))
+            assert code == EXIT_VALIDATION
+            assert "expected num_sparse_features 26, got 999" in err
+            assert "expected embedding_dim 16, got 3" in err
+
 
 class TestSearch:
     @pytest.fixture
@@ -433,6 +445,29 @@ class TestSearch:
         run_cli(capsys, "search", "--search-config", cfg_file, "--out", str(out), "--seed", "9")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 9
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            (f"{'ab' * 32},notanumber", "line 2: bad number"),
+            (f"{'ab' * 32},nan", "line 2: log_loss must be positive and finite, got nan"),
+            (None, "No such file or directory"),
+        ],
+        ids=["bad_number", "nan", "missing_file"],
+    )
+    def test_bad_external_losses_exit_2_before_any_output(
+        self, capsys, tmp_path, cfg_file, rows, named
+    ):
+        ext = tmp_path / "ext.csv"
+        if rows is not None:
+            ext.write_text(f"point_id,log_loss\n{rows}\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "search", "--search-config", cfg_file, "--external", str(ext), "--out", str(out)
+        )
+        assert code == EXIT_PARSE
+        assert f"cannot load external losses {ext}: " in err and named in err
+        assert not out.exists()  # refused before the manifest is written
 
     def test_bad_config_exits_2(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"

@@ -16,10 +16,8 @@ from pimdse.cost_model import (
     TechParams,
     default_tech,
     model_cost,
-    op_area,
-    op_energy,
-    op_latency,
     overlap_ready_time,
+    price_operator,
     stage_times,
 )
 from pimdse.design_space import (
@@ -59,15 +57,15 @@ class TestTechParams:
 class TestOpLatency:
     def test_slice_count_halves_with_wider_dac(self):
         mo = map_fc(16, 16, 4, R16)
-        t1 = op_latency(mo, TECH, R16)
-        t2 = op_latency(mo, TECH, ReRAMConfig(2, 2, 16, 8))
+        t1 = price_operator(mo, TECH, R16).latency
+        t2 = price_operator(mo, TECH, ReRAMConfig(2, 2, 16, 8)).latency
         assert t1 == 2 * t2  # ceil(8/1) = 8 slices vs ceil(8/2) = 4
 
     def test_single_tile_formula(self):
         # One 16-wide tile, 16 ADCs, unit read and conversion times, 8 slices.
         tp = tech_with(xbar_read_time=1.0, adc_time=1.0, adcs_per_xbar=16)
         mo = map_fc(16, 4, 4, R16)  # 4 outputs x 2 planes x 2 = 16 active cols
-        assert op_latency(mo, tp, R16) == 16
+        assert price_operator(mo, tp, R16).latency == 16
 
     def test_fm_write_component_is_linear_in_vectors(self):
         base = map_fm(2, 16, 4, R16)
@@ -76,11 +74,11 @@ class TestOpLatency:
             engine = mo.parts[0]
             return engine.programming_vectors * TECH.xbar_write_time
         assert write_part(bigger) - write_part(base) == 4 * TECH.xbar_write_time
-        # and op_latency includes exactly that component
+        # and the serial latency includes exactly that component
         delta_writes = 4 * TECH.xbar_write_time
         extra_mbsa = 4 * 8 * TECH.mbsa_time  # 4 extra squaring passes
         engines = [mo.parts[0] for mo in (base, bigger)]
-        lat = [op_latency(e, TECH, R16) for e in engines]
+        lat = [price_operator(e, TECH, R16).latency for e in engines]
         assert math.isclose(lat[1] - lat[0], delta_writes + extra_mbsa)
 
 
@@ -93,7 +91,7 @@ class TestOpAreaEnergy:
             op_id="ghost", kind=OperatorKind.FC, engine=Engine.MVM,
             in_dim=0, out_dim=0, w_bits=4, planes=1, row_tiles=0, col_tiles=0,
         )
-        assert op_area(ghost, TECH, R16) == 0.0
+        assert price_operator(ghost, TECH, R16).area == 0.0
 
     def test_doubling_col_tiles_doubles_crossbar_area_share(self):
         a1 = map_fc(16, 4, 4, R16)   # 1 col tile
@@ -104,26 +102,23 @@ class TestOpAreaEnergy:
             + TECH.adcs_per_xbar * TECH.adc_area[R16.adc_bits]
             + R16.xbar_size * TECH.dac_area
         )
-        delta = op_area(a2, TECH, R16) - op_area(a1, TECH, R16)
+        delta = price_operator(a2, TECH, R16).area - price_operator(a1, TECH, R16).area
         # buffer term unchanged: max(in, out) is 16 bytes for both shapes
         assert math.isclose(delta, tile_area)
 
     def test_adc_resolution_monotone_area(self):
         mo4 = map_fc(16, 16, 4, ReRAMConfig(1, 2, 16, 4))
         mo8 = map_fc(16, 16, 4, ReRAMConfig(1, 2, 16, 8))
-        assert op_area(mo8, TECH, ReRAMConfig(1, 2, 16, 8)) >= op_area(
-            mo4, TECH, ReRAMConfig(1, 2, 16, 4)
-        )
+        area4 = price_operator(mo4, TECH, ReRAMConfig(1, 2, 16, 4)).area
+        assert price_operator(mo8, TECH, ReRAMConfig(1, 2, 16, 8)).area >= area4
 
     def test_composite_sums_parts(self):
         mo = map_dp(32, 16, 4, 4, R16)
-        assert math.isclose(op_area(mo, TECH, R16), sum(op_area(p, TECH, R16) for p in mo.parts))
-        assert math.isclose(
-            op_energy(mo, TECH, R16), sum(op_energy(p, TECH, R16) for p in mo.parts)
-        )
-        assert math.isclose(
-            op_latency(mo, TECH, R16), sum(op_latency(p, TECH, R16) for p in mo.parts)
-        )
+        whole = price_operator(mo, TECH, R16)
+        parts = [price_operator(p, TECH, R16) for p in mo.parts]
+        assert math.isclose(whole.area, sum(p.area for p in parts))
+        assert math.isclose(whole.energy, sum(p.energy for p in parts))
+        assert math.isclose(whole.latency, sum(p.latency for p in parts))
 
 
 class TestModelCost:
@@ -157,11 +152,11 @@ class TestModelCost:
         )
         mo = map_fc(16, 16, 4, R16)  # 1 row tile, 4 col tiles, planes 2
         # latency: 8 slices * (2 + ceil(16/4)*3) = 8 * 14 = 112
-        assert op_latency(mo, tp, R16) == 112
+        assert price_operator(mo, tp, R16).latency == 112
         # energy: reads = 8; dac 16 rows x 4 col tiles x 0.5 = 32/slice;
         # cells = 16 x 64 x 0.25 = 256/slice; adc = 64 cols x 1 row tile x e8
         expected = 8 * (32 + 256 + 64 * tp.adc_energy[8]) + (16 * 0.1 + 16 * 0.2)
-        assert math.isclose(op_energy(mo, tp, R16), expected)
+        assert math.isclose(price_operator(mo, tp, R16).energy, expected)
 
     def test_scale_freeness(self):
         mm = map_model(sample_random(13))
@@ -366,9 +361,7 @@ class TestOneOccupancyPass:
         tech = default_tech()
         point = sample_random(11)
         mm = map_model(point, table=tech.operator_table)
-        for returned in (
-            model_cost(mm, tech).stage_times, stage_times(mm, tech), schedule(mm, tech).occupancy,
-        ):
+        for returned in (model_cost(mm, tech).stage_times, stage_times(mm, tech)):
             for key in returned:
                 returned[key] = 0.0
             returned["extra"] = 1e9

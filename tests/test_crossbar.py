@@ -16,7 +16,6 @@ from pimdse.crossbar import (
     mbsa_square,
     mvm,
     program_signed,
-    tiles_to_json,
 )
 
 
@@ -289,12 +288,12 @@ class TestTransposedProgram:
     spec = CrossbarSpec(16, 16, 2)
 
     def test_all_ones_read_returns_per_row_sums(self):
-        pt = program_signed([[1, 2], [3, 4]], 8, self.spec, orientation="transposed-write")
+        pt = program_signed([[1, 2], [3, 4]], 8, self.spec)
         s, log = mvm(pt, [1, 1], 2, ConverterSpec(1, 8))
         assert s.tolist() == [4, 6] and log.clean
 
     def test_single_vector_roundtrip(self):
-        pt = program_signed([[5, -3, 2]], 8, self.spec, orientation="transposed-write")
+        pt = program_signed([[5, -3, 2]], 8, self.spec)
         s, log = mvm(pt, [1], 2, ConverterSpec(1, 8))
         assert s.tolist() == [5, -3, 2] and log.clean
 
@@ -302,12 +301,10 @@ class TestTransposedProgram:
         # Feeding a vector back against its own programmed copy: per-row
         # contributions v_i^2 summing to sum(v^2) on the owning line.
         v = np.array([2, -1, 3])
-        stacked = program_signed([v], 8, self.spec, orientation="transposed-write")
         # Normal-direction read of the same content: program v as a column.
         pt = program_signed(v.reshape(-1, 1), 8, CrossbarSpec(16, 16, 2))
         y, log = mvm(pt, v, 8, ConverterSpec(1, 8))
         assert log.clean and y.tolist() == [int((v * v).sum())]
-        assert stacked.orientation == "transposed-write"
 
 
 class TestMbsaSquare:
@@ -326,11 +323,10 @@ class TestMbsaSquare:
             mbsa_square([16], 4)
 
 
-def test_tile_dump_golden():
+def test_tile_layout_golden():
     pt = program_signed([[3, -2], [1, 0]], 4, CrossbarSpec(16, 16, 2))
-    dump = tiles_to_json(pt)
-    assert dump["planes"] == 2 and dump["row_tiles"] == 1 and dump["col_tiles"] == 1
-    cells = np.asarray(dump["tiles"][0]["cells"])
+    assert pt.meta.planes == 2 and pt.meta.row_tiles == 1 and pt.meta.col_tiles == 1
+    cells = pt.cells[0]
     # row 0: [3+, 3-, .., ..] for out 0 then out 1; -2 lands in the negative plane
     assert cells[0, :4].tolist() == [3, 0, 0, 0]
     assert cells[0, 4:8].tolist() == [0, 2, 0, 0]

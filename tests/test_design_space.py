@@ -133,9 +133,10 @@ class TestValidateMemo:
         rest = minimal_point().model.blocks[1:]
         fed = DesignPoint(ModelConfig((blk,) + rest, 4, 26, 16), ReRAMConfig(1, 1, 16, 4))
         starved = DesignPoint(replace(fed.model, num_sparse_features=1), fed.reram)
+        one_feature = replace(DEFAULT_SPACE, num_sparse_features=1)
         assert validate(fed).ok
-        report = validate(starved)
-        assert report == validate(memo_free(starved))
+        report = validate(starved, one_feature)
+        assert report == validate(memo_free(starved), one_feature)
         assert report.violations == ["block 1: FM needs at least two incoming sparse vectors"]
         assert validate(fed).ok
 

@@ -1,6 +1,7 @@
 """Surrogate loss behavior and external-measurement ingestion."""
 
 import logging
+import math
 
 import pytest
 
@@ -67,6 +68,11 @@ class TestSurrogate:
             EvalResult(log_loss=0.0, auc=None, source="surrogate")
         with pytest.raises(ValueError):
             EvalResult(log_loss=0.4, auc=1.5, source="external")
+
+    @pytest.mark.parametrize("log_loss", [math.nan, math.inf])
+    def test_non_finite_log_loss_is_refused(self, log_loss):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EvalResult(log_loss=log_loss, auc=None, source="external")
 
 
 class TestIngestExternal:

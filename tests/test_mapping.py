@@ -26,7 +26,7 @@ from pimdse.mapping import (
     map_fm,
     map_model,
     random_weights,
-    run_efc,
+    run_fc,
 )
 from pimdse.reference import (
     fm_interaction,
@@ -334,6 +334,6 @@ class TestFunctionalForward:
 
 def test_efc_identity_weight_passes_sparse_through():
     xs = np.arange(12).reshape(4, 3)
-    y, log = run_efc(np.eye(4, dtype=int), xs, 4, ReRAMConfig(1, 1, 16, 6))
+    y, log = run_fc(np.eye(4, dtype=int), xs, 4, ReRAMConfig(1, 1, 16, 6))
     assert log.clean
     assert np.array_equal(y, xs)

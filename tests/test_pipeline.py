@@ -6,7 +6,13 @@ from dataclasses import replace
 
 import pytest
 
-from pimdse.cost_model import default_tech, model_cost, op_latency, overlap_ready_time
+from pimdse.cost_model import (
+    default_tech,
+    model_cost,
+    overlap_ready_time,
+    price_operator,
+    stage_times,
+)
 from pimdse.design_space import sample_random
 from pimdse.mapping import map_model
 from pimdse.pipeline import (
@@ -202,7 +208,8 @@ class TestSchedule:
         sched = schedule(mm, TECH, lookup_time=TECH.t_bank)
         fc = sched.event("b1.dense.FC")
         assert fc.start == TECH.t_bank
-        assert fc.end == TECH.t_bank + op_latency(mm.operator("b1.dense.FC"), TECH, pt.reram)
+        fc_latency = price_operator(mm.operator("b1.dense.FC"), TECH, pt.reram).latency
+        assert fc.end == TECH.t_bank + fc_latency
         final = sched.event("final_fc")
         assert final.start == fc.end + TECH.activation_time
 
@@ -219,7 +226,7 @@ class TestSimulate:
             mm = map_model(sample_random(seed))
             rep = simulate(mm, TECH)
             serial = sum(
-                op_latency(op, TECH, mm.reram) for op in mm.operators
+                price_operator(op, TECH, mm.reram).latency for op in mm.operators
             ) + TECH.t_bank + (len(mm.model.blocks) + 1) * TECH.activation_time
             assert rep.latency <= serial + 1e-6
 
@@ -231,7 +238,8 @@ class TestSimulate:
             for overlap, rep in reports.items():
                 sched = schedule(mm, TECH, overlap=overlap)
                 assert rep.latency == sched.end_time + TECH.activation_time
-                assert rep.bottleneck_time == max({**sched.occupancy, "lookup": TECH.t_bank}.values())
+                occupancy = stage_times(mm, TECH, overlap)
+                assert rep.bottleneck_time == max({**occupancy, "lookup": TECH.t_bank}.values())
                 assert sched.edges == tuple(
                     ("lookup" if src == "stem" else src, dst) for src, dst in mm.edges
                 )
