@@ -160,7 +160,10 @@ def cmd_search(args) -> int:
             raise CliError(f"cannot load external losses {args.external}: {exc}", EXIT_PARSE) from exc
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a path component that is a file, or no permission
+        raise CliError(f"cannot create output directory {out_dir}: {exc}", EXIT_PARSE) from exc
 
     manifest = {
         "command": "search",

@@ -14,14 +14,15 @@ controller overhead fraction. Runtime-programmed engines add one
 :func:`stage_times`), and the MBSA unit adds ``a_bits * mbsa_time`` per
 squaring pass.
 
-Pricing is a pure function of an operator and the technology table, so it
-need not be repeated: ``map_model(point, table=tech.operator_table)`` takes
-each operator that the :class:`TechParams` object's bounded
+An operator's price is counts times unit costs, so it depends on the
+operator's shape and the technology table alone, never on where the
+operator sits in the model. ``map_model(point, table=tech.operator_table)``
+therefore takes each shape that the :class:`TechParams` object's bounded
 :class:`OperatorTable` still holds, prices included, and maps and prices
 only the rest; :func:`model_cost`, :func:`stage_times` and
-:func:`pimdse.pipeline.schedule` then read those entries. A model mapped
-without the table is priced afresh by the same functions, with the same
-results.
+:func:`pimdse.pipeline.schedule` then read those entries, and take
+placement from :func:`pimdse.mapping.placements`. A model mapped without
+the table is priced afresh by the same functions, with the same results.
 
 Stage occupancy is walked once per mapped model, technology object and
 overlap setting: :func:`stage_times` keeps the result on the model, and
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 from .crossbar import SUPPORTED_BITS
 from .design_space import ReRAMConfig, _field_state, from_plain
-from .mapping import DEFAULT_ACTIVATION_BITS, Engine, MappedModel, MappedOperator
+from .mapping import DEFAULT_ACTIVATION_BITS, Engine, MappedModel, MappedOperator, placements
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,8 @@ OPERATOR_TABLE_SIZE = 1024  # entries per TechParams; least recently used goes f
 
 
 class PricedOperator(NamedTuple):
-    """One mapped operator with its prices under one technology table."""
+    """One operator's shape record with its prices under one technology
+    table; placement is not part of it."""
 
     op: MappedOperator
     area: float
@@ -284,14 +286,14 @@ def price_operator(op: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> Pr
 
 
 class OperatorTable:
-    """Bounded least-recently-used table of priced operators for one
+    """Bounded least-recently-used table of priced operator shapes for one
     ``TechParams``.
 
-    :func:`pimdse.mapping.map_model` keys it by the plain values that fix
-    an operator record completely, placement included: ``(block_index,
-    branch, kind, weight_bits, inputs, dense_w, dim_d, dim_s, n_s,
-    dac_bits, cell_bits, xbar_size, adc_bits)``. A hit therefore shares the
-    record and its prices. Pricing is a pure function of the operator and
+    :func:`pimdse.mapping.map_model` keys it by operator shape, the values
+    the operator's mapper reads: ``(kind, weight_bits, *dims, dac_bits,
+    cell_bits, xbar_size, adc_bits)``, with no placement. An entry is a
+    :class:`PricedOperator` of the shape record, so operators of one shape
+    share it wherever they sit. Pricing is a pure function of the shape and
     the technology, so a hit gives exactly what pricing afresh would.
     """
 
@@ -318,11 +320,12 @@ class OperatorTable:
 
 
 def priced_operators(mm: MappedModel, tp: TechParams) -> tuple[PricedOperator, ...]:
-    """Every operator of ``mm`` priced under ``tp``: the entries ``map_model``
-    took from ``tp``'s operator table, or priced afresh."""
+    """Every operator shape of ``mm`` priced under ``tp``, in operator
+    order: the entries ``map_model`` took from ``tp``'s operator table, or
+    priced afresh."""
     if mm.priced_by is tp:
         return mm.priced
-    return tuple(price_operator(op, tp, mm.reram) for op in mm.operators)
+    return tuple(price_operator(op, tp, mm.reram) for op in mm.shapes)
 
 
 def stage_times(mm: MappedModel, tp: TechParams, overlap: bool = True) -> dict[str, float]:
@@ -352,24 +355,20 @@ def _occupancy_walk(mm: MappedModel, tp: TechParams, overlap: bool) -> dict[str,
     for blk in mm.model.blocks:
         sparse_branch[blk.index] = 0.0
 
-    for p in priced_operators(mm, tp):
-        op = p.op
+    for (op_id, block_index, branch, op), p in zip(placements(mm.model), priced_operators(mm, tp)):
         if not overlap:
             t = p.latency
         elif p.occupancy is not None:
             t = p.occupancy
         else:  # FM: producers are the source blocks' sparse branches
-            k = op.parts[-2].programming_vectors
-            produced = sum(
-                sparse_branch[s] for s, stream in op.consumes if stream == "sparse"
-            )
-            t_e = produced / k
+            k = p.op.parts[-2].programming_vectors
+            t_e = sum(sparse_branch[s] for s in op.inputs) / k
             # Occupancy counts from the first vector's arrival: the engine is
             # held through the arrival-limited programming train.
             t = _engine_ready(-t_e, t_e, k, p.tail, tp)
-        times[op.op_id] = t
-        if op.branch == "sparse" and op.block_index in sparse_branch:
-            sparse_branch[op.block_index] += t
+        times[op_id] = t
+        if branch == "sparse":
+            sparse_branch[block_index] += t
     return times
 
 
@@ -381,8 +380,8 @@ def model_cost(mm: MappedModel, tp: TechParams) -> CostReport:
     """
     reram = mm.reram
     priced = priced_operators(mm, tp)
-    latencies = {p.op.op_id: p.latency for p in priced}
-    stages = stage_times(mm, tp)
+    stages = stage_times(mm, tp)  # keyed by op_id, in operator order
+    latencies = {op_id: p.latency for op_id, p in zip(stages, priced)}
 
     memory_area = mm.memory_tiles * reram.xbar_size**2 * tp.cell_area
     cells_per_value = math.ceil(DEFAULT_ACTIVATION_BITS / reram.cell_bits)
@@ -410,7 +409,7 @@ def model_cost(mm: MappedModel, tp: TechParams) -> CostReport:
     }
 
     bottleneck = max(stages, key=lambda k: (stages[k], k))
-    peak_power = max(p.energy / stages[p.op.op_id] for p in priced)
+    peak_power = max(p.energy / t for p, t in zip(priced, stages.values()))
 
     return CostReport(
         area=sum(area_components.values()),

@@ -45,6 +45,7 @@ from .design_space import (
     STEM,
     DesignPoint,
     ModelConfig,
+    OperatorChoice,
     OperatorKind,
     ReRAMConfig,
     _field_state,
@@ -85,6 +86,12 @@ class MappedOperator(NamedTuple):
     FC and EFC; FM: none, its operands are source sparse vectors), the
     runtime-programmed engine leaf, and the trailing MVM FC. Every other
     operator is a leaf with ``parts == ()``.
+
+    The mappers build *shape* records: no ``op_id`` (``""``), no placement
+    (``block_index``, ``branch``, ``consumes`` at their defaults), and a
+    composite's parts named by their role (``fc_front``, ``efc``,
+    ``engine``, ``fc_out``). :attr:`MappedModel.operators` places them:
+    the operator's id goes on the record and prefixes its parts' roles.
 
     Mapped records (``MappedOperator``, ``DPGeometry``) are immutable
     ``NamedTuple``s: cheap to build once per candidate, compared and hashed
@@ -155,7 +162,9 @@ class MappedOperator(NamedTuple):
 
 @dataclass(frozen=True)
 class MappedModel:
-    """A mapped design point; ``edges`` and ``tile_plan`` derive from it.
+    """A mapped design point: one shape record per operator, in the order of
+    :func:`placements`; ``operators``, ``edges`` and ``tile_plan`` derive
+    from it.
 
     Mapped through an operator table, it also carries each operator's
     table entry (``priced``, in operator order) and the technology that
@@ -166,11 +175,26 @@ class MappedModel:
 
     model: ModelConfig
     reram: ReRAMConfig
-    operators: tuple[MappedOperator, ...]  # block operators plus the final FC
+    shapes: tuple[MappedOperator, ...]  # block operators plus the final FC, unplaced
     priced: tuple[PricedOperator, ...] = field(default=(), compare=False, repr=False)
     priced_by: TechParams | None = field(default=None, compare=False, repr=False)
 
     __getstate__ = _field_state
+
+    @cached_property
+    def operators(self) -> tuple[MappedOperator, ...]:
+        """Every operator placed: its id, block, branch and consumed
+        streams, with its parts' ids prefixed by its own."""
+        return tuple(
+            shape._replace(
+                op_id=op_id,
+                block_index=block_index,
+                branch=branch,
+                consumes=tuple((s, st) for st in _CONSUMED_STREAMS[op.kind] for s in op.inputs),
+                parts=tuple(p._replace(op_id=f"{op_id}.{p.op_id}") for p in shape.parts),
+            )
+            for shape, (op_id, block_index, branch, op) in zip(self.shapes, placements(self.model))
+        )
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -194,17 +218,11 @@ class MappedModel:
     def tile_plan(self) -> dict:
         """Tiles per engine kind, plus the embedding memory tiles."""
         plan = dict.fromkeys(_PLAN_KEYS.values(), 0)
-        for op in self.operators:
+        for op in self.shapes:
             for leaf in op.parts or (op,):  # parts are leaves
                 plan[_PLAN_KEYS[leaf.engine]] += leaf.row_tiles * leaf.col_tiles
         plan["memory_tiles"] = self.memory_tiles
         return plan
-
-    def operator(self, op_id: str) -> MappedOperator:
-        for op in self.operators:
-            if op.op_id == op_id:
-                return op
-        raise KeyError(op_id)
 
     def to_dict(self) -> dict:
         return {
@@ -226,17 +244,16 @@ def _tile_counts(in_dim: int, out_dim: int, w_bits: int, reram: ReRAMConfig):
 # ---------------------------------------------------------------------------
 # per-operator mappers
 # ---------------------------------------------------------------------------
-# Each mapper passes its ``placement`` keywords (``block_index``, ``branch``,
-# ``consumes``) to the top-level ``MappedOperator``; ``map_model`` sets them.
+# Each mapper builds a shape record, which depends on its arguments alone;
+# ``op_id`` names a composite's part by its role.
 
 def map_fc(
     in_dim: int,
     out_dim: int,
     w_bits: int,
     reram: ReRAMConfig,
-    op_id: str = "fc",
+    op_id: str = "",
     kind: OperatorKind = OperatorKind.FC,
-    **placement,
 ) -> MappedOperator:
     if in_dim < 1 or out_dim < 1:
         raise ValueError("dims must be >= 1")
@@ -251,7 +268,6 @@ def map_fc(
         planes=planes,
         row_tiles=rt,
         col_tiles=ct,
-        **placement,
     )
 
 
@@ -261,8 +277,7 @@ def map_efc(
     dim_s: int,
     w_bits: int,
     reram: ReRAMConfig,
-    op_id: str = "efc",
-    **placement,
+    op_id: str = "",
 ) -> MappedOperator:
     """Sparse-axis matmul: the weight acts on the feature-count axis and the
     programmed array is swept once per feature column, emitting the output
@@ -282,7 +297,6 @@ def map_efc(
         col_tiles=ct,
         passes=dim_s,
         emits_transposed=True,
-        **placement,
     )
 
 
@@ -294,8 +308,6 @@ def map_dp(
     reram: ReRAMConfig,
     dense_in_dim: int | None = None,
     out_dim: int | None = None,
-    op_id: str = "dp",
-    **placement,
 ) -> MappedOperator:
     """Dot-product interaction: front FC (dense -> dim_s), front EFC
     (n_s -> k_sparse), a runtime-programmed pairwise engine, and a trailing
@@ -306,11 +318,11 @@ def map_dp(
     out_dim = dim_d if out_dim is None else out_dim
     geo = DPGeometry.for_dense_dim(dim_d)
     a_bits = DEFAULT_ACTIVATION_BITS  # runtime operands carry activation width
-    fc_front = map_fc(dense_in_dim, dim_s, w_bits, reram, op_id=f"{op_id}.fc_front")
-    efc = map_efc(n_s, geo.k_sparse, dim_s, w_bits, reram, op_id=f"{op_id}.efc")
+    fc_front = map_fc(dense_in_dim, dim_s, w_bits, reram, op_id="fc_front")
+    efc = map_efc(n_s, geo.k_sparse, dim_s, w_bits, reram, op_id="efc")
     planes, rt, ct = _tile_counts(dim_s, geo.merged_rows, a_bits, reram)
     engine = MappedOperator(
-        op_id=f"{op_id}.engine",
+        op_id="engine",
         kind=OperatorKind.DP,
         engine=Engine.DP,
         in_dim=dim_s,
@@ -323,9 +335,9 @@ def map_dp(
         programming_vectors=geo.merged_rows,
         geometry=geo,
     )
-    fc_out = map_fc(geo.pair_count, out_dim, w_bits, reram, op_id=f"{op_id}.fc_out")
+    fc_out = map_fc(geo.pair_count, out_dim, w_bits, reram, op_id="fc_out")
     return MappedOperator(
-        op_id=op_id,
+        op_id="",
         kind=OperatorKind.DP,
         engine=Engine.DP,
         in_dim=dense_in_dim,
@@ -337,7 +349,6 @@ def map_dp(
         programming_vectors=geo.merged_rows,
         parts=(fc_front, efc, engine, fc_out),
         geometry=geo,
-        **placement,
     )
 
 
@@ -347,8 +358,6 @@ def map_fm(
     w_bits: int,
     reram: ReRAMConfig,
     out_dim: int | None = None,
-    op_id: str = "fm",
-    **placement,
 ) -> MappedOperator:
     """Factorization machine: a transposed-write crossbar group holding the
     n_s producer vectors plus an MBSA squaring unit, then a trailing FC."""
@@ -358,7 +367,7 @@ def map_fm(
     a_bits = DEFAULT_ACTIVATION_BITS
     planes, rt, ct = _tile_counts(n_s, dim_s, a_bits, reram)
     engine = MappedOperator(
-        op_id=f"{op_id}.engine",
+        op_id="engine",
         kind=OperatorKind.FM,
         engine=Engine.FM,
         in_dim=n_s,
@@ -372,9 +381,9 @@ def map_fm(
         mbsa_passes=n_s + 1,  # each arriving vector squared, plus the sum vector
         emits_transposed=True,
     )
-    fc_out = map_fc(dim_s, out_dim, w_bits, reram, op_id=f"{op_id}.fc_out")
+    fc_out = map_fc(dim_s, out_dim, w_bits, reram, op_id="fc_out")
     return MappedOperator(
-        op_id=op_id,
+        op_id="",
         kind=OperatorKind.FM,
         engine=Engine.FM,
         in_dim=n_s,
@@ -386,7 +395,6 @@ def map_fm(
         programming_vectors=n_s,
         mbsa_passes=n_s + 1,
         parts=(engine, fc_out),
-        **placement,
     )
 
 
@@ -409,87 +417,75 @@ _PLAN_KEYS = {Engine.MVM: "mvm_tiles", Engine.DP: "dp_tiles", Engine.FM: "fm_til
 def map_model(point: DesignPoint, table: OperatorTable | None = None) -> MappedModel:
     """Map every operator of a valid design point onto engines and tiles.
 
-    With ``table`` (a :class:`pimdse.cost_model.OperatorTable`) each
-    operator is looked up by the plain values that fix its record, and is
-    mapped and priced only when the table does not hold it yet; the model
-    then carries the priced entries for ``table.tech``.
+    Each operator is keyed by its shape: ``(kind, weight_bits, *dims,
+    dac_bits, cell_bits, xbar_size, adc_bits)``, the values its mapper
+    reads. Placement is not in the key, so one shape placed twice, in one
+    model or in two, shares one table entry. With ``table`` (a
+    :class:`pimdse.cost_model.OperatorTable`) a shape is mapped and priced
+    only when the table does not hold it yet, and the model carries the
+    priced entries for ``table.tech``.
     """
     model, reram = point.model, point.reram
     n_s = model.num_sparse_features
-    dac, cell, xbar, adc = reram.dac_bits, reram.cell_bits, reram.xbar_size, reram.adc_bits
+    reram_fields = (reram.dac_bits, reram.cell_bits, reram.xbar_size, reram.adc_bits)
     # Dense output width of each source: the stem, then block 1, 2, ...
     dense_width = (model.embedding_dim, *(blk.dim_d for blk in model.blocks))
-    if table is not None:
-        lookup, insert = table.lookup, table.insert
-    operators: list[MappedOperator] = []
-    priced: list[PricedOperator] = []
-
+    FC, DP, FM, EFC = OperatorKind.FC, OperatorKind.DP, OperatorKind.FM, OperatorKind.EFC
+    keys = []
     for blk in model.blocks:
-        for branch, ops in (("dense", blk.dense_ops), ("sparse", blk.sparse_ops)):
+        dim_d, dim_s = blk.dim_d, blk.dim_s
+        for ops in (blk.dense_ops, blk.sparse_ops):
             for op in ops:
-                dense_w = sum(dense_width[s] for s in op.inputs)
-                if table is None:
-                    operators.append(_map_block_op(blk, branch, op, dense_w, n_s, reram))
-                    continue
-                key = (
-                    blk.index, branch, op.kind, op.weight_bits, op.inputs, dense_w,
-                    blk.dim_d, blk.dim_s, n_s, dac, cell, xbar, adc,
-                )
-                # Entries are nonempty tuples, so ``or`` maps only on a miss.
-                priced.append(
-                    lookup(key) or insert(key, _map_block_op(blk, branch, op, dense_w, n_s, reram), reram)
-                )
+                kind, inputs = op.kind, op.inputs
+                if kind is FM:
+                    shape = (kind, op.weight_bits, n_s * len(inputs), dim_s, dim_d)
+                elif kind is EFC:
+                    shape = (kind, op.weight_bits, n_s * len(inputs), n_s, dim_s)
+                else:
+                    dense_w = sum(dense_width[s] for s in inputs)
+                    if kind is FC:
+                        shape = (kind, op.weight_bits, dense_w, dim_d)
+                    elif kind is DP:
+                        shape = (kind, op.weight_bits, dense_w, dim_d, dim_s, n_s * len(inputs))
+                    else:  # DSI: an FC producing n_s * dim_s values, then a reshape
+                        shape = (kind, op.weight_bits, dense_w, n_s * dim_s)
+                keys.append(shape + reram_fields)
+    keys.append((FC, model.final_fc_bits, model.blocks[-1].dim_d, 1) + reram_fields)  # one logit
 
-    last = model.blocks[-1]
     if table is None:
-        operators.append(_map_final_fc(last, model.final_fc_bits, reram))
-    else:  # kind None: no block operator's key; dim_d 1, the single logit
-        key = (
-            last.index + 1, "dense", None, model.final_fc_bits, (last.index,), last.dim_d,
-            1, 0, n_s, dac, cell, xbar, adc,
-        )
-        priced.append(lookup(key) or insert(key, _map_final_fc(last, model.final_fc_bits, reram), reram))
-        operators = [entry.op for entry in priced]
-
-    return MappedModel(
-        model=model,
-        reram=reram,
-        operators=tuple(operators),
-        priced=tuple(priced),
-        priced_by=None if table is None else table.tech,
-    )
+        return MappedModel(model, reram, tuple([_map_shape(key, reram) for key in keys]))
+    lookup, insert = table.lookup, table.insert
+    # Entries are nonempty tuples, so ``or`` maps and prices only on a miss.
+    priced = tuple([lookup(key) or insert(key, _map_shape(key, reram), reram) for key in keys])
+    return MappedModel(model, reram, tuple([p.op for p in priced]), priced, table.tech)
 
 
-def _map_block_op(blk, branch, op, dense_w, n_s, reram) -> MappedOperator:
-    """One block operator, mapped and placed."""
-    kind, inputs = op.kind, op.inputs
-    consumes = tuple((s, st) for st in _CONSUMED_STREAMS[kind] for s in inputs)
-    at = dict(
-        op_id=f"b{blk.index}.{branch}.{_KIND_NAMES[kind]}", block_index=blk.index, branch=branch,
-        consumes=consumes,
-    )
-    sparse_count = n_s * len(inputs)
-    if kind is OperatorKind.FC:
-        return map_fc(dense_w, blk.dim_d, op.weight_bits, reram, **at)
+def _map_shape(key: tuple, reram: ReRAMConfig) -> MappedOperator:
+    """The shape record of one :func:`map_model` key."""
+    kind, w_bits, *dims = key[:-4]
     if kind is OperatorKind.DP:
-        return map_dp(
-            blk.dim_d, blk.dim_s, sparse_count, op.weight_bits, reram,
-            dense_in_dim=dense_w, out_dim=blk.dim_d, **at,
-        )
+        dense_w, dim_d, dim_s, sparse_count = dims
+        return map_dp(dim_d, dim_s, sparse_count, w_bits, reram, dense_in_dim=dense_w, out_dim=dim_d)
     if kind is OperatorKind.FM:
-        return map_fm(sparse_count, blk.dim_s, op.weight_bits, reram, out_dim=blk.dim_d, **at)
+        sparse_count, dim_s, dim_d = dims
+        return map_fm(sparse_count, dim_s, w_bits, reram, out_dim=dim_d)
     if kind is OperatorKind.EFC:
-        return map_efc(sparse_count, n_s, blk.dim_s, op.weight_bits, reram, **at)
-    # DSI: an FC producing n_s * dim_s values, then a reshape
-    return map_fc(dense_w, n_s * blk.dim_s, op.weight_bits, reram, kind=OperatorKind.DSI, **at)
+        return map_efc(*dims, w_bits, reram)
+    return map_fc(*dims, w_bits, reram, kind=kind)  # FC or DSI: (in_dim, out_dim)
 
 
-def _map_final_fc(last, w_bits, reram) -> MappedOperator:
-    """The final FC: the last block's dense output to one logit."""
-    return map_fc(
-        last.dim_d, 1, w_bits, reram, op_id="final_fc",
-        block_index=last.index + 1, branch="dense", consumes=((last.index, "dense"),),
-    )
+def placements(model: ModelConfig):
+    """``(op_id, block_index, branch, block operator)`` of every operator of
+    ``model``, in operator order: each block's dense then sparse operators,
+    then the final FC, as an FC reading the last block's dense output."""
+    for blk in model.blocks:
+        index = blk.index
+        for op in blk.dense_ops:
+            yield f"b{index}.dense.{_KIND_NAMES[op.kind]}", index, "dense", op
+        for op in blk.sparse_ops:
+            yield f"b{index}.sparse.{_KIND_NAMES[op.kind]}", index, "sparse", op
+    last = model.blocks[-1].index
+    yield "final_fc", last + 1, "dense", OperatorChoice(OperatorKind.FC, model.final_fc_bits, (last,))
 
 
 def _stream_ref(source: int, stream: str) -> str:

@@ -36,12 +36,6 @@ class EmbeddingPlacement:
         except KeyError as exc:
             raise UnplacedId(row_id) from exc
 
-    def bank_loads(self) -> list[int]:
-        loads = [0] * self.num_banks
-        for bank in self.assignment.values():
-            loads[bank] += 1
-        return loads
-
 
 def place_embeddings(freqs: dict, num_banks: int) -> EmbeddingPlacement:
     """Round-robin by descending access frequency (ties broken by id)."""
@@ -120,12 +114,6 @@ class Schedule:
     @property
     def end_time(self) -> float:
         return max(e.end for e in self.events)
-
-    def event(self, stage_id: str) -> StageEvent:
-        for e in self.events:
-            if e.stage_id == stage_id:
-                return e
-        raise KeyError(stage_id)
 
     def to_dict(self) -> dict:
         return {
@@ -207,15 +195,14 @@ def _timeline(
 
     # Operators grouped by block in one pass; the final FC is timed last.
     block_ops: dict[int, list] = {blk.index: [] for blk in mm.model.blocks}
-    for p in priced_operators(mm, tp):
-        if p.op.block_index in block_ops:
-            block_ops[p.op.block_index].append(p)
+    for op, p in zip(mm.operators, priced_operators(mm, tp)):
+        if op.block_index in block_ops:
+            block_ops[op.block_index].append((op, p))
 
     FM = Engine.FM
     for blk in mm.model.blocks:
         dense_ends, sparse_ends, branch_starts = [], [], []
-        for p in block_ops[blk.index]:
-            op = p.op
+        for op, p in block_ops[blk.index]:
             if overlap and op.engine is FM:
                 # Occupancy has no timeline, so it spreads the source
                 # branches' summed production over the vectors. Here the

@@ -469,6 +469,17 @@ class TestSearch:
         assert f"cannot load external losses {ext}: " in err and named in err
         assert not out.exists()  # refused before the manifest is written
 
+    @pytest.mark.parametrize("below", ("x", ""), ids=["under_a_file", "a_file"])
+    def test_out_blocked_by_a_file_exits_2_before_any_output(self, capsys, tmp_path, cfg_file, below):
+        # Used to exit 4: NotADirectoryError under a file, FileExistsError on one.
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / below if below else afile
+        code, stdout, err = run_cli(capsys, "search", "--search-config", cfg_file, "--out", str(out))
+        assert code == EXIT_PARSE and stdout == ""
+        assert f"cannot create output directory {out}: " in err
+        assert afile.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == sorted([afile, tmp_path / "cfg.json"])
+
     def test_bad_config_exits_2(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"num_generations": 0}')

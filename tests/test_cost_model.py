@@ -22,6 +22,10 @@ from pimdse.cost_model import (
 )
 from pimdse.design_space import (
     DEFAULT_SPACE,
+    BlockConfig,
+    DesignPoint,
+    ModelConfig,
+    OperatorChoice,
     OperatorKind,
     ReRAMConfig,
     SpaceDescriptor,
@@ -29,7 +33,7 @@ from pimdse.design_space import (
     mutate,
     sample_random,
 )
-from pimdse.mapping import map_dp, map_fc, map_fm, map_model
+from pimdse.mapping import MappedModel, map_dp, map_fc, map_fm, map_model
 from pimdse.pipeline import schedule, simulate, zipf_lookup_model
 from pimdse.search import default_hw_metrics
 
@@ -244,6 +248,7 @@ class TestOperatorTable:
                 assert tuple(metric_fn(point)) == expected
                 mm = map_model(point, table=small)
                 assert mm.priced_by is tech and mm == plain and mm.edges == plain.edges
+                assert mm.operators == plain.operators and mm.to_dict() == plain.to_dict()
                 assert model_cost(mm, tech).to_dict() == cost.to_dict()
                 assert simulate(mm, tech, lookup_model=lookup).to_dict() == report.to_dict()
                 for overlap in (True, False):
@@ -298,6 +303,46 @@ class TestOperatorTable:
         assert model_cost(priced, scaled).to_dict() == fresh
         assert model_cost(map_model(point, table=scaled.operator_table), scaled).to_dict() == fresh
         assert fresh != model_cost(priced, tech).to_dict()
+
+    def test_one_shape_at_two_placements_shares_one_entry(self):
+        fc, efc, dsi = OperatorKind.FC, OperatorKind.EFC, OperatorKind.DSI
+        # block 2's FC reads block 1's 16-wide dense output: block 1's FC shape
+        blocks = (
+            BlockConfig(1, 16, 16, (OperatorChoice(fc, 4, (0,)),), (OperatorChoice(efc, 4, (0,)),)),
+            BlockConfig(2, 16, 16, (OperatorChoice(fc, 4, (1,)),), (OperatorChoice(dsi, 4, (1,)),)),
+        )
+        point = DesignPoint(ModelConfig(blocks, 8, 4, 16), R16)
+        table = OperatorTable(TECH)
+        mm = map_model(point, table=table)
+        assert (table.hits, table.misses) == (1, 4)  # b2.dense.FC hit b1.dense.FC's entry
+        assert mm.priced[2] is mm.priced[0] and mm.shapes[2] is mm.shapes[0]
+        plain = map_model(point)
+        assert mm.operators == plain.operators and mm.to_dict() == plain.to_dict()
+        ids = [op.op_id for op in mm.operators]
+        assert ids == ["b1.dense.FC", "b1.sparse.EFC", "b2.dense.FC", "b2.sparse.DSI", "final_fc"]
+        assert mm.operators[0].consumes == ((0, "dense"),) and mm.operators[2].consumes == ((1, "dense"),)
+        # block 1 alone: its FC, its EFC and a final FC from 16 wide are all held
+        one = DesignPoint(ModelConfig(blocks[:1], 8, 4, 16), R16)
+        again = map_model(one, table=table)
+        assert (table.hits, table.misses) == (4, 4)
+        assert again.shapes == (mm.shapes[0], mm.shapes[1], mm.shapes[4])
+        assert again.to_dict() == map_model(one).to_dict()
+
+    def test_a_search_candidate_places_no_operator(self):
+        tech = default_tech()
+        mapped = []
+
+        def keep(*args, **kwargs):
+            mapped.append(map_model(*args, **kwargs))
+            return mapped[-1]
+
+        with mock.patch.object(search, "map_model", keep):
+            default_hw_metrics(tech)(sample_random(3))
+        (mm,) = mapped
+        assert "operators" not in vars(mm)  # placed records are built on first read only
+        assert all(p.op.op_id == "" and p.op.consumes == () for p in mm.priced)
+        for kind, *rest in tech.operator_table.entries:  # shape keys: a kind, then integers
+            assert isinstance(kind, OperatorKind) and all(type(v) is int for v in rest)
 
     def test_table_is_not_serialized(self):
         tech = default_tech()
@@ -404,8 +449,8 @@ class TestPickledRecords:
         assert simulate(mm, tech).latency and mm.edges and mm.tile_plan
         assert mm.priced_by is tech and "_stage_times" in vars(mm)
         fresh = map_model(point)
-        assert len(pickle.dumps(mm)) == len(pickle.dumps(fresh))
+        assert pickle.dumps(mm) == pickle.dumps(MappedModel(mm.model, mm.reram, mm.shapes))
         for again in (pickle.loads(pickle.dumps(mm)), copy.deepcopy(mm)):
-            assert again == mm and set(vars(again)) == {"model", "reram", "operators"}
+            assert again == mm and set(vars(again)) == {"model", "reram", "shapes"}
             assert again.priced == () and again.priced_by is None
             assert model_cost(again, tech).to_dict() == model_cost(fresh, tech).to_dict()

@@ -36,6 +36,14 @@ from pimdse.reference import (
 )
 
 R16 = ReRAMConfig(dac_bits=1, cell_bits=2, xbar_size=16, adc_bits=8)
+
+
+def operator(mm, op_id):
+    """The placed operator ``op_id`` of a mapped model."""
+    for op in mm.operators:
+        if op.op_id == op_id:
+            return op
+    raise KeyError(op_id)
 LOSSLESS64 = ReRAMConfig(dac_bits=1, cell_bits=1, xbar_size=64, adc_bits=8)
 
 
@@ -87,7 +95,7 @@ class TestMapComposites:
     def test_dp_parts(self):
         mo = map_dp(32, 16, 4, 4, R16)
         ids = [p.op_id for p in mo.parts]
-        assert ids == ["dp.fc_front", "dp.efc", "dp.engine", "dp.fc_out"]
+        assert ids == ["fc_front", "efc", "engine", "fc_out"]  # a shape's parts carry their roles
         engine = mo.parts[2]
         assert engine.engine is Engine.DP
         assert engine.row_tiles == 1  # ceil(dim_s / xbar) = ceil(16/16)
@@ -216,7 +224,7 @@ class TestMapModel:
 
     def test_mapped_records_are_immutable(self):
         mm = map_model(two_block_point(with_dp=True, with_fm=True))
-        dp = mm.operator("b2.dense.DP")
+        dp = operator(mm, "b2.dense.DP")
         for record, field in (
             (dp, "row_tiles"), (dp.parts[0], "op_id"), (dp.geometry, "k_sparse"),
         ):

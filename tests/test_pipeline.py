@@ -27,6 +27,30 @@ from pimdse.pipeline import (
 TECH = default_tech()
 
 
+def bank_loads(placement):
+    """Rows placed on each bank, in bank order."""
+    loads = [0] * placement.num_banks
+    for bank in placement.assignment.values():
+        loads[bank] += 1
+    return loads
+
+
+def event(sched, stage_id):
+    """The schedule's event for ``stage_id``."""
+    for e in sched.events:
+        if e.stage_id == stage_id:
+            return e
+    raise KeyError(stage_id)
+
+
+def operator(mm, op_id):
+    """The placed operator ``op_id`` of a mapped model."""
+    for op in mm.operators:
+        if op.op_id == op_id:
+            return op
+    raise KeyError(op_id)
+
+
 def event_list_ready_time(k, t_e, t_p):
     """Brute-force two-stage pipeline oracle: vector i is emitted at i*t_e,
     programming starts when both the vector and the writer are free."""
@@ -68,7 +92,7 @@ class TestPlacement:
 
     def test_n_ids_n_banks_unit_loads(self):
         pl = place_embeddings({i: 1 for i in range(8)}, 8)
-        assert pl.bank_loads() == [1] * 8
+        assert bank_loads(pl) == [1] * 8
 
     def test_balance_fuzz(self):
         rng = random.Random(1)
@@ -76,7 +100,7 @@ class TestPlacement:
             n_ids = rng.randint(1, 60)
             banks = rng.randint(1, 12)
             freqs = {f"id{i}": rng.randint(0, 100) for i in range(n_ids)}
-            loads = place_embeddings(freqs, banks).bank_loads()
+            loads = bank_loads(place_embeddings(freqs, banks))
             assert max(loads) - min(loads) <= 1
 
     def test_tie_break_by_id(self):
@@ -128,8 +152,8 @@ class TestSchedule:
             if op.op_id == "final_fc":
                 continue
             key = (op.block_index, op.branch)
-            ends[key] = max(ends.get(key, 0.0), sched.event(op.op_id).end)
-        lookup_end = sched.event("lookup").end
+            ends[key] = max(ends.get(key, 0.0), event(sched, op.op_id).end)
+        lookup_end = event(sched, "lookup").end
         ready = {(0, "dense"): lookup_end, (0, "sparse"): lookup_end}
         for (blk, branch), end in ends.items():
             ready[(blk, branch)] = end + (TECH.activation_time if branch == "dense" else 0.0)
@@ -142,7 +166,7 @@ class TestSchedule:
             sched = schedule(mm, TECH, overlap=False)
             ready = self._stream_ready(mm, sched)
             for op in mm.operators:
-                start = sched.event(op.op_id).start
+                start = event(sched, op.op_id).start
                 for src, stream in op.consumes:
                     assert start >= ready[(src, stream)] - 1e-9
 
@@ -158,7 +182,7 @@ class TestSchedule:
             for op in mm.operators:
                 if op.kind is not OperatorKind.FM or not op.parts:
                     continue
-                ev = sched.event(op.op_id)
+                ev = event(sched, op.op_id)
                 src_end = max(ready[(s, stream)] for s, stream in op.consumes)
                 assert ev.end >= src_end + TECH.xbar_write_time - 1e-9
 
@@ -173,7 +197,7 @@ class TestSchedule:
         sched = schedule(mm, TECH)
         for e in sched.events:
             assert e.end >= e.start >= 0.0
-        assert sched.event("final_fc").end == sched.end_time
+        assert event(sched, "final_fc").end == sched.end_time
 
     def test_deterministic(self):
         mm = map_model(sample_random(4))
@@ -206,11 +230,11 @@ class TestSchedule:
         )
         mm = map_model(pt)
         sched = schedule(mm, TECH, lookup_time=TECH.t_bank)
-        fc = sched.event("b1.dense.FC")
+        fc = event(sched, "b1.dense.FC")
         assert fc.start == TECH.t_bank
-        fc_latency = price_operator(mm.operator("b1.dense.FC"), TECH, pt.reram).latency
+        fc_latency = price_operator(operator(mm, "b1.dense.FC"), TECH, pt.reram).latency
         assert fc.end == TECH.t_bank + fc_latency
-        final = sched.event("final_fc")
+        final = event(sched, "final_fc")
         assert final.start == fc.end + TECH.activation_time
 
 
