@@ -14,7 +14,9 @@ for may be left out. A file that breaks one of these rules exits 2 naming the
 field by its JSON path, as does one that fails the record's own range checks
 (naming the field); a design point that decodes but fails ``validate`` exits 3.
 The ``--external`` loss CSV is read with the other inputs, before ``search``
-writes anything; one that cannot be read or holds a bad row exits 2.
+writes anything; one that cannot be read or holds a bad row exits 2. A
+``simulate --csv`` path that cannot be written exits 2 before anything is
+printed.
 """
 
 from __future__ import annotations
@@ -133,6 +135,12 @@ def cmd_simulate(args) -> int:
     timeline = schedule(
         mm, tech, overlap=not args.no_overlap, lookup_time=lookup.latencies[0]
     )
+    if args.csv:  # written first, so a bad path exits 2 before any output
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(cost.to_csv())
+        except OSError as exc:  # a directory, or under a missing one
+            raise CliError(f"cannot write cost CSV {args.csv}: {exc}", EXIT_PARSE) from exc
     _dump(
         {
             "cost": cost.to_dict(),
@@ -140,9 +148,6 @@ def cmd_simulate(args) -> int:
             "timeline": timeline.to_dict(),
         }
     )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(cost.to_csv())
     return EXIT_OK
 
 

@@ -22,8 +22,13 @@ sum is a nonnegative integer no larger than
 ``rows * (2^dac_bits - 1) * (2^cell_bits - 1)`` (576 at 64 rows), and
 ``CrossbarSpec`` rejects sizes where that bound reaches 2^24. Below 2^24
 float32 holds every integer, so every sum is exact in any summation
-order. The digital shift-and-add over slices, row tiles
-and planes runs in int64.
+order. The ADC clamps each sum in place to at most ``2^adc_bits - 1``
+(255 at the widest ADC), and the digital sum over row tiles also runs in
+float32: each of its partial sums is an integer no larger than
+``row_tiles * 255``, and ``program_signed`` rejects matrices whose row
+tiles would take that bound to 2^24. Only the row-tile totals, one per
+slice, input vector and virtual column, become int64 for the shift-and-add
+over slices and planes.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ class OutOfRange(ValueError):
 
 
 class ShapeMismatch(ValueError):
-    """Input vector length does not match the programmed array."""
+    """A matrix or input batch has a shape the kernel cannot take."""
 
 
 # Every bit-width the kernel realizes, per converter and storage field
@@ -52,6 +57,12 @@ SUPPORTED_BITS = {
     "adc_bits": (4, 6, 8),
     "weight_bits": (4, 8),
 }
+
+
+# Row tiles of one programmed matrix stay below this count, so that the
+# float32 sum of their clamped ADC reads, at most ``row_tiles * 255``,
+# stays below 2^24.
+MAX_ROW_TILES = -(-(1 << 24) // ((1 << max(SUPPORTED_BITS["adc_bits"])) - 1))
 
 
 @dataclass(frozen=True)
@@ -135,17 +146,30 @@ class ProgrammedTiles:
     meta: TileMeta
 
 
-def adc_quantize(analog_sum, adc_bits: int):
-    """Ideal saturating reader: clamp to the ADC ceiling, report truncation.
-
-    Works elementwise on arrays of sums; returns the clamped values and the
-    mask of reads that exceeded the ceiling.
-    """
-    sums = np.asarray(analog_sum)
-    if np.any(sums < 0):
+def adc_quantize(sums: np.ndarray, adc_bits: int) -> SaturationLog:
+    """Ideal saturating reader: clamp an array of analog sums to the ADC
+    ceiling in place and report the truncation."""
+    if sums.min() < 0:
         raise OutOfRange("analog sums are nonnegative by construction")
     limit = (1 << adc_bits) - 1
-    return np.minimum(sums, limit), sums > limit
+    peak = sums.max()
+    log = SaturationLog()
+    if peak > limit:
+        log.clip_count = int(np.count_nonzero(sums > limit))
+        log.max_overflow = int(peak) - limit
+        np.minimum(sums, limit, out=sums)
+    return log
+
+
+def _signed_ints(values, bits: int, what: str) -> np.ndarray:
+    """``values`` as int64 after checking each is an integer in the signed
+    ``bits``-bit range; a float entry must be finite and integral."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.trunc(a))).all():
+        raise OutOfRange(f"{what} must be finite integers")
+    if a.max() >= 1 << (bits - 1) or a.min() <= -(1 << (bits - 1)):
+        raise OutOfRange(f"{what} exceed signed {bits}-bit range")
+    return a.astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -175,22 +199,29 @@ def program_signed(
     ``matrix[i, j]`` multiplies word-line input i into output column j.
     The decomposition satisfies, per entry,
     ``sum_k 2^(k*cell_bits) * (plane_pos_k - plane_neg_k) == matrix`` exactly.
+    An empty matrix, or one needing ``MAX_ROW_TILES`` row tiles or more,
+    raises ``ShapeMismatch``; an entry that is not an integer in the
+    symmetric signed ``w_bits`` range raises ``OutOfRange``.
     """
     if w_bits not in SUPPORTED_BITS["weight_bits"]:
         raise OutOfRange(
             f"w_bits must be one of {SUPPORTED_BITS['weight_bits']}, got {w_bits}"
         )
-    m = np.asarray(matrix, dtype=np.int64)
-    if m.ndim != 2:
-        raise ShapeMismatch("matrix must be 2-D")
-    if np.any(np.abs(m) >= 1 << (w_bits - 1)):
-        raise OutOfRange(f"entries exceed signed {w_bits}-bit range")
-
+    m = np.asarray(matrix)
+    if m.ndim != 2 or 0 in m.shape:
+        raise ShapeMismatch(f"matrix must be 2-D and nonempty, got shape {m.shape}")
     in_dim, out_dim = m.shape
+    row_tiles = math.ceil(in_dim / spec.rows)
+    if row_tiles >= MAX_ROW_TILES:
+        raise ShapeMismatch(
+            f"{in_dim} rows need {row_tiles} row tiles of {spec.rows}; "
+            f"row-tile sums stay exact in float32 below {MAX_ROW_TILES}"
+        )
+    m = _signed_ints(m, w_bits, "entries")
+
     cb = spec.cell_bits
     planes = math.ceil(w_bits / cb)
     vcols = out_dim * planes * 2
-    row_tiles = math.ceil(in_dim / spec.rows)
     col_tiles = math.ceil(vcols / spec.cols)
 
     # Padding rows hold weight 0, whose digits are all zero.
@@ -251,28 +282,26 @@ def mvm(
 
     ``x`` may also be a matrix whose columns are independent drive vectors
     (repeated MVM sharing one saturation log), returning one output column
-    per drive.
+    per drive. Inputs follow ``program_signed``'s entry rules at ``a_bits``.
     """
     meta = pt.meta
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x)
     batched = x.ndim == 2
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[0] != meta.in_dim:
-        raise ShapeMismatch(f"expected {meta.in_dim} input rows, got {x.shape}")
-    if np.any(np.abs(x) >= 1 << (a_bits - 1)):
-        raise OutOfRange(f"inputs exceed signed {a_bits}-bit range")
+    if x.ndim != 2 or x.shape[0] != meta.in_dim or x.shape[1] == 0:
+        raise ShapeMismatch(
+            f"expected {meta.in_dim} input rows and at least one vector, got shape {x.shape}"
+        )
+    x = _signed_ints(x, a_bits, "inputs")
 
     n = x.shape[1]
     drives, weights = _drives(x, a_bits, conv.dac_bits, meta.row_tiles, meta.xbar_size)
     sums = np.matmul(drives, pt.cells)  # every analog column sum, exact
-    read, over = adc_quantize(sums, conv.adc_bits)
-    log = SaturationLog(clip_count=int(np.count_nonzero(over)))
-    if log.clip_count:
-        log.max_overflow = int(sums.max()) - ((1 << conv.adc_bits) - 1)
+    log = adc_quantize(sums, conv.adc_bits)
 
-    # Shift-and-add over row tiles and slices, then over planes and signs.
-    digital = read.astype(np.int64).reshape(meta.row_tiles, len(weights), n, -1).sum(axis=0)
+    # Shift-and-add: row tiles in exact float32, then slices, planes and signs.
+    digital = sums.reshape(meta.row_tiles, len(weights), n, -1).sum(axis=0).astype(np.int64)
     acc = np.tensordot(weights, digital, axes=1) * meta.col_weight  # (n, virtual_cols)
     out = acc.reshape(n, meta.out_dim, meta.planes * 2).sum(axis=2).T
     return (out if batched else out[:, 0]), log

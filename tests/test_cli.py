@@ -337,6 +337,16 @@ class TestMapSimulate:
         assert lines[0] == "metric,value"
         assert any(line.startswith("area,") for line in lines)
 
+    @pytest.mark.parametrize("where", ("dir", "missing/cost.csv"), ids=["a_directory", "under_a_missing_dir"])
+    def test_bad_csv_path_exits_2_before_any_output(self, capsys, point_file, tmp_path, where):
+        # Used to print the report, then exit 4 (IsADirectoryError / FileNotFoundError).
+        (tmp_path / "dir").mkdir()
+        csv_path = tmp_path / where
+        code, stdout, err = run_cli(capsys, "simulate", "--point", point_file, "--csv", str(csv_path))
+        assert code == EXIT_PARSE and stdout == ""
+        assert f"cannot write cost CSV {csv_path}: " in err
+        assert not (tmp_path / "missing").exists()
+
     def test_timeline_included_for_plotting(self, capsys, point_file):
         _, out, _ = run_cli(capsys, "simulate", "--point", point_file)
         doc = json.loads(out)

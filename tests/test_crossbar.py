@@ -1,6 +1,7 @@
 """Bit-level crossbar kernel: programming, MVM, saturation, MBSA."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimdse.crossbar import (
+    MAX_ROW_TILES,
     ConverterSpec,
     CrossbarSpec,
     OutOfRange,
@@ -84,25 +86,33 @@ def tile_loop_mvm(pt, x, a_bits, conv):
     return (out if batched else out[:, 0]), clip_count, max_overflow
 
 
+def adc_read(value, adc_bits):
+    """One analog sum through ``adc_quantize``: its read and whether it clipped."""
+    sums = np.array(value, dtype=np.float32)
+    log = adc_quantize(sums, adc_bits)
+    return sums.item(), not log.clean
+
+
 class TestAdcQuantize:
     def test_zero(self):
-        assert adc_quantize(0, 4) == (0, False)
+        assert adc_read(0, 4) == (0, False)
 
     def test_boundary_not_clipped(self):
-        assert adc_quantize(255, 8) == (255, False)
+        assert adc_read(255, 8) == (255, False)
 
     def test_worst_case_clips(self):
         # 64 rows x max cell 3 x max slice 3 from the largest menu values.
-        assert adc_quantize(576, 8) == (255, True)
+        assert adc_read(576, 8) == (255, True)
 
     def test_negative_rejected(self):
         with pytest.raises(OutOfRange):
-            adc_quantize(-1, 8)
+            adc_read(-1, 8)
 
     def test_elementwise_on_arrays(self):
-        values, over = adc_quantize(np.array([[0, 15], [16, 40]], dtype=np.float32), 4)
-        assert values.tolist() == [[0, 15], [15, 15]]
-        assert over.tolist() == [[False, False], [True, True]]
+        sums = np.array([[0, 15], [16, 40]], dtype=np.float32)
+        log = adc_quantize(sums, 4)  # clamps in place
+        assert sums.tolist() == [[0, 15], [15, 15]]
+        assert (log.clip_count, log.max_overflow) == (2, 40 - 15)
 
 
 class TestCrossbarSpec:
@@ -143,6 +153,37 @@ class TestProgramSigned:
             program_signed([[8]], 4, CrossbarSpec(16, 16, 2))
         with pytest.raises(OutOfRange):
             program_signed([[1]], 3, CrossbarSpec(16, 16, 2))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(ShapeMismatch, match="nonempty"):
+            program_signed(np.zeros(shape, dtype=int), 4, CrossbarSpec(16, 16, 2))
+
+    @pytest.mark.parametrize("bad", [2.5, -1.5, np.nan, np.inf])
+    def test_non_integral_entries_rejected(self, bad):
+        # 2.5 and -1.5 used to be stored as 2 and -1.
+        with pytest.raises(OutOfRange, match="finite integers"):
+            program_signed([[bad, 1.0]], 4, CrossbarSpec(16, 16, 2))
+
+    def test_integral_floats_accepted(self):
+        spec = CrossbarSpec(16, 16, 2)
+        got = program_signed([[3.0, -2.0]], 4, spec).cells
+        assert np.array_equal(got, program_signed([[3, -2]], 4, spec).cells)
+
+    def test_row_tile_bound_keeps_float32_sums_exact(self):
+        # Each row tile adds at most 255 (the widest ADC's ceiling) to a sum.
+        assert (MAX_ROW_TILES - 1) * 255 < 1 << 24 <= MAX_ROW_TILES * 255
+
+    def test_too_many_row_tiles_refused_before_allocating(self):
+        m = np.zeros((MAX_ROW_TILES * 16, 1), dtype=np.int8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeMismatch, match=f"{MAX_ROW_TILES} row tiles"):
+                program_signed(m, 8, CrossbarSpec(16, 16, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes  # no cell, index or int64 copy was built
 
     def test_cells_within_cell_range(self):
         rng = np.random.default_rng(2)
@@ -190,6 +231,23 @@ class TestMvm:
         pt = program_signed(np.eye(2, dtype=int), 4, CrossbarSpec(16, 16, 2))
         with pytest.raises(ShapeMismatch):
             mvm(pt, [1, 2, 3], 4, ConverterSpec(1, 8))
+
+    def test_zero_column_batch_rejected(self):
+        pt = program_signed(np.eye(2, dtype=int), 4, CrossbarSpec(16, 16, 2))
+        with pytest.raises(ShapeMismatch, match="at least one vector"):
+            mvm(pt, np.zeros((2, 0), dtype=int), 4, ConverterSpec(1, 8))
+
+    @pytest.mark.parametrize("bad", [1.9, -0.5, np.nan, -np.inf])
+    def test_non_integral_inputs_rejected(self, bad):
+        # Against a weight of 3, an input of 1.9 used to read as 1 * 3.
+        pt = program_signed([[3]], 4, CrossbarSpec(16, 16, 2))
+        with pytest.raises(OutOfRange, match="finite integers"):
+            mvm(pt, [bad], 8, ConverterSpec(1, 8))
+
+    def test_integral_float_inputs_accepted(self):
+        pt = program_signed([[3]], 4, CrossbarSpec(16, 16, 2))
+        y, log = mvm(pt, np.array([5.0]), 8, ConverterSpec(1, 8))
+        assert y.tolist() == [15] and log.clean
 
     def test_lossless_rule_fuzz(self):
         # adc_bits >= dac_bits + cell_bits + ceil(log2(rows)) guarantees
@@ -279,6 +337,29 @@ def test_batched_read_matches_tile_loop(
     assert (log.clip_count, log.max_overflow) == (clip_count, max_overflow)
     if log.clean:
         assert np.array_equal(y, x @ w if batch == 0 else w.T @ x)
+
+
+@pytest.mark.parametrize(
+    "cell, dac, adc, w_bits, a_bits",
+    [(2, 1, 4, 8, 8), (2, 2, 6, 4, 8), (1, 2, 4, 8, 4), (1, 1, 6, 4, 8)],
+)
+def test_many_row_tiles_match_tile_loop(cell, dac, adc, w_bits, a_bits):
+    # 2,000 rows at xbar 16 are 125 row tiles; full-scale weights and inputs
+    # make every read but the last converter's clip.
+    rng = np.random.default_rng(cell * 100 + dac * 10 + adc)
+    w = ((1 << (w_bits - 1)) - 1) * rng.choice([-1, 1], (2_000, 5))
+    x = ((1 << (a_bits - 1)) - 1) * rng.choice([-1, 1], (2_000, 2))
+    pt = program_signed(w, w_bits, CrossbarSpec(16, 16, cell))
+    assert pt.meta.row_tiles == 125
+    conv = ConverterSpec(dac, adc)
+    y, log = mvm(pt, x, a_bits, conv)
+    want, clip_count, max_overflow = tile_loop_mvm(pt, x, a_bits, conv)
+    assert np.array_equal(y, want)
+    assert (log.clip_count, log.max_overflow) == (clip_count, max_overflow)
+    # Only the last case's full column sum, 16 rows x 1 x 1, fits its ADC.
+    assert log.clean == ((cell, dac, adc) == (1, 1, 6))
+    if log.clean:
+        assert np.array_equal(y, w.T @ x)
 
 
 class TestTransposedProgram:
