@@ -26,9 +26,18 @@ order. The ADC clamps each sum in place to at most ``2^adc_bits - 1``
 (255 at the widest ADC), and the digital sum over row tiles also runs in
 float32: each of its partial sums is an integer no larger than
 ``row_tiles * 255``, and ``program_signed`` rejects matrices whose row
-tiles would take that bound to 2^24. Only the row-tile totals, one per
-slice, input vector and virtual column, become int64 for the shift-and-add
-over slices and planes.
+tiles would take that bound to 2^24.
+
+No operand is widened to int64 on the way. Programming narrows each
+weight once to its uint8 digit-table index ``v + 2^(w_bits-1)`` and
+gathers the cells from that index; a read narrows each input once to its
+uint8 two's-complement pattern and gathers its DAC slices and sign bit
+from a drive table. The shift-and-add over slices, planes and signs is
+one float64 contraction of the row-tile totals with the products of
+slice and plane weights. It is exact as well: a total is below 2^24, a
+slice weight at most 2^8 and a plane weight at most 2^7 in magnitude,
+and at most 9 slices times 16 plane-sign columns add up, so every
+partial sum stays below 2^47, where float64 holds every integer.
 """
 
 from __future__ import annotations
@@ -57,6 +66,11 @@ SUPPORTED_BITS = {
     "adc_bits": (4, 6, 8),
     "weight_bits": (4, 8),
 }
+
+# Widest input a read accepts (``mvm``'s ``a_bits`` runs 1..8). A wider
+# input would outgrow the uint8 drive index and the exactness bound of the
+# float64 shift-and-add.
+MAX_ACTIVATION_BITS = 8
 
 
 # Row tiles of one programmed matrix stay below this count, so that the
@@ -162,14 +176,22 @@ def adc_quantize(sums: np.ndarray, adc_bits: int) -> SaturationLog:
 
 
 def _signed_ints(values, bits: int, what: str) -> np.ndarray:
-    """``values`` as int64 after checking each is an integer in the signed
-    ``bits``-bit range; a float entry must be finite and integral."""
+    """``values`` as an integer array after checking each is an integer in
+    the signed ``bits``-bit range; a float entry must be finite and
+    integral. Integer arrays come back as they are, without a copy."""
     a = np.asarray(values)
     if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.trunc(a))).all():
         raise OutOfRange(f"{what} must be finite integers")
     if a.max() >= 1 << (bits - 1) or a.min() <= -(1 << (bits - 1)):
         raise OutOfRange(f"{what} exceed signed {bits}-bit range")
-    return a.astype(np.int64, copy=False)
+    return a if a.dtype.kind in "iu" else a.astype(np.int64)
+
+
+def _plane_weights(planes: int, cell_bits: int) -> np.ndarray:
+    """Signed place weight of each virtual column of one output: per plane,
+    LSB first, ``+2^(plane * cell_bits)`` then its negative."""
+    place = np.left_shift(1, np.arange(planes) * cell_bits)
+    return np.stack([place, -place], axis=1).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -224,14 +246,17 @@ def program_signed(
     vcols = out_dim * planes * 2
     col_tiles = math.ceil(vcols / spec.cols)
 
-    # Padding rows hold weight 0, whose digits are all zero.
+    # Table rows run to 2^w_bits - 1 <= 255, so the index is uint8. The
+    # narrowing pass follows the source's memory order (``run_fc`` passes a
+    # transposed view); the uint8 sum wraps to the exact row for any
+    # integer dtype. Padding rows hold weight 0, whose digits are all zero.
     offset = 1 << (w_bits - 1)
-    index = np.full((row_tiles * spec.rows, out_dim), offset, dtype=np.int64)
-    index[:in_dim] = m + offset
+    index = np.empty((row_tiles * spec.rows, out_dim), dtype=np.uint8)
+    index[:in_dim] = np.add(m, offset, dtype=np.uint8, casting="unsafe")
+    index[in_dim:] = offset
     cells = np.take(_digit_table(w_bits, cb), index, axis=0)
     cells = cells.reshape(row_tiles, spec.rows, vcols)
 
-    place = np.left_shift(1, np.arange(planes) * cb)
     meta = TileMeta(
         in_dim=in_dim,
         out_dim=out_dim,
@@ -241,31 +266,51 @@ def program_signed(
         xbar_size=spec.rows,
         row_tiles=row_tiles,
         col_tiles=col_tiles,
-        col_weight=np.tile(np.stack([place, -place], axis=1).ravel(), out_dim),
+        col_weight=np.tile(_plane_weights(planes, cb), out_dim),
     )
     return ProgrammedTiles(cells=cells, meta=meta)
 
 
-def _drives(x: np.ndarray, a_bits: int, dac_bits: int, row_tiles: int, rows: int):
-    """Word-line drives of every row tile: the unsigned digit slices of the
-    two's-complement form, then the sign mask, each over all input vectors.
-
-    Returns a ``(row_tiles, slices * n, rows)`` float32 tensor and the place
-    weight of each slice. Reconstruction:
-    x = sum_k digit_k * 2^(k*dac_bits) - 2^a_bits * [x < 0].
-    """
+@lru_cache(maxsize=None)
+def _drive_table(a_bits: int, dac_bits: int) -> np.ndarray:
+    """Row ``u`` holds the word-line drives of the input whose ``a_bits``-bit
+    two's-complement pattern is ``u``: its unsigned DAC slices, LSB first,
+    then its sign bit. Reconstruction:
+    x = sum_k slice_k * 2^(k*dac_bits) - 2^a_bits * sign."""
     n_slices = math.ceil(a_bits / dac_bits)
+    u = np.arange(1 << a_bits)
+    table = np.empty((1 << a_bits, n_slices + 1), dtype=np.float32)
+    table[:, :n_slices] = (u[:, None] >> np.arange(n_slices) * dac_bits) & ((1 << dac_bits) - 1)
+    table[:, n_slices] = u >> (a_bits - 1)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
+@lru_cache(maxsize=None)
+def _shift_add_weights(a_bits: int, dac_bits: int, planes: int, cell_bits: int) -> np.ndarray:
+    """``(slices, planes * 2, 1)`` place weights: per slice (sign slice last,
+    at ``-2^a_bits``) and virtual column of one output (per plane, LSB
+    first, positive then negative), the slice weight times the signed plane
+    weight."""
+    shifts = np.arange(math.ceil(a_bits / dac_bits)) * dac_bits
+    slice_w = np.append(np.left_shift(1, shifts), -(1 << a_bits))
+    weights = np.outer(slice_w, _plane_weights(planes, cell_bits)).astype(np.float64)[:, :, None]
+    weights.flags.writeable = False  # shared by every caller through the cache
+    return weights
+
+
+def _drives(x: np.ndarray, a_bits: int, dac_bits: int, row_tiles: int, rows: int):
+    """Word-line drives of every row tile: the DAC slices, then the sign
+    bit, each over all input vectors, as a ``(row_tiles, slices * n, rows)``
+    float32 tensor (``slices`` counts the sign slice)."""
+    table = _drive_table(a_bits, dac_bits)
     n = x.shape[1]
-    padded = np.zeros((row_tiles * rows, n), dtype=np.int64)
-    padded[: x.shape[0]] = x
-    xt = padded.T.reshape(n, row_tiles, rows).transpose(1, 0, 2)  # (rt, n, rows)
-    u = xt & ((1 << a_bits) - 1)
-    shifts = np.arange(n_slices) * dac_bits
-    drives = np.empty((row_tiles, n_slices + 1, n, rows), dtype=np.float32)
-    drives[:, :n_slices] = (u[:, None] >> shifts[:, None, None]) & ((1 << dac_bits) - 1)
-    drives[:, n_slices] = xt < 0
-    weights = np.append(np.left_shift(1, shifts), -(1 << a_bits))
-    return drives.reshape(row_tiles, (n_slices + 1) * n, rows), weights
+    # The uint8 pattern x & (2^a_bits - 1) indexes the table; padding rows
+    # get pattern 0, which drives nothing.
+    index = np.zeros((row_tiles * rows, n), dtype=np.uint8)
+    np.bitwise_and(x, (1 << a_bits) - 1, out=index[: x.shape[0]], dtype=np.uint8, casting="unsafe")
+    drives = np.take(table, index, axis=0).reshape(row_tiles, rows, n, -1)
+    return drives.transpose(0, 3, 2, 1).reshape(row_tiles, -1, rows)
 
 
 def mvm(
@@ -282,8 +327,12 @@ def mvm(
 
     ``x`` may also be a matrix whose columns are independent drive vectors
     (repeated MVM sharing one saturation log), returning one output column
-    per drive. Inputs follow ``program_signed``'s entry rules at ``a_bits``.
+    per drive. Inputs follow ``program_signed``'s entry rules at ``a_bits``,
+    which must be an integer in 1..``MAX_ACTIVATION_BITS`` (else
+    ``OutOfRange``).
     """
+    if not (isinstance(a_bits, (int, np.integer)) and 1 <= a_bits <= MAX_ACTIVATION_BITS):
+        raise OutOfRange(f"a_bits must be an integer in 1..{MAX_ACTIVATION_BITS}, got {a_bits!r}")
     meta = pt.meta
     x = np.asarray(x)
     batched = x.ndim == 2
@@ -296,14 +345,17 @@ def mvm(
     x = _signed_ints(x, a_bits, "inputs")
 
     n = x.shape[1]
-    drives, weights = _drives(x, a_bits, conv.dac_bits, meta.row_tiles, meta.xbar_size)
+    drives = _drives(x, a_bits, conv.dac_bits, meta.row_tiles, meta.xbar_size)
     sums = np.matmul(drives, pt.cells)  # every analog column sum, exact
     log = adc_quantize(sums, conv.adc_bits)
 
-    # Shift-and-add: row tiles in exact float32, then slices, planes and signs.
-    digital = sums.reshape(meta.row_tiles, len(weights), n, -1).sum(axis=0).astype(np.int64)
-    acc = np.tensordot(weights, digital, axes=1) * meta.col_weight  # (n, virtual_cols)
-    out = acc.reshape(n, meta.out_dim, meta.planes * 2).sum(axis=2).T
+    # Shift-and-add: row tiles in exact float32, then one exact float64
+    # contraction over slices, planes and signs: a matmul per slice over the
+    # plane-sign columns of each output, summed over slices.
+    weights = _shift_add_weights(a_bits, conv.dac_bits, meta.planes, meta.cell_bits)
+    digital = sums.reshape(meta.row_tiles, len(weights), n * meta.out_dim, -1).sum(axis=0)
+    out = np.matmul(digital, weights).sum(axis=0).reshape(n, meta.out_dim)
+    out = out.astype(np.int64).T
     return (out if batched else out[:, 0]), log
 
 

@@ -554,10 +554,9 @@ def fm_engine_forward(vectors, reram):
 
     sq_bits = max(1, int(np.abs(s).max()).bit_length())
     square_of_sum = mbsa_square(np.abs(s), sq_bits)
-    v_bits = max(1, int(np.abs(vecs).max()).bit_length()) if vecs.size else 1
-    sum_of_squares = np.zeros(vecs.shape[1], dtype=np.int64)
-    for v in vecs:  # squared by the MBSA as each producer vector arrives
-        sum_of_squares += mbsa_square(np.abs(v), v_bits)
+    mags = np.abs(vecs)
+    v_bits = max(1, int(mags.max()).bit_length())
+    sum_of_squares = mbsa_square(mags, v_bits).sum(axis=0)  # every arriving vector
     return square_of_sum - sum_of_squares, log
 
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimdse.crossbar import (
+    MAX_ACTIVATION_BITS,
     MAX_ROW_TILES,
+    SUPPORTED_BITS,
     ConverterSpec,
     CrossbarSpec,
     OutOfRange,
@@ -170,6 +172,30 @@ class TestProgramSigned:
         got = program_signed([[3.0, -2.0]], 4, spec).cells
         assert np.array_equal(got, program_signed([[3, -2]], 4, spec).cells)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            lambda m: np.ascontiguousarray(m.T).T,  # F-ordered, as run_fc passes w.T
+            lambda m: np.repeat(m, 3, axis=0)[::3],  # strided row slice
+            lambda m: np.repeat(m, 2, axis=1)[:, ::2],  # strided column slice
+            lambda m: m.astype(np.int8),
+            lambda m: m.astype(np.int16),
+            lambda m: m.astype(np.float64),  # integral floats
+        ],
+        ids=["transposed", "row-strided", "col-strided", "int8", "int16", "float"],
+    )
+    @pytest.mark.parametrize("w_bits, cell", [(4, 2), (8, 1), (8, 2)])
+    def test_source_layout_and_dtype_do_not_change_cells(self, source, w_bits, cell):
+        rng = np.random.default_rng(w_bits * 10 + cell)
+        lim = (1 << (w_bits - 1)) - 1
+        m = rng.integers(-lim, lim + 1, (37, 11))
+        m[0, :2] = -lim, lim  # both ends of the range
+        spec = CrossbarSpec(16, 16, cell)
+        src = source(m)
+        assert np.array_equal(src, m)
+        want = program_signed(np.ascontiguousarray(m, dtype=np.int64), w_bits, spec).cells
+        assert np.array_equal(program_signed(src, w_bits, spec).cells, want)
+
     def test_row_tile_bound_keeps_float32_sums_exact(self):
         # Each row tile adds at most 255 (the widest ADC's ceiling) to a sum.
         assert (MAX_ROW_TILES - 1) * 255 < 1 << 24 <= MAX_ROW_TILES * 255
@@ -244,6 +270,14 @@ class TestMvm:
         with pytest.raises(OutOfRange, match="finite integers"):
             mvm(pt, [bad], 8, ConverterSpec(1, 8))
 
+    @pytest.mark.parametrize("a_bits", [0, 9, 64])
+    def test_activation_width_checked(self, a_bits):
+        # 0 used to fail on a negative shift count, 64 on an int64 overflow.
+        pt = program_signed([[3]], 4, CrossbarSpec(16, 16, 2))
+        message = f"a_bits must be an integer in 1..{MAX_ACTIVATION_BITS}"
+        with pytest.raises(OutOfRange, match=message):
+            mvm(pt, [0], a_bits, ConverterSpec(1, 8))
+
     def test_integral_float_inputs_accepted(self):
         pt = program_signed([[3]], 4, CrossbarSpec(16, 16, 2))
         y, log = mvm(pt, np.array([5.0]), 8, ConverterSpec(1, 8))
@@ -314,10 +348,11 @@ class TestMvm:
     out_dim=st.integers(1, 12),
     batch=st.integers(0, 3),  # 0: a single 1-D drive vector
     extreme=st.booleans(),  # full-scale weights and inputs, so reads clip
+    transposed=st.booleans(),  # program an F-ordered view, as run_fc does
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_read_matches_tile_loop(
-    xbar, cell, dac, adc, w_bits, a_bits, in_dim, out_dim, batch, extreme, seed
+    xbar, cell, dac, adc, w_bits, a_bits, in_dim, out_dim, batch, extreme, transposed, seed
 ):
     rng = np.random.default_rng(seed)
     w_lim = (1 << (w_bits - 1)) - 1
@@ -329,7 +364,8 @@ def test_batched_read_matches_tile_loop(
     else:
         w = rng.integers(-w_lim, w_lim + 1, (in_dim, out_dim))
         x = rng.integers(-a_lim, a_lim + 1, shape)
-    pt = program_signed(w, w_bits, CrossbarSpec(xbar, xbar, cell))
+    source = np.ascontiguousarray(w.T).T if transposed else w
+    pt = program_signed(source, w_bits, CrossbarSpec(xbar, xbar, cell))
     conv = ConverterSpec(dac, adc)
     y, log = mvm(pt, x, a_bits, conv)
     want, clip_count, max_overflow = tile_loop_mvm(pt, x, a_bits, conv)
@@ -341,11 +377,17 @@ def test_batched_read_matches_tile_loop(
 
 @pytest.mark.parametrize(
     "cell, dac, adc, w_bits, a_bits",
-    [(2, 1, 4, 8, 8), (2, 2, 6, 4, 8), (1, 2, 4, 8, 4), (1, 1, 6, 4, 8)],
+    [
+        (2, 1, 4, 8, 8),
+        (2, 2, 6, 4, 8),
+        (1, 2, 4, 8, 4),
+        (1, 1, 6, 4, 8),
+        (1, 1, 8, 8, 8),  # the most slice x plane terms: 9 slices x 16 columns
+    ],
 )
 def test_many_row_tiles_match_tile_loop(cell, dac, adc, w_bits, a_bits):
     # 2,000 rows at xbar 16 are 125 row tiles; full-scale weights and inputs
-    # make every read but the last converter's clip.
+    # make every read clip whose full column sum exceeds the ADC ceiling.
     rng = np.random.default_rng(cell * 100 + dac * 10 + adc)
     w = ((1 << (w_bits - 1)) - 1) * rng.choice([-1, 1], (2_000, 5))
     x = ((1 << (a_bits - 1)) - 1) * rng.choice([-1, 1], (2_000, 2))
@@ -356,10 +398,39 @@ def test_many_row_tiles_match_tile_loop(cell, dac, adc, w_bits, a_bits):
     want, clip_count, max_overflow = tile_loop_mvm(pt, x, a_bits, conv)
     assert np.array_equal(y, want)
     assert (log.clip_count, log.max_overflow) == (clip_count, max_overflow)
-    # Only the last case's full column sum, 16 rows x 1 x 1, fits its ADC.
-    assert log.clean == ((cell, dac, adc) == (1, 1, 6))
+    # Only the 1-bit cell and DAC cases' full column sum, 16 rows x 1 x 1,
+    # fits their ADCs.
+    assert log.clean == (16 * ((1 << dac) - 1) * ((1 << cell) - 1) < 1 << adc)
     if log.clean:
         assert np.array_equal(y, w.T @ x)
+
+
+def test_large_clean_read_is_exact():
+    # 20,000 rows of nonnegative weights: the first input's results and the
+    # second's positive-slice partial sums lie near 2^27, beyond float32's
+    # exact integers. The lossless converter (16 rows x 1 x 1 <= 255) keeps
+    # the read clean, so it must equal the integer product.
+    rng = np.random.default_rng(7)
+    w = rng.integers(0, 128, (20_000, 3))
+    x = np.stack([rng.integers(0, 128, 20_000), rng.integers(-127, 128, 20_000)], axis=1)
+    pt = program_signed(w, 8, CrossbarSpec(16, 16, 1))
+    y, log = mvm(pt, x, 8, ConverterSpec(1, 8))
+    assert log.clean
+    assert y[:, 0].min() > 1 << 24
+    assert np.array_equal(y, w.T @ x)
+
+
+def test_float64_shift_and_add_bound():
+    # The largest partial sum of mvm's float64 shift-and-add: every row-tile
+    # total at its ceiling, times the widest slice and plane weights, over
+    # every (slice, plane, sign) term. float64 holds every integer below 2^53.
+    total = (MAX_ROW_TILES - 1) * ((1 << max(SUPPORTED_BITS["adc_bits"])) - 1)
+    slices = math.ceil(MAX_ACTIVATION_BITS / min(SUPPORTED_BITS["dac_bits"])) + 1
+    cell = min(SUPPORTED_BITS["cell_bits"])
+    planes = math.ceil(max(SUPPORTED_BITS["weight_bits"]) / cell)
+    slice_weight = 1 << MAX_ACTIVATION_BITS  # the sign slice's
+    plane_weight = 1 << ((planes - 1) * cell)
+    assert slices * planes * 2 * total * slice_weight * plane_weight < 1 << 53
 
 
 class TestTransposedProgram:

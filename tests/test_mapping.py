@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from pimdse import mapping
+from pimdse.crossbar import mbsa_square
 from pimdse.design_space import (
     BlockConfig,
     DesignPoint,
@@ -160,6 +162,19 @@ class TestFMEngine:
             assert log.clean
             assert np.array_equal(ix, fm_interaction(v))
             assert np.array_equal(ix, fm_interaction_pairwise(v))
+
+    def test_one_mbsa_call_per_operand_set(self, monkeypatch):
+        calls = []
+
+        def counted(v, v_bits):
+            calls.append(np.shape(v))
+            return mbsa_square(v, v_bits)
+
+        monkeypatch.setattr(mapping, "mbsa_square", counted)
+        v = np.array([[1, -2, 3], [4, 0, -6], [-7, 8, 1], [2, 2, 2]])
+        ix, log = fm_engine_forward(v, R16)
+        assert log.clean and np.array_equal(ix, fm_interaction(v))
+        assert calls == [(3,), (4, 3)]  # the sum, then every vector at once
 
 
 def two_block_point(reram=None, with_dp=False, with_fm=False):
