@@ -17,6 +17,12 @@ The ``--external`` loss CSV is read with the other inputs, before ``search``
 writes anything; one that cannot be read or holds a bad row exits 2. A
 ``simulate --csv`` path that cannot be written exits 2 before anything is
 printed.
+
+A ``--tech`` file whose costs overflow float64 exits 2 naming the file and
+the first value that is not finite: ``simulate`` before any output;
+``search`` when it aborts on one (an initial point, or the child past the
+skip limit; other such children are skipped like any failing child). Every
+JSON file written is strict: no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -47,6 +54,7 @@ from .evaluator import SurrogateParams, ingest_external
 from .mapping import map_model
 from .pipeline import schedule, simulate
 from .search import (
+    SearchAborted,
     SearchConfig,
     default_hw_metrics,
     default_lookup_model,
@@ -71,8 +79,20 @@ class CliError(Exception):
 
 def _dump(obj: dict, stream=None) -> None:
     stream = sys.stdout if stream is None else stream
-    json.dump(obj, stream, sort_keys=True, indent=2)
+    json.dump(obj, stream, sort_keys=True, indent=2, allow_nan=False)
     stream.write("\n")
+
+
+def _first_non_finite(obj, path: str = "") -> str | None:
+    """``"path = value"`` of the first number in ``obj``, in the order
+    :func:`_dump` writes them, that is infinite or NaN."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else f"{path} = {obj!r}"
+    if isinstance(obj, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in sorted(obj.items())]
+    else:
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(obj)] if isinstance(obj, list) else []
+    return next(filter(None, (_first_non_finite(v, where) for where, v in items)), None)
 
 
 def _load(cls, path: str, what: str):
@@ -135,19 +155,17 @@ def cmd_simulate(args) -> int:
     timeline = schedule(
         mm, tech, overlap=not args.no_overlap, lookup_time=lookup.latencies[0]
     )
+    payload = {"cost": cost.to_dict(), "throughput": report.to_dict(), "timeline": timeline.to_dict()}
+    found = _first_non_finite(payload)
+    if found:  # the default profile is finite, so only a --tech file gets here
+        raise CliError(f"tech params {args.tech} give a value that is not finite: {found}", EXIT_PARSE)
     if args.csv:  # written first, so a bad path exits 2 before any output
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(cost.to_csv())
         except OSError as exc:  # a directory, or under a missing one
             raise CliError(f"cannot write cost CSV {args.csv}: {exc}", EXIT_PARSE) from exc
-    _dump(
-        {
-            "cost": cost.to_dict(),
-            "throughput": report.to_dict(),
-            "timeline": timeline.to_dict(),
-        }
-    )
+    _dump(payload)
     return EXIT_OK
 
 
@@ -197,7 +215,13 @@ def cmd_search(args) -> int:
             csv_fh.write(f"{record.generation},{record.best!r},{record.median!r}\n")
             csv_fh.flush()
 
-        result = run_search(cfg, loss_fn, metric_fn, space, on_generation=flush_generation)
+        try:
+            result = run_search(cfg, loss_fn, metric_fn, space, on_generation=flush_generation)
+        except SearchAborted as exc:
+            if isinstance(exc.__cause__, OverflowError):  # a metric past float64
+                msg = f"tech params {args.tech} give a value that is not finite: {exc.__cause__}"
+                raise CliError(msg, EXIT_PARSE) from exc
+            raise
 
     with open(out_dir / "search_log.json", "w", encoding="utf-8") as fh:
         payload = result.log.to_dict()

@@ -16,18 +16,18 @@ squaring pass.
 
 An operator's price is counts times unit costs, so it depends on the
 operator's shape and the technology table alone, never on where the
-operator sits in the model. ``map_model(point, table=tech.operator_table)``
-therefore takes each shape that the :class:`TechParams` object's bounded
-:class:`OperatorTable` still holds, prices included, and maps and prices
-only the rest; :func:`model_cost`, :func:`stage_times` and
-:func:`pimdse.pipeline.schedule` then read those entries, and take
-placement from :func:`pimdse.mapping.placements`. A model mapped without
-the table is priced afresh by the same functions, with the same results.
+operator sits in the model. Every model is therefore priced one way, by
+:func:`priced_operators`: each of its shape keys is looked up in the
+:class:`TechParams` object's bounded :class:`OperatorTable`, and only a
+shape the table does not hold is mapped and priced into it.
+:func:`model_cost`, :func:`stage_times` and :func:`pimdse.pipeline.schedule`
+read those entries, and take placement from
+:func:`pimdse.mapping.placements`.
 
-Stage occupancy is walked once per mapped model, technology object and
-overlap setting: :func:`stage_times` keeps the result on the model, and
+A model keeps its prices and its stage occupancy, walked once per overlap
+setting, for the last technology object it was priced under:
 :func:`model_cost`, :func:`pimdse.pipeline.simulate` and
-:func:`pimdse.pipeline.schedule` all read it from there.
+:func:`pimdse.pipeline.schedule` all read them from there.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .crossbar import SUPPORTED_BITS
 from .design_space import ReRAMConfig, _field_state, from_plain
-from .mapping import DEFAULT_ACTIVATION_BITS, Engine, MappedModel, MappedOperator, placements
+from .mapping import DEFAULT_ACTIVATION_BITS, Engine, MappedModel, MappedOperator, map_shape, placements
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,10 @@ class TechParams:
 
     @cached_property
     def operator_table(self) -> "OperatorTable":
-        """This table's priced operators, filled by ``map_model(point,
-        table=tech.operator_table)``; kept outside the dataclass fields, so
-        it is never compared, serialized, pickled or copied (by ``replace``
-        or ``copy``): a copy starts with an empty table of its own."""
+        """The operators priced under this object, filled by
+        :func:`priced_operators`; kept outside the dataclass fields, so it
+        is never compared, serialized, pickled or copied (by ``replace`` or
+        ``copy``): a copy starts with an empty table of its own."""
         return OperatorTable(self)
 
     def to_dict(self) -> dict:
@@ -289,9 +289,10 @@ class OperatorTable:
     """Bounded least-recently-used table of priced operator shapes for one
     ``TechParams``.
 
-    :func:`pimdse.mapping.map_model` keys it by operator shape, the values
-    the operator's mapper reads: ``(kind, weight_bits, *dims, dac_bits,
-    cell_bits, xbar_size, adc_bits)``, with no placement. An entry is a
+    :func:`priced_operators` looks it up by the shape keys of
+    :func:`pimdse.mapping.map_model`, the values the operator's mapper
+    reads: ``(kind, weight_bits, *dims, dac_bits, cell_bits, xbar_size,
+    adc_bits)``, with no placement. An entry is a
     :class:`PricedOperator` of the shape record, so operators of one shape
     share it wherever they sit. Pricing is a pure function of the shape and
     the technology, so a hit gives exactly what pricing afresh would.
@@ -321,11 +322,18 @@ class OperatorTable:
 
 def priced_operators(mm: MappedModel, tp: TechParams) -> tuple[PricedOperator, ...]:
     """Every operator shape of ``mm`` priced under ``tp``, in operator
-    order: the entries ``map_model`` took from ``tp``'s operator table, or
-    priced afresh."""
-    if mm.priced_by is tp:
-        return mm.priced
-    return tuple(price_operator(op, tp, mm.reram) for op in mm.shapes)
+    order: each key's entry in ``tp``'s operator table, mapped and priced
+    into it on a miss. The model keeps one memo slot beside its fields, as
+    ``cached_property`` stores: ``(tp, priced, {overlap: stage times})``
+    for the last technology object (by identity) it was priced under."""
+    memo = mm.__dict__.get("_priced")
+    if memo is None or memo[0] is not tp:
+        table, reram = tp.operator_table, mm.reram
+        lookup, insert = table.lookup, table.insert
+        # Entries are nonempty tuples, so ``or`` maps and prices only on a miss.
+        priced = tuple([lookup(key) or insert(key, map_shape(key, reram), reram) for key in mm.keys])
+        memo = mm.__dict__["_priced"] = (tp, priced, {})
+    return memo[1]
 
 
 def stage_times(mm: MappedModel, tp: TechParams, overlap: bool = True) -> dict[str, float]:
@@ -338,24 +346,23 @@ def stage_times(mm: MappedModel, tp: TechParams, overlap: bool = True) -> dict[s
     Without it, every operator occupies its stage for its serial latency.
 
     The occupancy is walked once per model, technology object and
-    ``overlap``: the model keeps the last result beside its fields, keyed by
-    ``tp`` (by identity) and ``overlap``, and every call returns a copy, so
-    a caller may change the mapping it gets.
+    ``overlap``, and kept in the model's memo slot beside its prices; every
+    call returns a copy, so a caller may change the mapping it gets.
     """
-    memo = mm.__dict__.get("_stage_times")  # beside the fields, as cached_property stores
-    if memo is None or memo[0] is not tp or memo[1] != overlap:
-        memo = (tp, overlap, _occupancy_walk(mm, tp, overlap))
-        mm.__dict__["_stage_times"] = memo
-    return dict(memo[2])
+    priced = priced_operators(mm, tp)
+    times = mm.__dict__["_priced"][2]
+    if overlap not in times:
+        times[overlap] = _occupancy_walk(mm, tp, overlap, priced)
+    return dict(times[overlap])
 
 
-def _occupancy_walk(mm: MappedModel, tp: TechParams, overlap: bool) -> dict[str, float]:
+def _occupancy_walk(mm: MappedModel, tp: TechParams, overlap: bool, priced: tuple) -> dict[str, float]:
     times: dict[str, float] = {}
     sparse_branch: dict[int, float] = {0: tp.t_bank}  # stem production = lookup
     for blk in mm.model.blocks:
         sparse_branch[blk.index] = 0.0
 
-    for (op_id, block_index, branch, op), p in zip(placements(mm.model), priced_operators(mm, tp)):
+    for (op_id, block_index, branch, op), p in zip(placements(mm.model), priced):
         if not overlap:
             t = p.latency
         elif p.occupancy is not None:

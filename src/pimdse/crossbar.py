@@ -43,7 +43,7 @@ partial sum stays below 2^47, where float64 holds every integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -138,9 +138,6 @@ class TileMeta:
     xbar_size: int
     row_tiles: int
     col_tiles: int
-    # Per virtual column: the signed plane weight (+/- 2^(plane * cell_bits)).
-    # Virtual column c feeds logical output c // (planes * 2).
-    col_weight: np.ndarray = field(repr=False, default=None)
 
     @property
     def virtual_cols(self) -> int:
@@ -225,9 +222,9 @@ def program_signed(
     raises ``ShapeMismatch``; an entry that is not an integer in the
     symmetric signed ``w_bits`` range raises ``OutOfRange``.
     """
-    if w_bits not in SUPPORTED_BITS["weight_bits"]:
+    if not (isinstance(w_bits, (int, np.integer)) and w_bits in SUPPORTED_BITS["weight_bits"]):
         raise OutOfRange(
-            f"w_bits must be one of {SUPPORTED_BITS['weight_bits']}, got {w_bits}"
+            f"w_bits must be an integer in {SUPPORTED_BITS['weight_bits']}, got {w_bits!r}"
         )
     m = np.asarray(matrix)
     if m.ndim != 2 or 0 in m.shape:
@@ -266,7 +263,6 @@ def program_signed(
         xbar_size=spec.rows,
         row_tiles=row_tiles,
         col_tiles=col_tiles,
-        col_weight=np.tile(_plane_weights(planes, cb), out_dim),
     )
     return ProgrammedTiles(cells=cells, meta=meta)
 

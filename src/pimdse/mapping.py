@@ -23,10 +23,10 @@ Dataflow conventions (shared with :mod:`pimdse.reference`):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,9 +50,6 @@ from .design_space import (
     ReRAMConfig,
     _field_state,
 )
-
-if TYPE_CHECKING:
-    from .cost_model import OperatorTable, PricedOperator, TechParams
 
 DEFAULT_ACTIVATION_BITS = 8
 DEFAULT_EMBEDDING_ROWS = 1024  # assumed rows per embedding table for sizing
@@ -117,12 +114,6 @@ class MappedOperator(NamedTuple):
     branch: str = ""
     consumes: tuple[tuple[int, str], ...] = ()  # (source block, stream)
 
-    @property
-    def tiles(self) -> int:
-        if self.parts:
-            return sum(p.tiles for p in self.parts)
-        return self.row_tiles * self.col_tiles
-
     def leaves(self):
         if self.parts:
             for p in self.parts:
@@ -162,24 +153,25 @@ class MappedOperator(NamedTuple):
 
 @dataclass(frozen=True)
 class MappedModel:
-    """A mapped design point: one shape record per operator, in the order of
-    :func:`placements`; ``operators``, ``edges`` and ``tile_plan`` derive
-    from it.
+    """A mapped design point: one shape key per operator, in the order of
+    :func:`placements` (see :func:`map_model`); ``shapes``, ``operators``,
+    ``edges`` and ``tile_plan`` derive from it on first read.
 
-    Mapped through an operator table, it also carries each operator's
-    table entry (``priced``, in operator order) and the technology that
-    priced them (``priced_by``); neither is compared, serialized or
-    pickled. :func:`pimdse.cost_model.stage_times` keeps the model's last
-    stage occupancy beside the fields.
+    :func:`pimdse.cost_model.priced_operators` keeps the model's prices
+    and stage occupancy under one technology beside the fields; like the
+    derived values, they are never compared, pickled or copied.
     """
 
     model: ModelConfig
     reram: ReRAMConfig
-    shapes: tuple[MappedOperator, ...]  # block operators plus the final FC, unplaced
-    priced: tuple[PricedOperator, ...] = field(default=(), compare=False, repr=False)
-    priced_by: TechParams | None = field(default=None, compare=False, repr=False)
+    keys: tuple[tuple, ...]  # block operators plus the final FC
 
     __getstate__ = _field_state
+
+    @cached_property
+    def shapes(self) -> tuple[MappedOperator, ...]:
+        """The unplaced shape record of every key."""
+        return tuple([map_shape(key, self.reram) for key in self.keys])
 
     @cached_property
     def operators(self) -> tuple[MappedOperator, ...]:
@@ -306,16 +298,13 @@ def map_dp(
     n_s: int,
     w_bits: int,
     reram: ReRAMConfig,
-    dense_in_dim: int | None = None,
-    out_dim: int | None = None,
+    dense_in_dim: int,
 ) -> MappedOperator:
     """Dot-product interaction: front FC (dense -> dim_s), front EFC
     (n_s -> k_sparse), a runtime-programmed pairwise engine, and a trailing
-    FC from the flattened pair vector to the dense output width."""
+    FC from the flattened pair vector to the dense output width dim_d."""
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
-    dense_in_dim = dim_d if dense_in_dim is None else dense_in_dim
-    out_dim = dim_d if out_dim is None else out_dim
     geo = DPGeometry.for_dense_dim(dim_d)
     a_bits = DEFAULT_ACTIVATION_BITS  # runtime operands carry activation width
     fc_front = map_fc(dense_in_dim, dim_s, w_bits, reram, op_id="fc_front")
@@ -335,13 +324,13 @@ def map_dp(
         programming_vectors=geo.merged_rows,
         geometry=geo,
     )
-    fc_out = map_fc(geo.pair_count, out_dim, w_bits, reram, op_id="fc_out")
+    fc_out = map_fc(geo.pair_count, dim_d, w_bits, reram, op_id="fc_out")
     return MappedOperator(
         op_id="",
         kind=OperatorKind.DP,
         engine=Engine.DP,
         in_dim=dense_in_dim,
-        out_dim=out_dim,
+        out_dim=dim_d,
         w_bits=w_bits,
         planes=planes,
         row_tiles=0,
@@ -357,13 +346,12 @@ def map_fm(
     dim_s: int,
     w_bits: int,
     reram: ReRAMConfig,
-    out_dim: int | None = None,
+    out_dim: int,
 ) -> MappedOperator:
     """Factorization machine: a transposed-write crossbar group holding the
     n_s producer vectors plus an MBSA squaring unit, then a trailing FC."""
     if n_s < 2:
         raise ValueError("n_s must be >= 2")
-    out_dim = dim_s if out_dim is None else out_dim
     a_bits = DEFAULT_ACTIVATION_BITS
     planes, rt, ct = _tile_counts(n_s, dim_s, a_bits, reram)
     engine = MappedOperator(
@@ -414,16 +402,16 @@ _KIND_NAMES = {kind: kind.value for kind in OperatorKind}
 _PLAN_KEYS = {Engine.MVM: "mvm_tiles", Engine.DP: "dp_tiles", Engine.FM: "fm_tiles"}
 
 
-def map_model(point: DesignPoint, table: OperatorTable | None = None) -> MappedModel:
+def map_model(point: DesignPoint) -> MappedModel:
     """Map every operator of a valid design point onto engines and tiles.
 
     Each operator is keyed by its shape: ``(kind, weight_bits, *dims,
     dac_bits, cell_bits, xbar_size, adc_bits)``, the values its mapper
     reads. Placement is not in the key, so one shape placed twice, in one
-    model or in two, shares one table entry. With ``table`` (a
-    :class:`pimdse.cost_model.OperatorTable`) a shape is mapped and priced
-    only when the table does not hold it yet, and the model carries the
-    priced entries for ``table.tech``.
+    model or in two, shares one entry of a technology's
+    :class:`pimdse.cost_model.OperatorTable`. Only the keys are built here:
+    a shape is mapped when :attr:`MappedModel.shapes` is first read, or
+    when pricing misses the table.
     """
     model, reram = point.model, point.reram
     n_s = model.num_sparse_features
@@ -451,21 +439,15 @@ def map_model(point: DesignPoint, table: OperatorTable | None = None) -> MappedM
                         shape = (kind, op.weight_bits, dense_w, n_s * dim_s)
                 keys.append(shape + reram_fields)
     keys.append((FC, model.final_fc_bits, model.blocks[-1].dim_d, 1) + reram_fields)  # one logit
-
-    if table is None:
-        return MappedModel(model, reram, tuple([_map_shape(key, reram) for key in keys]))
-    lookup, insert = table.lookup, table.insert
-    # Entries are nonempty tuples, so ``or`` maps and prices only on a miss.
-    priced = tuple([lookup(key) or insert(key, _map_shape(key, reram), reram) for key in keys])
-    return MappedModel(model, reram, tuple([p.op for p in priced]), priced, table.tech)
+    return MappedModel(model, reram, tuple(keys))
 
 
-def _map_shape(key: tuple, reram: ReRAMConfig) -> MappedOperator:
+def map_shape(key: tuple, reram: ReRAMConfig) -> MappedOperator:
     """The shape record of one :func:`map_model` key."""
     kind, w_bits, *dims = key[:-4]
     if kind is OperatorKind.DP:
         dense_w, dim_d, dim_s, sparse_count = dims
-        return map_dp(dim_d, dim_s, sparse_count, w_bits, reram, dense_in_dim=dense_w, out_dim=dim_d)
+        return map_dp(dim_d, dim_s, sparse_count, w_bits, reram, dense_in_dim=dense_w)
     if kind is OperatorKind.FM:
         sparse_count, dim_s, dim_d = dims
         return map_fm(sparse_count, dim_s, w_bits, reram, out_dim=dim_d)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -183,13 +184,13 @@ def default_hw_metrics(
     if lookup_model is None:
         lookup_model = default_lookup_model(tech, space.num_sparse_features, seed)
 
-    table = tech.operator_table  # shared by every search priced with this tech
-
     def metrics(point: DesignPoint) -> tuple[float, float, float]:
-        mm = map_model(point, table=table)
+        mm = map_model(point)
         cost = model_cost(mm, tech)
         report = simulate(mm, tech, lookup_model=lookup_model)
-        return (1.0 / report.throughput, cost.area, cost.peak_power)
+        # An infinite bottleneck gives throughput 0: an infinite metric.
+        inverse_throughput = 1.0 / report.throughput if report.throughput else math.inf
+        return (inverse_throughput, cost.area, cost.peak_power)
 
     return metrics
 
@@ -227,12 +228,17 @@ def run_search(
         """(loss, metrics) of a point, or the exception its evaluation raised.
 
         Evaluation is a pure function of the point, so a repeated child is
-        simply evaluated again and gets the same numbers.
+        simply evaluated again and gets the same numbers. A metric that is
+        not finite, as costs past float64 give, fails it with ``OverflowError``.
         """
         try:
-            return loss_fn(point), tuple(metric_fn(point))
+            loss, metrics = loss_fn(point), tuple(metric_fn(point))
         except Exception as exc:  # noqa: BLE001 - isolated per child
             return exc
+        for name, value in zip(METRIC_NAMES, metrics):
+            if not math.isfinite(value):
+                return OverflowError(f"{name} is {value!r}")
+        return loss, metrics
 
     population: list[PopulationEntry] = []
     insertion = 0
@@ -244,7 +250,7 @@ def run_search(
     init_evals = [evaluate(p) for p in init_points]
     for res in init_evals:
         if isinstance(res, Exception):
-            raise SearchAborted(f"initial population evaluation failed: {res}")
+            raise SearchAborted(f"initial population evaluation failed: {res}") from res
     targets = cfg.targets if cfg.targets is not None else init_evals[0][1]
     log = SearchLog(targets=tuple(targets))
     for point, (loss, metrics) in zip(init_points, init_evals):
@@ -270,7 +276,7 @@ def run_search(
                 skipped += 1
                 logger.warning("skipping child %s: %s", child.point_id[:12], res)
                 if skipped > MAX_SKIPPED_CHILDREN:
-                    raise SearchAborted(f"{skipped} children failed evaluation")
+                    raise SearchAborted(f"{skipped} children failed evaluation") from res
                 continue
             loss, metrics = res
             population.append(

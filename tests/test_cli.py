@@ -195,6 +195,37 @@ class TestTechFile:
         assert code == EXIT_PARSE
         assert "cannot load tech params" in err and "adc_bits [8]" in err
 
+    @pytest.fixture
+    def overflowing_tech(self, tmp_path):
+        from importlib import resources
+
+        tech = json.loads(resources.files("pimdse.data").joinpath("default_tech.json").read_text())
+        tech["xbar_read_time"] = 1e308  # accepted, but a read sweep's latency overflows float64
+        path = tmp_path / "tech.json"
+        path.write_text(json.dumps(tech))
+        return str(path)
+
+    def test_simulate_rejects_costs_past_float64(self, capsys, tmp_path, point_file, overflowing_tech):
+        # Used to exit 0 printing NaN and Infinity, which are not JSON.
+        csv_path = tmp_path / "cost.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--point", point_file, "--tech", overflowing_tech, "--csv", str(csv_path)
+        )
+        assert code == EXIT_PARSE and out == "" and not csv_path.exists()
+        assert f"tech params {overflowing_tech} give a value that is not finite: cost.op_latencies." in err
+        assert err.rstrip().endswith("= inf")
+
+    def test_search_rejects_costs_past_float64(self, capsys, tmp_path, overflowing_tech):
+        # Used to exit 4: "initial population evaluation failed: float division by zero".
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"num_generations": 1, "population_init_size": 2}')
+        code, _, err = run_cli(
+            capsys, "search", "--search-config", str(cfg), "--out", str(tmp_path / "out"),
+            "--tech", overflowing_tech,
+        )
+        assert code == EXIT_PARSE
+        assert f"tech params {overflowing_tech} give a value that is not finite: inverse_throughput is inf" in err
+
 
 def _set(doc, keys, value):
     """``doc`` with the value at the key path ``keys`` set; ``()`` replaces it."""

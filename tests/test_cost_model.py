@@ -18,6 +18,7 @@ from pimdse.cost_model import (
     model_cost,
     overlap_ready_time,
     price_operator,
+    priced_operators,
     stage_times,
 )
 from pimdse.design_space import (
@@ -33,7 +34,7 @@ from pimdse.design_space import (
     mutate,
     sample_random,
 )
-from pimdse.mapping import MappedModel, map_dp, map_fc, map_fm, map_model
+from pimdse.mapping import MappedModel, map_dp, map_fc, map_fm, map_model, map_shape
 from pimdse.pipeline import schedule, simulate, zipf_lookup_model
 from pimdse.search import default_hw_metrics
 
@@ -72,8 +73,8 @@ class TestOpLatency:
         assert price_operator(mo, tp, R16).latency == 16
 
     def test_fm_write_component_is_linear_in_vectors(self):
-        base = map_fm(2, 16, 4, R16)
-        bigger = map_fm(6, 16, 4, R16)
+        base = map_fm(2, 16, 4, R16, out_dim=16)
+        bigger = map_fm(6, 16, 4, R16, out_dim=16)
         def write_part(mo):
             engine = mo.parts[0]
             return engine.programming_vectors * TECH.xbar_write_time
@@ -117,7 +118,7 @@ class TestOpAreaEnergy:
         assert price_operator(mo8, TECH, ReRAMConfig(1, 2, 16, 8)).area >= area4
 
     def test_composite_sums_parts(self):
-        mo = map_dp(32, 16, 4, 4, R16)
+        mo = map_dp(32, 16, 4, 4, R16, dense_in_dim=32)
         whole = price_operator(mo, TECH, R16)
         parts = [price_operator(p, TECH, R16) for p in mo.parts]
         assert math.isclose(whole.area, sum(p.area for p in parts))
@@ -230,41 +231,59 @@ class TestOperatorTable:
         # each step mutates the previous point (1-3 edits) or samples anew (0)
         walk=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3)), max_size=8),
     )
-    def test_table_path_equals_table_free_path(self, space_index, first, walk):
+    def test_table_entries_equal_direct_pricing(self, space_index, first, walk):
         space = TABLE_SPACES[space_index]
         tech = default_tech()
         lookup = zipf_lookup_model(space.num_sparse_features, 256, 8, 16, 1, tech.t_bank)
         metric_fn = default_hw_metrics(tech, space, lookup_model=lookup)
-        small = OperatorTable(tech)
         point = sample_random(first, space)
         # far fewer entries than a walk maps, so entries are evicted
         with mock.patch.object(cost_model, "OPERATOR_TABLE_SIZE", 8):
             for seed, edits in [(None, 0), *walk]:
                 if seed is not None:
                     point = mutate(point, seed, edits, space) if edits else sample_random(seed, space)
+                mm, reram = map_model(point), point.reram
+                direct = tuple(price_operator(map_shape(key, reram), tech, reram) for key in mm.keys)
+                assert priced_operators(mm, tech) == direct
+                assert mm.shapes == tuple(p.op for p in direct)
+                cold = default_tech()  # an empty table: this model's shapes alone
                 plain = map_model(point)
-                cost, report = model_cost(plain, tech), simulate(plain, tech, lookup_model=lookup)
+                cost, report = model_cost(plain, cold), simulate(plain, cold, lookup_model=lookup)
                 expected = (1.0 / report.throughput, cost.area, cost.peak_power)
                 assert tuple(metric_fn(point)) == expected
-                mm = map_model(point, table=small)
-                assert mm.priced_by is tech and mm == plain and mm.edges == plain.edges
-                assert mm.operators == plain.operators and mm.to_dict() == plain.to_dict()
                 assert model_cost(mm, tech).to_dict() == cost.to_dict()
                 assert simulate(mm, tech, lookup_model=lookup).to_dict() == report.to_dict()
                 for overlap in (True, False):
                     sched = schedule(mm, tech, overlap)
-                    assert sched.to_dict() == schedule(plain, tech, overlap).to_dict()
-                assert len(small.entries) <= 8
+                    assert sched.to_dict() == schedule(plain, cold, overlap).to_dict()
+                assert len(tech.operator_table.entries) <= 8
+
+    def test_one_model_misses_once_per_distinct_shape(self):
+        for seed in range(4):
+            tech = default_tech()
+            table = tech.operator_table
+            mm = map_model(sample_random(seed))
+            distinct = len(set(mm.keys))
+            with mock.patch.object(cost_model, "price_operator", wraps=price_operator) as price:
+                model_cost(mm, tech)
+                for overlap in (True, False):
+                    assert simulate(mm, tech, overlap=overlap).latency
+                    schedule(mm, tech, overlap)
+                assert (table.misses, table.hits) == (distinct, len(mm.keys) - distinct)
+                assert price.call_count == distinct
+                again = map_model(sample_random(seed))  # the same shapes, all held
+                model_cost(again, tech)
+                assert (table.misses, price.call_count) == (distinct, distinct)
 
     @mock.patch.object(cost_model, "OPERATOR_TABLE_SIZE", 64)  # about three default-space models
     def test_bound_and_counts(self):
         tech = default_tech()
-        table = OperatorTable(tech)
+        table = tech.operator_table
         operators = 0
         point = sample_random(0)
         for seed in range(40):
             point = mutate(point, seed, 2)
-            operators += len(map_model(point, table=table).operators)
+            operators += len(priced_operators(map_model(point), tech))
             assert len(table.entries) <= 64
         assert table.hits + table.misses == operators
         assert table.hits > 0 and table.misses > 64  # children share operators; entries were evicted
@@ -294,15 +313,17 @@ class TestOperatorTable:
     def test_scaled_times_prices_with_the_scaled_times(self):
         tech = default_tech()
         point = sample_random(5)
-        priced = map_model(point, table=tech.operator_table)
+        priced = map_model(point)
+        unscaled = model_cost(priced, tech).to_dict()
         scaled = tech.scaled_times(3.0)
         assert scaled.operator_table is not tech.operator_table
         assert not scaled.operator_table.entries and scaled.xbar_read_time == 3.0 * tech.xbar_read_time
         fresh = model_cost(map_model(point), scaled).to_dict()
-        # a model priced under another tech is priced afresh, not read from its entries
+        assert scaled.operator_table.misses == len(set(priced.keys))
+        # a model priced under tech is priced again from scaled's table: every lookup hits
         assert model_cost(priced, scaled).to_dict() == fresh
-        assert model_cost(map_model(point, table=scaled.operator_table), scaled).to_dict() == fresh
-        assert fresh != model_cost(priced, tech).to_dict()
+        assert scaled.operator_table.misses == len(set(priced.keys))
+        assert fresh != unscaled
 
     def test_one_shape_at_two_placements_shares_one_entry(self):
         fc, efc, dsi = OperatorKind.FC, OperatorKind.EFC, OperatorKind.DSI
@@ -312,23 +333,23 @@ class TestOperatorTable:
             BlockConfig(2, 16, 16, (OperatorChoice(fc, 4, (1,)),), (OperatorChoice(dsi, 4, (1,)),)),
         )
         point = DesignPoint(ModelConfig(blocks, 8, 4, 16), R16)
-        table = OperatorTable(TECH)
-        mm = map_model(point, table=table)
+        tech = default_tech()
+        table = tech.operator_table
+        mm = map_model(point)
+        priced = priced_operators(mm, tech)
         assert (table.hits, table.misses) == (1, 4)  # b2.dense.FC hit b1.dense.FC's entry
-        assert mm.priced[2] is mm.priced[0] and mm.shapes[2] is mm.shapes[0]
-        plain = map_model(point)
-        assert mm.operators == plain.operators and mm.to_dict() == plain.to_dict()
+        assert priced[2] is priced[0] and mm.keys[2] == mm.keys[0] and mm.shapes[2] == mm.shapes[0]
         ids = [op.op_id for op in mm.operators]
         assert ids == ["b1.dense.FC", "b1.sparse.EFC", "b2.dense.FC", "b2.sparse.DSI", "final_fc"]
         assert mm.operators[0].consumes == ((0, "dense"),) and mm.operators[2].consumes == ((1, "dense"),)
         # block 1 alone: its FC, its EFC and a final FC from 16 wide are all held
         one = DesignPoint(ModelConfig(blocks[:1], 8, 4, 16), R16)
-        again = map_model(one, table=table)
+        again = map_model(one)
+        assert priced_operators(again, tech) == (priced[0], priced[1], priced[4])
         assert (table.hits, table.misses) == (4, 4)
         assert again.shapes == (mm.shapes[0], mm.shapes[1], mm.shapes[4])
-        assert again.to_dict() == map_model(one).to_dict()
 
-    def test_a_search_candidate_places_no_operator(self):
+    def test_a_search_candidate_builds_no_shape_or_operator(self):
         tech = default_tech()
         mapped = []
 
@@ -339,14 +360,16 @@ class TestOperatorTable:
         with mock.patch.object(search, "map_model", keep):
             default_hw_metrics(tech)(sample_random(3))
         (mm,) = mapped
-        assert "operators" not in vars(mm)  # placed records are built on first read only
-        assert all(p.op.op_id == "" and p.op.consumes == () for p in mm.priced)
+        # shape and placed records are built on first read only
+        assert "shapes" not in vars(mm) and "operators" not in vars(mm)
+        assert all(p.op.op_id == "" and p.op.consumes == () for p in priced_operators(mm, tech))
         for kind, *rest in tech.operator_table.entries:  # shape keys: a kind, then integers
             assert isinstance(kind, OperatorKind) and all(type(v) is int for v in rest)
 
     def test_table_is_not_serialized(self):
         tech = default_tech()
-        map_model(sample_random(1), table=tech.operator_table)
+        priced_operators(map_model(sample_random(1)), tech)
+        assert tech.operator_table.entries
         d = tech.to_dict()
         assert "operator_table" not in d
         assert from_plain(TechParams, d) == tech
@@ -382,7 +405,7 @@ class TestOneOccupancyPass:
         calls = [(tech, True), (scaled, True), (tech, False), (tech, True), (scaled, False), (scaled, True)]
         for seed in range(4):
             point = sample_random(seed)
-            mm = map_model(point, table=tech.operator_table)
+            mm = map_model(point)
             for tp, overlap in calls:
                 assert stage_times(mm, tp, overlap) == stage_times(map_model(point), tp, overlap)
                 assert model_cost(mm, tp).to_dict() == model_cost(map_model(point), tp).to_dict()
@@ -394,7 +417,7 @@ class TestOneOccupancyPass:
         other = tech_with(xbar_write_time=7 * TECH.xbar_write_time, mbsa_energy=2 * TECH.mbsa_energy)
         for seed in range(4):
             point = sample_random(seed)
-            mm = map_model(point, table=tech.operator_table)
+            mm = map_model(point)
             for tp in (tech, other, tech):
                 fresh = map_model(point)
                 assert model_cost(mm, tp).to_dict() == model_cost(fresh, tp).to_dict()
@@ -405,7 +428,7 @@ class TestOneOccupancyPass:
     def test_a_changed_result_mapping_changes_no_later_result(self):
         tech = default_tech()
         point = sample_random(11)
-        mm = map_model(point, table=tech.operator_table)
+        mm = map_model(point)
         for returned in (model_cost(mm, tech).stage_times, stage_times(mm, tech)):
             for key in returned:
                 returned[key] = 0.0
@@ -422,7 +445,7 @@ class TestOneOccupancyPass:
         first = lookup.latencies[0] if with_lookup else tech.t_bank
         assert with_lookup == (first != tech.t_bank)  # the lookup model moves the timeline
         for seed in range(6):
-            mm = map_model(sample_random(seed), table=tech.operator_table)
+            mm = map_model(sample_random(seed))
             for overlap in (True, False):
                 latency = simulate(mm, tech, lookup, overlap).latency
                 end = schedule(mm, tech, overlap, lookup_time=first).end_time
@@ -445,12 +468,11 @@ class TestPickledRecords:
     def test_mapped_model_pickles_without_prices_or_memo(self):
         tech = default_tech()
         point = sample_random(4)
-        mm = map_model(point, table=tech.operator_table)
+        mm = map_model(point)
         assert simulate(mm, tech).latency and mm.edges and mm.tile_plan
-        assert mm.priced_by is tech and "_stage_times" in vars(mm)
+        assert "_priced" in vars(mm) and "shapes" in vars(mm)
         fresh = map_model(point)
-        assert pickle.dumps(mm) == pickle.dumps(MappedModel(mm.model, mm.reram, mm.shapes))
+        assert pickle.dumps(mm) == pickle.dumps(MappedModel(mm.model, mm.reram, mm.keys))
         for again in (pickle.loads(pickle.dumps(mm)), copy.deepcopy(mm)):
-            assert again == mm and set(vars(again)) == {"model", "reram", "shapes"}
-            assert again.priced == () and again.priced_by is None
+            assert again == mm and set(vars(again)) == {"model", "reram", "keys"}
             assert model_cost(again, tech).to_dict() == model_cost(fresh, tech).to_dict()

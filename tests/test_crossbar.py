@@ -23,6 +23,14 @@ from pimdse.crossbar import (
 )
 
 
+def plane_weight(meta, vcol):
+    """Signed weight of virtual column ``vcol``, from the documented layout:
+    each output owns ``planes * 2`` columns, LSB plane first, positive
+    before negative."""
+    j = vcol % (meta.planes * 2)
+    return (1 - 2 * (j % 2)) * (1 << (j // 2 * meta.cell_bits))
+
+
 def reconstruct(pt):
     """Independent oracle: rebuild the signed matrix from the tile planes."""
     meta = pt.meta
@@ -32,7 +40,7 @@ def reconstruct(pt):
         rows = min(meta.xbar_size, meta.in_dim - r0)
         for vcol in range(meta.virtual_cols):
             total[r0 : r0 + rows, vcol // (meta.planes * 2)] += (
-                meta.col_weight[vcol] * pt.cells[rt, :rows, vcol].astype(np.int64)
+                plane_weight(meta, vcol) * pt.cells[rt, :rows, vcol].astype(np.int64)
             )
     return total
 
@@ -84,7 +92,8 @@ def tile_loop_mvm(pt, x, a_bits, conv):
                 acc[c0:c1, :] += w * sums.T
     out = np.zeros((meta.out_dim, n), dtype=np.int64)
     out_index = np.arange(meta.virtual_cols) // (meta.planes * 2)
-    np.add.at(out, out_index, meta.col_weight[:, None] * acc)
+    col_weight = np.array([plane_weight(meta, c) for c in range(meta.virtual_cols)])
+    np.add.at(out, out_index, col_weight[:, None] * acc)
     return (out if batched else out[:, 0]), clip_count, max_overflow
 
 
@@ -155,6 +164,8 @@ class TestProgramSigned:
             program_signed([[8]], 4, CrossbarSpec(16, 16, 2))
         with pytest.raises(OutOfRange):
             program_signed([[1]], 3, CrossbarSpec(16, 16, 2))
+        with pytest.raises(OutOfRange):
+            program_signed([[1]], 4.0, CrossbarSpec(16, 16, 2))
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
     def test_empty_matrix_rejected(self, shape):

@@ -95,7 +95,7 @@ class TestDPGeometry:
 
 class TestMapComposites:
     def test_dp_parts(self):
-        mo = map_dp(32, 16, 4, 4, R16)
+        mo = map_dp(32, 16, 4, 4, R16, dense_in_dim=32)
         ids = [p.op_id for p in mo.parts]
         assert ids == ["fc_front", "efc", "engine", "fc_out"]  # a shape's parts carry their roles
         engine = mo.parts[2]
@@ -113,7 +113,7 @@ class TestMapComposites:
 
     def test_fm_requires_two_vectors(self):
         with pytest.raises(ValueError):
-            map_fm(1, 16, 4, R16)
+            map_fm(1, 16, 4, R16, out_dim=16)
 
 
 class TestDPEngine:

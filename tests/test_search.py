@@ -141,6 +141,21 @@ class TestRunSearch:
         # the population size stable even with skipped children.
         assert len(res.population) == cfg.population_init_size
 
+    def test_children_with_non_finite_metrics_are_skipped(self, caplog):
+        cfg = small_cfg(num_generations=4)
+        calls = {"n": 0}
+
+        def overflowing_metrics(point):
+            calls["n"] += 1
+            if calls["n"] > cfg.population_init_size and calls["n"] % 2 == 0:
+                return (1.0, math.inf, 1.0) if calls["n"] % 4 else (1.0, 1.0, math.nan)
+            return (1.0, 1.0, 1.0)
+
+        res = run_search(cfg, self.loss_fn, overflowing_metrics)
+        assert all(math.isfinite(m) for e in res.population for m in e.metrics)
+        assert sum(len(g.child_ids) for g in res.log.generations) < cfg.num_generations * cfg.num_children
+        assert "area is inf" in caplog.text and "peak_power is nan" in caplog.text
+
     def test_explicit_targets_respected(self):
         cfg = small_cfg(targets=(1.0, 2.0, 3.0))
         res = run_search(cfg, self.loss_fn, self.metric_fn)
