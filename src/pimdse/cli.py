@@ -21,8 +21,9 @@ printed.
 A ``--tech`` file whose costs overflow float64 exits 2 naming the file and
 the first value that is not finite: ``simulate`` before any output;
 ``search`` when it aborts on one (an initial point, or the child past the
-skip limit; other such children are skipped like any failing child). Every
-JSON file written is strict: no NaN or Infinity.
+skip limit; other such children are skipped like any failing child). A
+``search`` that aborts, for this or any other reason, removes the files and
+directories it made. Every JSON file written is strict: no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -183,6 +184,7 @@ def cmd_search(args) -> int:
             raise CliError(f"cannot load external losses {args.external}: {exc}", EXIT_PARSE) from exc
 
     out_dir = Path(args.out)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a path component that is a file, or no permission
@@ -200,28 +202,32 @@ def cmd_search(args) -> int:
         "tool_version": __version__,
         "output_directory": str(out_dir),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        _dump(manifest, fh)  # manifest lands before any result file
-
     loss_fn = default_loss(SurrogateParams(seed=cfg.seed), external=external)
     metric_fn = default_hw_metrics(tech, space, seed=cfg.seed)
+    written = []  # the files this run opened, removed again if it aborts
+    try:
+        with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+            written.append(fh.name)
+            _dump(manifest, fh)  # manifest lands before any result file
+        with open(out_dir / "criterion.csv", "w", encoding="utf-8") as csv_fh:
+            written.append(csv_fh.name)
+            csv_fh.write("# manifest=manifest.json\n")
+            csv_fh.write("generation,best,median\n")
 
-    csv_path = out_dir / "criterion.csv"
-    with open(csv_path, "w", encoding="utf-8") as csv_fh:
-        csv_fh.write("# manifest=manifest.json\n")
-        csv_fh.write("generation,best,median\n")
+            def flush_generation(record):
+                csv_fh.write(f"{record.generation},{record.best!r},{record.median!r}\n")
+                csv_fh.flush()
 
-        def flush_generation(record):
-            csv_fh.write(f"{record.generation},{record.best!r},{record.median!r}\n")
-            csv_fh.flush()
-
-        try:
             result = run_search(cfg, loss_fn, metric_fn, space, on_generation=flush_generation)
-        except SearchAborted as exc:
-            if isinstance(exc.__cause__, OverflowError):  # a metric past float64
-                msg = f"tech params {args.tech} give a value that is not finite: {exc.__cause__}"
-                raise CliError(msg, EXIT_PARSE) from exc
-            raise
+    except Exception as exc:  # an aborted search leaves nothing it wrote behind
+        for name in written:
+            os.remove(name)
+        for d in created:
+            d.rmdir()
+        if isinstance(exc, SearchAborted) and isinstance(exc.__cause__, OverflowError):
+            msg = f"tech params {args.tech} give a value that is not finite: {exc.__cause__}"
+            raise CliError(msg, EXIT_PARSE) from exc
+        raise
 
     with open(out_dir / "search_log.json", "w", encoding="utf-8") as fh:
         payload = result.log.to_dict()

@@ -81,10 +81,11 @@ class TechParams:
             self.buffer_read_energy, self.buffer_write_energy,
             self.buffer_area_per_byte, self.t_bank, self.activation_time,
         ]
-        if any(v <= 0 for v in numeric) or self.adcs_per_xbar < 1:
-            raise ValueError("technology parameters must be positive")
-        if self.controller_overhead_fraction < 0:
-            raise ValueError("controller overhead must be nonnegative")
+        # Written so that NaN, which fails every comparison, fails them too.
+        if not all(0 < v < math.inf for v in numeric) or not 1 <= self.adcs_per_xbar < math.inf:
+            raise ValueError("technology parameters must be positive and finite")
+        if not 0 <= self.controller_overhead_fraction < math.inf:
+            raise ValueError("controller overhead must be nonnegative and finite")
         for name, table in (("adc_energy", self.adc_energy), ("adc_area", self.adc_area)):
             missing = sorted(set(SUPPORTED_BITS["adc_bits"]) - set(table))
             if missing:
@@ -94,8 +95,10 @@ class TechParams:
                 )
             keys = sorted(table)
             vals = [table[k] for k in keys]
-            if any(v <= 0 for v in vals) or any(a > b for a, b in zip(vals, vals[1:])):
-                raise ValueError("ADC tables must be positive and nondecreasing in resolution")
+            if not all(0 < v < math.inf for v in vals) or any(a > b for a, b in zip(vals, vals[1:])):
+                raise ValueError(
+                    "ADC tables must be positive, finite and nondecreasing in resolution"
+                )
 
     def scaled_times(self, c: float) -> "TechParams":
         """All time entries multiplied by c; used by scale-freeness checks.

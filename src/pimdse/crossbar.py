@@ -59,7 +59,9 @@ class ShapeMismatch(ValueError):
 
 # Every bit-width the kernel realizes, per converter and storage field
 # (``weight_bits`` covers every programmed value, runtime operands too). A
-# design space may offer no other width; ``SpaceDescriptor`` checks.
+# design space may offer no other width; ``SpaceDescriptor`` checks. Every
+# ADC width is at least any DAC plus cell width, so every combination of
+# them is a feasible ReRAM configuration.
 SUPPORTED_BITS = {
     "dac_bits": (1, 2),
     "cell_bits": (1, 2),

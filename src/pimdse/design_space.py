@@ -413,8 +413,6 @@ def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> Vali
         v.append(f"reram: xbar_size {reram.xbar_size} not in menu")
     if reram.adc_bits not in space.adc_bits:
         v.append(f"reram: adc_bits {reram.adc_bits} not in menu")
-    if reram.adc_bits < reram.dac_bits + reram.cell_bits:
-        v.append("reram: adc_bits < dac_bits + cell_bits")
 
     return ValidationReport(ok=not v, violations=v)
 
@@ -505,15 +503,12 @@ def sample_random(seed: int, space: SpaceDescriptor = DEFAULT_SPACE) -> DesignPo
                 sparse_ops=_random_branch(rng, space.sparse_operators, i, space.weight_bits, n_s),
             )
         )
-    for _ in range(64):  # menu combinations may be infeasible in custom spaces
-        reram = ReRAMConfig(
-            dac_bits=rng.choice(list(space.dac_bits)),
-            cell_bits=rng.choice(list(space.cell_bits)),
-            xbar_size=rng.choice(list(space.xbar_sizes)),
-            adc_bits=rng.choice(list(space.adc_bits)),
-        )
-        if reram.adc_bits >= reram.dac_bits + reram.cell_bits:
-            break
+    reram = ReRAMConfig(
+        dac_bits=rng.choice(list(space.dac_bits)),
+        cell_bits=rng.choice(list(space.cell_bits)),
+        xbar_size=rng.choice(list(space.xbar_sizes)),
+        adc_bits=rng.choice(list(space.adc_bits)),
+    )
     model = ModelConfig(
         blocks=tuple(blocks),
         final_fc_bits=rng.choice(list(space.weight_bits)),
@@ -660,8 +655,6 @@ def _mut_reram(point, rng, space):
     if not options:
         return None
     new = ReRAMConfig(**{**reram.to_dict(), fld: rng.choice(options)})
-    if new.adc_bits < new.dac_bits + new.cell_bits:
-        return None
     return DesignPoint(model=point.model, reram=new)
 
 
@@ -716,17 +709,6 @@ def mutate(
 # cardinality
 # ---------------------------------------------------------------------------
 
-def _reram_combo_count(space: SpaceDescriptor) -> int:
-    return sum(
-        1
-        for d in space.dac_bits
-        for c in space.cell_bits
-        for _ in space.xbar_sizes
-        for a in space.adc_bits
-        if a >= d + c
-    )
-
-
 def _branch_count(
     menu: Sequence[OperatorKind], n_sources: int, n_bits: int, n_s: int
 ) -> int:
@@ -741,7 +723,8 @@ def _branch_count(
 def cardinality(space: SpaceDescriptor = DEFAULT_SPACE) -> int:
     """Exact count of valid points under this artifact's conventions."""
     total = len(space.weight_bits)  # final FC bits
-    total *= _reram_combo_count(space)
+    for menu in (space.dac_bits, space.cell_bits, space.xbar_sizes, space.adc_bits):
+        total *= len(menu)  # every ReRAM combination is feasible (see SUPPORTED_BITS)
     n_bits, n_s = len(space.weight_bits), space.num_sparse_features
     for i in range(1, space.num_blocks + 1):
         block = len(space.dense_dims) * len(space.sparse_dims)
@@ -770,7 +753,7 @@ def cardinality_report(space: SpaceDescriptor = DEFAULT_SPACE) -> dict:
             "kind independently absent or present with a per-operator weight "
             "bit-width and a nonempty input subset drawn from {stem, earlier "
             "blocks}; both branches nonempty. Global: final-FC bit-width and "
-            "the feasible DAC/cell/crossbar/ADC combinations."
+            "every DAC/cell/crossbar/ADC combination."
         ),
         "global_quant_count": str(estimate),
         "global_quant_digits": len(str(estimate)),

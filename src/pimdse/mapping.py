@@ -3,8 +3,9 @@
 Each operator of a design point becomes a ``MappedOperator``: tile counts,
 bit planes, engine assignment, and (for runtime-programmed engines) the
 number of vectors written during inference. ``functional_forward`` then
-executes the whole mapped model through the bit-accurate crossbar kernel so
-that equivalence against a pure-integer reference can be checked exactly.
+runs those records, the ones the cost model prices, through the bit-accurate
+crossbar kernel so that equivalence against a pure-integer reference can be
+checked exactly.
 
 Dataflow conventions (shared with :mod:`pimdse.reference`):
 
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -399,6 +401,7 @@ _CONSUMED_STREAMS = {
     OperatorKind.DSI: ("dense",),
 }
 _KIND_NAMES = {kind: kind.value for kind in OperatorKind}
+_BRANCH_KINDS = {"dense": DENSE_KINDS, "sparse": SPARSE_KINDS}
 _PLAN_KEYS = {Engine.MVM: "mvm_tiles", Engine.DP: "dp_tiles", Engine.FM: "fm_tiles"}
 
 
@@ -565,96 +568,71 @@ def functional_forward(
 ) -> tuple[np.ndarray, dict[str, SaturationLog]]:
     """Execute the mapped model through the crossbar kernel, batch size one.
 
-    Returns the final dense output and one saturation log per leaf
-    operator. Activations are ``DEFAULT_ACTIVATION_BITS`` wide, the width
-    the cost model prices. With lossless converter settings the output
-    matches the pure-integer reference exactly.
+    Walks :attr:`MappedModel.operators` block by block; each leaf runs its
+    ``op_id``'s weight at its ``w_bits`` on the streams its operator
+    ``consumes``. Returns the last record's (the final FC's) unclamped output
+    and one saturation log per leaf, in leaf order. Activations are
+    ``DEFAULT_ACTIVATION_BITS`` wide, the width the cost model prices. With
+    lossless converter settings the output matches the pure-integer
+    reference exactly.
     """
     model, reram = mm.model, mm.reram
     n_s = model.num_sparse_features
-    dense_in = np.asarray(dense_in, dtype=np.int64)
-    sparse_in = np.asarray(sparse_in, dtype=np.int64)
+    dense_in, sparse_in = clamp_activations(dense_in), clamp_activations(sparse_in)
     if dense_in.shape != (model.embedding_dim,):
         raise ShapeMismatch(f"dense input must have shape ({model.embedding_dim},)")
     if sparse_in.shape != (n_s, model.embedding_dim):
         raise ShapeMismatch(f"sparse input must have shape ({n_s}, {model.embedding_dim})")
 
-    dense_out = {STEM: clamp_activations(dense_in)}
-    sparse_out = {STEM: clamp_activations(sparse_in)}
+    out = {"dense": {STEM: dense_in}, "sparse": {STEM: sparse_in}}  # stream -> source -> output
     logs: dict[str, SaturationLog] = {}
 
-    def gather_dense(sources):
-        return np.concatenate([dense_out[s] for s in sources])
+    def gather(op, stream, dim_s=None):
+        """The ``stream`` sources ``op`` consumes: dense vectors joined end to
+        end, sparse matrices aligned to ``dim_s`` columns and stacked."""
+        mats = [out[stream][s] for s, st in op.consumes if st == stream]
+        if stream == "dense":
+            return np.concatenate(mats)
+        return np.vstack([_align_width(m, dim_s) for m in mats])
 
-    def gather_sparse(sources, dim_s):
-        mats = [_align_width(sparse_out[s], dim_s) for s in sources]
-        return np.vstack(mats)
+    def run(leaf, x):
+        if leaf.engine is Engine.MVM:
+            y, logs[leaf.op_id] = run_fc(weights[leaf.op_id], x, leaf.w_bits, reram)
+        elif leaf.engine is Engine.DP:
+            y, logs[leaf.op_id] = dp_engine_forward(x, reram)
+        else:
+            y, logs[leaf.op_id] = fm_engine_forward(x, reram)
+        return y
 
-    for blk in model.blocks:
-        d_acc = np.zeros(blk.dim_d, dtype=np.int64)
-        for op in blk.dense_ops:
-            op_id = f"b{blk.index}.dense.{op.kind.value}"
-            if op.kind == OperatorKind.FC:
-                y, lg = run_fc(weights[op_id], gather_dense(op.inputs), op.weight_bits, reram)
-                logs[op_id] = lg
-            elif op.kind == OperatorKind.DP:
-                y = _dp_forward(op, op_id, blk, gather_dense, gather_sparse, weights, reram, logs)
-            elif op.kind == OperatorKind.FM:
-                xs = gather_sparse(op.inputs, blk.dim_s)
-                ix, lg = fm_engine_forward(xs, reram)
-                logs[f"{op_id}.engine"] = lg
-                y, lg2 = run_fc(weights[f"{op_id}.fc_out"], clamp_activations(ix), op.weight_bits, reram)
-                logs[f"{op_id}.fc_out"] = lg2
-            else:
-                raise _wrong_branch(op_id, op.kind, DENSE_KINDS)
-            d_acc += clamp_activations(y)
-        d_acc = clamp_activations(np.maximum(d_acc, 0))  # ReLU on dense
-
-        s_acc = np.zeros((n_s, blk.dim_s), dtype=np.int64)
-        for op in blk.sparse_ops:
-            op_id = f"b{blk.index}.sparse.{op.kind.value}"
-            if op.kind == OperatorKind.EFC:
-                ys, lg = run_fc(
-                    weights[op_id], gather_sparse(op.inputs, blk.dim_s), op.weight_bits, reram
+    blocks = {blk.index: blk for blk in model.blocks}
+    *records, final = mm.operators
+    for index, ops in groupby(records, key=lambda op: op.block_index):
+        blk = blocks[index]
+        acc = {"dense": np.zeros(blk.dim_d, np.int64), "sparse": np.zeros((n_s, blk.dim_s), np.int64)}
+        for op in ops:
+            if op.kind not in _BRANCH_KINDS[op.branch]:
+                allowed = [k.value for k in _BRANCH_KINDS[op.branch]]
+                raise ValueError(
+                    f"{op.op_id}: {op.kind.value} cannot run in this branch (allowed: {allowed})"
                 )
-            elif op.kind == OperatorKind.DSI:
-                flat, lg = run_fc(weights[op_id], gather_dense(op.inputs), op.weight_bits, reram)
-                ys = flat.reshape(n_s, blk.dim_s)
-            else:
-                raise _wrong_branch(op_id, op.kind, SPARSE_KINDS)
-            logs[op_id] = lg
-            s_acc += clamp_activations(ys)
-        s_acc = clamp_activations(s_acc)  # identity activation
+            if op.parts:  # DP or FM: (*front, engine, fc_out)
+                *front, engine, fc_out = op.parts
+                if front:  # DP: the front FC's row above the EFC's rows
+                    fc_front, efc = front
+                    h = clamp_activations(run(fc_front, gather(op, "dense")))
+                    e = clamp_activations(run(efc, gather(op, "sparse", blk.dim_s)))
+                    x = np.vstack([h[None, :], e])
+                else:  # FM: the source sparse vectors
+                    x = gather(op, "sparse", blk.dim_s)
+                y = run(fc_out, clamp_activations(run(engine, x)))
+            else:  # FC, EFC or DSI, whose flat output fills the sparse matrix
+                x = gather(op, op.consumes[0][1], blk.dim_s)
+                y = run(op, x).reshape(acc[op.branch].shape)
+            acc[op.branch] += clamp_activations(y)
+        out["dense"][index] = clamp_activations(np.maximum(acc["dense"], 0))  # ReLU on dense
+        out["sparse"][index] = clamp_activations(acc["sparse"])  # identity activation
 
-        dense_out[blk.index] = d_acc
-        sparse_out[blk.index] = s_acc
-
-    logit, lg = run_fc(
-        weights["final_fc"], dense_out[model.blocks[-1].index], model.final_fc_bits, reram
-    )
-    logs["final_fc"] = lg
-    return logit, logs
-
-
-def _wrong_branch(op_id: str, kind: OperatorKind, allowed) -> ValueError:
-    return ValueError(
-        f"{op_id}: {kind.value} cannot run in this branch (allowed: {[k.value for k in allowed]})"
-    )
-
-
-def _dp_forward(op, op_id, blk, gather_dense, gather_sparse, weights, reram, logs):
-    h, lg = run_fc(weights[f"{op_id}.fc_front"], gather_dense(op.inputs), op.weight_bits, reram)
-    logs[f"{op_id}.fc_front"] = lg
-    h = clamp_activations(h)
-    e, lg = run_fc(weights[f"{op_id}.efc"], gather_sparse(op.inputs, blk.dim_s), op.weight_bits, reram)
-    logs[f"{op_id}.efc"] = lg
-    e = clamp_activations(e)
-    x = np.vstack([h[None, :], e])
-    pairs, lg = dp_engine_forward(x, reram)
-    logs[f"{op_id}.engine"] = lg
-    y, lg = run_fc(weights[f"{op_id}.fc_out"], clamp_activations(pairs), op.weight_bits, reram)
-    logs[f"{op_id}.fc_out"] = lg
-    return y
+    return run(final, gather(final, "dense")), logs
 
 
 def _align_width(mat: np.ndarray, width: int) -> np.ndarray:

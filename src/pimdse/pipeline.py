@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 from .cost_model import TechParams, _engine_ready, priced_operators, stage_times
@@ -193,16 +194,11 @@ def _timeline(
     sparse_ready = {0: lookup_t}
     sparse_start = {0: 0.0}       # when stem production (the lookup) begins
 
-    # Operators grouped by block in one pass; the final FC is timed last.
-    block_ops: dict[int, list] = {blk.index: [] for blk in mm.model.blocks}
-    for op, p in zip(mm.operators, priced_operators(mm, tp)):
-        if op.block_index in block_ops:
-            block_ops[op.block_index].append((op, p))
-
     FM = Engine.FM
-    for blk in mm.model.blocks:
+    *records, (final, _) = zip(mm.operators, priced_operators(mm, tp))
+    for index, ops in groupby(records, key=lambda pair: pair[0].block_index):
         dense_ends, sparse_ends, branch_starts = [], [], []
-        for op, p in block_ops[blk.index]:
+        for op, p in ops:
             if overlap and op.engine is FM:
                 # Occupancy has no timeline, so it spreads the source
                 # branches' summed production over the vectors. Here the
@@ -225,12 +221,12 @@ def _timeline(
             else:
                 sparse_ends.append(end)
                 branch_starts.append(start)
-        dense_ready[blk.index] = max(dense_ends) + tp.activation_time
-        sparse_ready[blk.index] = max(sparse_ends)
-        sparse_start[blk.index] = min(branch_starts)
+        dense_ready[index] = max(dense_ends) + tp.activation_time
+        sparse_ready[index] = max(sparse_ends)
+        sparse_start[index] = min(branch_starts)
 
-    start = dense_ready[mm.model.blocks[-1].index]
-    events.append(StageEvent("final_fc", start, start + occ["final_fc"], "compute"))
+    start = max(dense_ready[s] for s, stream in final.consumes)  # the last block's dense output
+    events.append(StageEvent(final.op_id, start, start + occ[final.op_id], "compute"))
     return tuple(events)
 
 

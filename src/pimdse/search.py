@@ -61,12 +61,13 @@ class SearchConfig:
         )
         if any(c < 1 for c in counts):
             raise ValueError("all counts must be >= 1")
-        if len(self.lambdas) != 3 or any(l < 0 for l in self.lambdas):
-            raise ValueError("lambdas must be three nonnegative weights")
+        # Written so that NaN, which fails every comparison, fails them too.
+        if len(self.lambdas) != 3 or not all(0 <= l < math.inf for l in self.lambdas):
+            raise ValueError("lambdas must be three finite nonnegative weights")
         if self.targets is not None and (
-            len(self.targets) != 3 or any(t <= 0 for t in self.targets)
+            len(self.targets) != 3 or not all(0 < t < math.inf for t in self.targets)
         ):
-            raise ValueError("targets must be three positive values")
+            raise ValueError("targets must be three finite positive values")
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,20 @@ class TestTechFile:
         )
         assert code == EXIT_PARSE
         assert f"tech params {overflowing_tech} give a value that is not finite: inverse_throughput is inf" in err
+        assert not (tmp_path / "out").exists()  # used to keep manifest.json and a header-only criterion.csv
+
+    def test_aborted_search_removes_only_what_it_made(self, capsys, tmp_path, overflowing_tech):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"num_generations": 1, "population_init_size": 2}')
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine")
+        code, _, _ = run_cli(
+            capsys, "search", "--search-config", str(cfg), "--out", str(kept / "a" / "b"),
+            "--tech", overflowing_tech,
+        )
+        assert code == EXIT_PARSE
+        assert sorted(p.name for p in kept.iterdir()) == ["notes.txt"]
 
 
 def _set(doc, keys, value):

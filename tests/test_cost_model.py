@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -57,6 +58,23 @@ class TestTechParams:
     def test_positive_values_enforced(self):
         with pytest.raises(ValueError):
             tech_with(xbar_read_time=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("cell_area", "technology parameters must be positive and finite"),
+            ("adcs_per_xbar", "technology parameters must be positive and finite"),
+            ("controller_overhead_fraction", "controller overhead must be nonnegative and finite"),
+            ("adc_energy", "ADC tables must be positive, finite"),
+            ("adc_area", "ADC tables must be positive, finite"),
+        ],
+    )
+    def test_non_finite_values_refused(self, field, message, value):
+        # The Python API used to accept them: a NaN cell area priced every area as NaN.
+        bad = {**getattr(TECH, field), 8: value} if field.startswith("adc_") else value
+        with pytest.raises(ValueError, match=message):
+            replace(TECH, **{field: bad})
 
 
 class TestOpLatency:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimdse.cost_model import default_tech, model_cost
+from pimdse.crossbar import SUPPORTED_BITS
 from pimdse.design_space import (
     DEFAULT_SPACE,
     BlockConfig,
@@ -79,6 +80,14 @@ class TestValidate:
         report = validate(pt)
         assert not report.ok
         assert any("adc_bits 3 not in menu" in v for v in report.violations)
+
+    def test_every_supported_reram_combination_is_feasible(self):
+        # No menu-check pass can break adc_bits >= dac_bits + cell_bits, so
+        # validate, sampling, mutation and cardinality do not check it. A
+        # wider DAC or cell width in the table must bring that rule back.
+        assert min(SUPPORTED_BITS["adc_bits"]) >= (
+            max(SUPPORTED_BITS["dac_bits"]) + max(SUPPORTED_BITS["cell_bits"])
+        )
 
     def test_dag_violation_detected(self):
         pt = minimal_point()

@@ -341,6 +341,16 @@ class TestFunctionalForward:
             assert all(log.clean for log in logs.values())
             assert np.array_equal(y, reference_forward(pt.model, dense, sparse, w))
 
+    def test_logs_every_priced_leaf_in_operator_order(self):
+        # The forward runs the records the cost model prices: one log per
+        # leaf of mm.operators, keyed by its op_id, in leaf order.
+        rng = np.random.default_rng(11)
+        for with_dp, with_fm in ((True, False), (False, True), (True, True)):
+            mm = map_model(two_block_point(with_dp=with_dp, with_fm=with_fm))
+            dense, sparse = rng.integers(-127, 128, 16), rng.integers(-127, 128, (4, 16))
+            _, logs = functional_forward(mm, dense, sparse, random_weights(mm, seed=5))
+            assert list(logs) == [leaf.op_id for op in mm.operators for leaf in op.leaves()]
+
     def test_weight_shapes_cover_all_leaves(self):
         mm = map_model(two_block_point(with_dp=True, with_fm=True))
         shapes = {

@@ -174,3 +174,11 @@ class TestSearchConfig:
     def test_rejects_nonpositive_targets(self):
         with pytest.raises(ValueError):
             SearchConfig(targets=(0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_lambdas_and_targets(self, value):
+        # Both used to be accepted: NaN fails every comparison, and infinity is positive.
+        with pytest.raises(ValueError, match="lambdas must be three finite nonnegative weights"):
+            SearchConfig(lambdas=(0.1, value, 0.1))
+        with pytest.raises(ValueError, match="targets must be three finite positive values"):
+            SearchConfig(targets=(1.0, 1.0, value))
