@@ -26,7 +26,8 @@ import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache, cached_property
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from operator import attrgetter
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .crossbar import SUPPORTED_BITS
 
@@ -45,17 +46,11 @@ DENSE_KINDS = (OperatorKind.FC, OperatorKind.DP, OperatorKind.FM)
 SPARSE_KINDS = (OperatorKind.EFC, OperatorKind.DSI)
 # Operators that fuse information across the dense/sparse boundary.
 INTERACTION_KINDS = (OperatorKind.DP, OperatorKind.FM, OperatorKind.DSI)
-
-MUTATION_ACTIONS = (
-    "swap-dense-op",
-    "swap-sparse-op",
-    "change-dim-d",
-    "change-dim-s",
-    "rewire-connection",
-    "toggle-interaction-op",
-    "change-weight-bits",
-    "change-reram-field",
-)
+_KIND = attrgetter("kind")  # kinds are str members, so they sort by their values
+# ReRAMConfig field -> the SpaceDescriptor menu it draws from, in draw order.
+_RERAM_MENUS = {
+    "dac_bits": "dac_bits", "cell_bits": "cell_bits", "xbar_size": "xbar_sizes", "adc_bits": "adc_bits",
+}
 
 MUTATION_RETRIES = 16  # redraws per requested mutation before giving up
 
@@ -68,17 +63,16 @@ def _field_state(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record) if f.compare}
 
 
-def _sort_ops(ops: Iterable[OperatorChoice]) -> tuple[OperatorChoice, ...]:
-    return tuple(sorted(ops, key=lambda o: o.kind.value))
-
-
 @dataclass(frozen=True)
 class OperatorChoice:
     """One operator instance inside a block branch."""
 
     kind: OperatorKind
     weight_bits: int
-    inputs: tuple[int, ...] = field(metadata={"normalize": sorted})  # sorted source indices, 0 = stem
+    inputs: tuple[int, ...]  # source indices, stored sorted; 0 = stem
+
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", tuple(sorted(self.inputs)))
 
     def to_dict(self) -> dict:
         return {
@@ -93,10 +87,14 @@ class BlockConfig:
     index: int  # 1-based position
     dim_d: int  # dense feature dimension
     dim_s: int  # sparse feature dimension
-    dense_ops: tuple[OperatorChoice, ...] = field(metadata={"normalize": _sort_ops})
-    sparse_ops: tuple[OperatorChoice, ...] = field(metadata={"normalize": _sort_ops})
+    dense_ops: tuple[OperatorChoice, ...]  # each branch stored sorted by kind
+    sparse_ops: tuple[OperatorChoice, ...]
 
     __getstate__ = _field_state
+
+    def __post_init__(self):
+        object.__setattr__(self, "dense_ops", tuple(sorted(self.dense_ops, key=_KIND)))
+        object.__setattr__(self, "sparse_ops", tuple(sorted(self.sparse_ops, key=_KIND)))
 
     def to_dict(self) -> dict:
         return {
@@ -139,12 +137,7 @@ class ReRAMConfig:
     __getstate__ = _field_state
 
     def to_dict(self) -> dict:
-        return {
-            "dac_bits": self.dac_bits,
-            "cell_bits": self.cell_bits,
-            "xbar_size": self.xbar_size,
-            "adc_bits": self.adc_bits,
-        }
+        return {name: getattr(self, name) for name in _RERAM_MENUS}
 
     @cached_property
     def canonical_fragment(self) -> str:
@@ -186,7 +179,7 @@ def _input_subset_count(kind: OperatorKind, n_sources: int, n_s: int) -> int:
 # SpaceDescriptor fields that list the choices of one configuration field.
 _MENUS = (
     "dense_operators", "sparse_operators", "dense_dims", "sparse_dims", "weight_bits",
-    "dac_bits", "cell_bits", "xbar_sizes", "adc_bits",
+    *_RERAM_MENUS.values(),
 )
 
 
@@ -298,8 +291,7 @@ def from_plain(cls, data):
     field types: dataclasses, ``tuple[X, ...]``, fixed-length tuples,
     ``X | None``, enums, ``dict[int, float]``, ``int``, ``float``, ``str``.
 
-    Keys left out keep their defaults; a field whose metadata names a
-    ``normalize`` function is passed through it. Anything malformed raises
+    Keys left out keep their defaults. Anything malformed raises
     ``ValueError`` naming its JSON path, e.g.
     ``model.blocks[0].dense_ops[0].weight_bits: expected int, got [4]``.
     """
@@ -334,8 +326,6 @@ def _decode(tp, value, path: str):
         for name, (f, ftp) in known.items():
             if name in value:
                 kwargs[name] = _decode(ftp, value[name], at(name))
-                if "normalize" in f.metadata:
-                    kwargs[name] = tuple(f.metadata["normalize"](kwargs[name]))
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise bad("missing required key", at(name))
         return tp(**kwargs)
@@ -405,14 +395,10 @@ def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> Vali
             blk.__dict__["_violations"] = memo
         v.extend(memo[3])
 
-    if reram.dac_bits not in space.dac_bits:
-        v.append(f"reram: dac_bits {reram.dac_bits} not in menu")
-    if reram.cell_bits not in space.cell_bits:
-        v.append(f"reram: cell_bits {reram.cell_bits} not in menu")
-    if reram.xbar_size not in space.xbar_sizes:
-        v.append(f"reram: xbar_size {reram.xbar_size} not in menu")
-    if reram.adc_bits not in space.adc_bits:
-        v.append(f"reram: adc_bits {reram.adc_bits} not in menu")
+    for name, menu in _RERAM_MENUS.items():
+        value = getattr(reram, name)
+        if value not in getattr(space, menu):
+            v.append(f"reram: {name} {value} not in menu")
 
     return ValidationReport(ok=not v, violations=v)
 
@@ -485,7 +471,7 @@ def _random_branch(
         while _fm_starved(kind, n_s, len(inputs)):  # uniform over the valid subsets
             inputs = _random_subset(rng, n_sources)
         ops.append(OperatorChoice(kind=kind, weight_bits=weight_bits, inputs=inputs))
-    return _sort_ops(ops)
+    return tuple(ops)
 
 
 def sample_random(seed: int, space: SpaceDescriptor = DEFAULT_SPACE) -> DesignPoint:
@@ -504,10 +490,7 @@ def sample_random(seed: int, space: SpaceDescriptor = DEFAULT_SPACE) -> DesignPo
             )
         )
     reram = ReRAMConfig(
-        dac_bits=rng.choice(list(space.dac_bits)),
-        cell_bits=rng.choice(list(space.cell_bits)),
-        xbar_size=rng.choice(list(space.xbar_sizes)),
-        adc_bits=rng.choice(list(space.adc_bits)),
+        **{name: rng.choice(list(getattr(space, menu))) for name, menu in _RERAM_MENUS.items()}
     )
     model = ModelConfig(
         blocks=tuple(blocks),
@@ -523,9 +506,10 @@ def sample_random(seed: int, space: SpaceDescriptor = DEFAULT_SPACE) -> DesignPo
 # ---------------------------------------------------------------------------
 
 def _replace_block(point: DesignPoint, blk: BlockConfig) -> DesignPoint:
-    blocks = tuple(blk if b.index == blk.index else b for b in point.model.blocks)
+    # Replaced by position: if block indices are not positions, parent and children all fail validate.
+    blocks, i = point.model.blocks, blk.index - 1
     model = ModelConfig(
-        blocks=blocks,
+        blocks=blocks[:i] + (blk,) + blocks[i + 1:],
         final_fc_bits=point.model.final_fc_bits,
         num_sparse_features=point.model.num_sparse_features,
         embedding_dim=point.model.embedding_dim,
@@ -537,10 +521,10 @@ def _branch_of(blk: BlockConfig, branch: str) -> tuple[OperatorChoice, ...]:
     return blk.dense_ops if branch == "dense" else blk.sparse_ops
 
 
-def _with_branch(blk: BlockConfig, branch: str, ops: tuple[OperatorChoice, ...]) -> BlockConfig:
+def _with_branch(blk: BlockConfig, branch: str, ops: Sequence[OperatorChoice]) -> BlockConfig:
     if branch == "dense":
-        return BlockConfig(blk.index, blk.dim_d, blk.dim_s, _sort_ops(ops), blk.sparse_ops)
-    return BlockConfig(blk.index, blk.dim_d, blk.dim_s, blk.dense_ops, _sort_ops(ops))
+        return BlockConfig(blk.index, blk.dim_d, blk.dim_s, ops, blk.sparse_ops)
+    return BlockConfig(blk.index, blk.dim_d, blk.dim_s, blk.dense_ops, ops)
 
 
 def _mut_swap_op(point, rng, space, branch):
@@ -551,11 +535,9 @@ def _mut_swap_op(point, rng, space, branch):
     absent = [k for k in menu if k not in present]
     if not absent:
         return None
-    old = rng.choice(sorted(present, key=lambda k: k.value))
+    old = rng.choice(present)
     new = rng.choice(sorted(absent, key=lambda k: k.value))
-    swapped = tuple(
-        OperatorChoice(new, op.weight_bits, op.inputs) if op.kind == old else op for op in ops
-    )
+    swapped = [OperatorChoice(new, op.weight_bits, op.inputs) if op.kind == old else op for op in ops]
     return _replace_block(point, _with_branch(blk, branch, swapped))
 
 
@@ -586,7 +568,7 @@ def _mut_rewire(point, rng, space):
         return None
     edited = list(ops)
     edited[idx] = OperatorChoice(ops[idx].kind, ops[idx].weight_bits, new_inputs)
-    return _replace_block(point, _with_branch(blk, branch, tuple(edited)))
+    return _replace_block(point, _with_branch(blk, branch, edited))
 
 
 def _mut_toggle_interaction(point, rng, space):
@@ -638,18 +620,13 @@ def _mut_weight_bits(point, rng, space):
         return None
     edited = list(ops)
     edited[i] = OperatorChoice(ops[i].kind, rng.choice(options), ops[i].inputs)
-    return _replace_block(point, _with_branch(blk, branch, tuple(edited)))
+    return _replace_block(point, _with_branch(blk, branch, edited))
 
 
 def _mut_reram(point, rng, space):
     reram = point.reram
-    fld = rng.choice(["dac_bits", "cell_bits", "xbar_size", "adc_bits"])
-    menu = {
-        "dac_bits": space.dac_bits,
-        "cell_bits": space.cell_bits,
-        "xbar_size": space.xbar_sizes,
-        "adc_bits": space.adc_bits,
-    }[fld]
+    fld = rng.choice(list(_RERAM_MENUS))
+    menu = getattr(space, _RERAM_MENUS[fld])
     cur = getattr(reram, fld)
     options = [x for x in menu if x != cur]
     if not options:
@@ -658,24 +635,18 @@ def _mut_reram(point, rng, space):
     return DesignPoint(model=point.model, reram=new)
 
 
-def _apply_action(point, rng, space, action):
-    if action == "swap-dense-op":
-        return _mut_swap_op(point, rng, space, "dense")
-    if action == "swap-sparse-op":
-        return _mut_swap_op(point, rng, space, "sparse")
-    if action == "change-dim-d":
-        return _mut_change_dim(point, rng, space, "d")
-    if action == "change-dim-s":
-        return _mut_change_dim(point, rng, space, "s")
-    if action == "rewire-connection":
-        return _mut_rewire(point, rng, space)
-    if action == "toggle-interaction-op":
-        return _mut_toggle_interaction(point, rng, space)
-    if action == "change-weight-bits":
-        return _mut_weight_bits(point, rng, space)
-    if action == "change-reram-field":
-        return _mut_reram(point, rng, space)
-    raise ValueError(f"unknown mutation action {action!r}")
+# Action name -> mutator(point, rng, space); the draw order is this order.
+_MUTATORS = {
+    "swap-dense-op": lambda point, rng, space: _mut_swap_op(point, rng, space, "dense"),
+    "swap-sparse-op": lambda point, rng, space: _mut_swap_op(point, rng, space, "sparse"),
+    "change-dim-d": lambda point, rng, space: _mut_change_dim(point, rng, space, "d"),
+    "change-dim-s": lambda point, rng, space: _mut_change_dim(point, rng, space, "s"),
+    "rewire-connection": _mut_rewire,
+    "toggle-interaction-op": _mut_toggle_interaction,
+    "change-weight-bits": _mut_weight_bits,
+    "change-reram-field": _mut_reram,
+}
+MUTATION_ACTIONS = tuple(_MUTATORS)
 
 
 def mutate(
@@ -697,8 +668,7 @@ def mutate(
     current = point
     for _ in range(num_mutations):
         for _ in range(MUTATION_RETRIES):
-            action = rng.choice(MUTATION_ACTIONS)
-            child = _apply_action(current, rng, space, action)
+            child = _MUTATORS[rng.choice(MUTATION_ACTIONS)](current, rng, space)
             if child is not None and validate(child, space).ok:
                 current = child
                 break
@@ -723,8 +693,8 @@ def _branch_count(
 def cardinality(space: SpaceDescriptor = DEFAULT_SPACE) -> int:
     """Exact count of valid points under this artifact's conventions."""
     total = len(space.weight_bits)  # final FC bits
-    for menu in (space.dac_bits, space.cell_bits, space.xbar_sizes, space.adc_bits):
-        total *= len(menu)  # every ReRAM combination is feasible (see SUPPORTED_BITS)
+    for menu in _RERAM_MENUS.values():
+        total *= len(getattr(space, menu))  # every ReRAM combination is feasible (see SUPPORTED_BITS)
     n_bits, n_s = len(space.weight_bits), space.num_sparse_features
     for i in range(1, space.num_blocks + 1):
         block = len(space.dense_dims) * len(space.sparse_dims)

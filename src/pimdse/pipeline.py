@@ -21,6 +21,8 @@ from typing import NamedTuple
 from .cost_model import TechParams, _engine_ready, priced_operators, stage_times
 from .mapping import Engine, MappedModel
 
+ZIPF_ALPHA = 1.3  # Pareto exponent of the synthetic lookup trace's ranks
+
 
 class UnplacedId(KeyError):
     """A trace references an embedding row that was never placed."""
@@ -79,7 +81,6 @@ def zipf_lookup_model(
     num_queries: int,
     seed: int,
     t_bank: float,
-    alpha: float = 1.3,
 ) -> LookupModel:
     """Synthetic skewed trace: one row per table per query, Zipf-ish ranks."""
     rng = random.Random(seed)
@@ -87,7 +88,7 @@ def zipf_lookup_model(
     for _ in range(num_queries):
         query = []
         for t in range(num_tables):
-            rank = min(int(rng.paretovariate(alpha)), rows_per_table)
+            rank = min(int(rng.paretovariate(ZIPF_ALPHA)), rows_per_table)
             query.append(f"t{t}:r{rank}")
         trace.append(tuple(query))
     freqs: dict[str, int] = {}

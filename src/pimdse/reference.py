@@ -11,10 +11,12 @@ import numpy as np
 
 from .design_space import STEM, ModelConfig, OperatorKind
 
+ACTIVATION_BITS = 8  # set here, not imported from mapping, so the oracle stays independent
+_LIMIT = (1 << (ACTIVATION_BITS - 1)) - 1
 
-def _clamp(values, a_bits):
-    lim = (1 << (a_bits - 1)) - 1
-    return np.clip(np.asarray(values, dtype=np.int64), -lim, lim)
+
+def _clamp(values):
+    return np.clip(np.asarray(values, dtype=np.int64), -_LIMIT, _LIMIT)
 
 
 def _align(mat, width):
@@ -55,12 +57,11 @@ def reference_forward(
     dense_in,
     sparse_in,
     weights: dict[str, np.ndarray],
-    a_bits: int = 8,
 ) -> np.ndarray:
     """Forward pass of the quantized network in exact integer arithmetic."""
     n_s = model.num_sparse_features
-    dense_out = {STEM: _clamp(dense_in, a_bits)}
-    sparse_out = {STEM: _clamp(sparse_in, a_bits)}
+    dense_out = {STEM: _clamp(dense_in)}
+    sparse_out = {STEM: _clamp(sparse_in)}
 
     def gather_dense(sources):
         return np.concatenate([dense_out[s] for s in sources])
@@ -75,16 +76,16 @@ def reference_forward(
             if op.kind == OperatorKind.FC:
                 y = weights[op_id] @ gather_dense(op.inputs)
             elif op.kind == OperatorKind.DP:
-                h = _clamp(weights[f"{op_id}.fc_front"] @ gather_dense(op.inputs), a_bits)
-                e = _clamp(weights[f"{op_id}.efc"] @ gather_sparse(op.inputs, blk.dim_s), a_bits)
+                h = _clamp(weights[f"{op_id}.fc_front"] @ gather_dense(op.inputs))
+                e = _clamp(weights[f"{op_id}.efc"] @ gather_sparse(op.inputs, blk.dim_s))
                 x = np.vstack([h[None, :], e])
-                pairs = _clamp(strict_upper_pairs(x), a_bits)
+                pairs = _clamp(strict_upper_pairs(x))
                 y = weights[f"{op_id}.fc_out"] @ pairs
             else:  # FM
-                ix = _clamp(fm_interaction(gather_sparse(op.inputs, blk.dim_s)), a_bits)
+                ix = _clamp(fm_interaction(gather_sparse(op.inputs, blk.dim_s)))
                 y = weights[f"{op_id}.fc_out"] @ ix
-            d_acc += _clamp(y, a_bits)
-        d_acc = _clamp(np.maximum(d_acc, 0), a_bits)
+            d_acc += _clamp(y)
+        d_acc = _clamp(np.maximum(d_acc, 0))
 
         s_acc = np.zeros((n_s, blk.dim_s), dtype=np.int64)
         for op in blk.sparse_ops:
@@ -93,8 +94,8 @@ def reference_forward(
                 ys = weights[op_id] @ gather_sparse(op.inputs, blk.dim_s)
             else:  # DSI
                 ys = (weights[op_id] @ gather_dense(op.inputs)).reshape(n_s, blk.dim_s)
-            s_acc += _clamp(ys, a_bits)
-        s_acc = _clamp(s_acc, a_bits)
+            s_acc += _clamp(ys)
+        s_acc = _clamp(s_acc)
 
         dense_out[blk.index] = d_acc
         sparse_out[blk.index] = s_acc

@@ -52,15 +52,12 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (
-            self.num_generations,
-            self.num_children,
-            self.num_mutations,
-            self.population_init_size,
-            self.tournament_size,
-        )
-        if any(c < 1 for c in counts):
-            raise ValueError("all counts must be >= 1")
+        for name in (
+            "num_generations", "num_children", "num_mutations", "population_init_size", "tournament_size"
+        ):
+            count = getattr(self, name)
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {count!r}")
         # Written so that NaN, which fails every comparison, fails them too.
         if len(self.lambdas) != 3 or not all(0 <= l < math.inf for l in self.lambdas):
             raise ValueError("lambdas must be three finite nonnegative weights")

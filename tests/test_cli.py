@@ -1,8 +1,13 @@
 """Command-line surface: determinism, artifacts, exit codes."""
 
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimdse.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from pimdse.design_space import point_from_json, sample_random, canonical_json
@@ -540,3 +545,62 @@ class TestSearch:
         p.write_text('{"num_generations": 0}')
         code, _, _ = run_cli(capsys, "search", "--search-config", str(p), "--out", str(tmp_path / "x"))
         assert code == EXIT_PARSE
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Each one-edit kind, with the values it applies to.
+_EDITS = {
+    "drop": lambda path, value: True,
+    "rename": lambda path, value: isinstance(path[-1], str),
+    "retype": lambda path, value: True,
+    "out-of-range": lambda path, value: _is_number(value),
+    "reverse": lambda path, value: isinstance(value, list) and len(value) > 1,
+}
+_OTHER_TYPES = (None, True, "16", [], {}, 2.5, [16])
+_OUT_OF_RANGE = (-1, 0, 3, 1025, 2**63, -(2**63), 10**40, 1e308, math.inf, math.nan)
+
+
+class TestOneEditedPointFile:
+    """A design-point file one edit away from a valid one: ``map`` and
+    ``simulate`` exit 0 (still valid), 2 (does not decode) or 3 (fails
+    ``validate``), never 4, which is an internal error."""
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 3), data=st.data())
+    def test_map_and_simulate_never_exit_4(self, tmp_path_factory, seed, data):
+        doc = json.loads(canonical_json(sample_random(seed)))
+        nodes = list(_nodes(doc))
+        keys = sorted({p[-1] for p, _ in nodes if isinstance(p[-1], str)})
+        edit = data.draw(st.sampled_from(sorted(_EDITS)), label="edit")
+        path, value = data.draw(st.sampled_from([n for n in nodes if _EDITS[edit](*n)]), label="node")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if edit == "drop":
+            del parent[key]
+        elif edit == "rename":
+            parent[data.draw(st.sampled_from([k for k in keys if k != key] + [key + "s"]))] = parent.pop(key)
+        elif edit == "retype":
+            parent[key] = data.draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(value)]))
+        elif edit == "out-of-range":
+            parent[key] = data.draw(st.sampled_from(_OUT_OF_RANGE))
+        else:
+            value.reverse()
+        point = tmp_path_factory.mktemp("edited") / "point.json"
+        point.write_text(json.dumps(doc))
+        for command in ("map", "simulate"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                code = main([command, "--point", str(point)])
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION), err.getvalue()

@@ -33,6 +33,7 @@ from pimdse.design_space import (
     sample_random,
     validate,
 )
+from pimdse.evaluator import surrogate_loss
 from pimdse.mapping import map_model
 from pimdse.pipeline import simulate
 
@@ -574,3 +575,39 @@ class TestPointProperties:
             assert canonical_json(point) == oracle
             for other in PROPERTY_SPACES:  # checks cached under one space, asked under another
                 assert validate(point, other) == validate(memo_free(point), other)
+
+
+def reversed_rebuild(point):
+    """``point`` built again through the constructors, with every branch's
+    operators and every operator's inputs listed in reverse."""
+    def branch(ops):
+        return tuple(OperatorChoice(op.kind, op.weight_bits, op.inputs[::-1]) for op in reversed(ops))
+
+    blocks = tuple(
+        BlockConfig(b.index, b.dim_d, b.dim_s, branch(b.dense_ops), branch(b.sparse_ops))
+        for b in point.model.blocks
+    )
+    return DesignPoint(replace(point.model, blocks=blocks), point.reram)
+
+
+class TestOneIdentityPerDesign:
+    """A record sorts its own inputs and operators, so a design built in
+    Python in any order is the same record, with one ``point_id``."""
+
+    @pytest.mark.parametrize("space", PROPERTY_SPACES, ids=["default", "dp_fm_dsi", "fc_only"])
+    def test_reversed_operators_and_inputs_rebuild_the_same_point(self, space):
+        reordered = 0
+        for seed in range(20):
+            parent = sample_random(seed, space)
+            for point in (parent, mutate(parent, seed, 3, space)):
+                again = reversed_rebuild(point)
+                reordered += any(
+                    len(ops) > 1 or any(len(op.inputs) > 1 for op in ops)
+                    for b in point.model.blocks for ops in (b.dense_ops, b.sparse_ops)
+                )
+                assert again == point and again.point_id == point.point_id
+                assert surrogate_loss(again) == surrogate_loss(point)
+                assert validate(again, space) == validate(point, space)
+                latencies = model_cost(map_model(again), TECH).op_latencies
+                assert list(latencies) == list(model_cost(map_model(point), TECH).op_latencies)
+        assert reordered > 0  # the reversal changed the listed order somewhere

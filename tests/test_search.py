@@ -182,3 +182,13 @@ class TestSearchConfig:
             SearchConfig(lambdas=(0.1, value, 0.1))
         with pytest.raises(ValueError, match="targets must be three finite positive values"):
             SearchConfig(targets=(1.0, 1.0, value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True, "3"])
+    @pytest.mark.parametrize(
+        "name", ["num_generations", "num_children", "num_mutations", "population_init_size", "tournament_size"]
+    )
+    def test_counts_must_be_ints(self, name, value):
+        # NaN, infinity, 2.5 and True used to be accepted (run_search then died with a
+        # TypeError), and "3" raised a TypeError here; the file decoder refuses True too.
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= 1, got "):
+            SearchConfig(**{name: value})
