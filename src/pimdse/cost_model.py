@@ -18,8 +18,9 @@ An operator's price is counts times unit costs, so it depends on the
 operator's shape and the technology table alone, never on where the
 operator sits in the model. Every model is therefore priced one way, by
 :func:`priced_operators`: each of its shape keys is looked up in the
-:class:`TechParams` object's bounded :class:`OperatorTable`, and only a
-shape the table does not hold is mapped and priced into it.
+:class:`TechParams` object's operator table, a bounded
+``functools.lru_cache``, and only a shape the table does not hold is
+mapped and priced into it.
 :func:`model_cost`, :func:`stage_times` and :func:`pimdse.pipeline.schedule`
 read those entries, and take placement from
 :func:`pimdse.mapping.placements`.
@@ -34,9 +35,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -107,12 +107,15 @@ class TechParams:
         return replace(self, **{name: getattr(self, name) * c for name in _TIME_FIELDS})
 
     @cached_property
-    def operator_table(self) -> "OperatorTable":
-        """The operators priced under this object, filled by
-        :func:`priced_operators`; kept outside the dataclass fields, so it
-        is never compared, serialized, pickled or copied (by ``replace`` or
+    def operator_table(self):
+        """The operators priced under this object: a ``functools.lru_cache``
+        of :func:`_price_shape` by shape key, filled by
+        :func:`priced_operators` and bounded by ``OPERATOR_TABLE_SIZE`` as
+        it stands when the table is first read; ``cache_info()`` gives its
+        hits, misses and size. Kept outside the dataclass fields, so it is
+        never compared, serialized, pickled or copied (by ``replace`` or
         ``copy``): a copy starts with an empty table of its own."""
-        return OperatorTable(self)
+        return lru_cache(OPERATOR_TABLE_SIZE)(lambda key: _price_shape(self, key))
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -143,16 +146,7 @@ class CostReport:
     energy_components: dict
 
     def to_dict(self) -> dict:
-        return {
-            "area": self.area,
-            "energy_per_inference": self.energy_per_inference,
-            "peak_power": self.peak_power,
-            "op_latencies": dict(self.op_latencies),
-            "stage_times": dict(self.stage_times),
-            "bottleneck_stage": self.bottleneck_stage,
-            "area_components": dict(self.area_components),
-            "energy_components": dict(self.energy_components),
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
         """Flat metric,value rows (operator latencies one row each)."""
@@ -246,7 +240,7 @@ def _engine_ready(t0: float, t_e: float, k: int, tail: tuple[float, float], tp: 
 # priced operators and the per-technology operator table
 # ---------------------------------------------------------------------------
 
-OPERATOR_TABLE_SIZE = 1024  # entries per TechParams; least recently used goes first
+OPERATOR_TABLE_SIZE = 1024  # entries per table, read as it is built; least recently used goes first
 
 
 class PricedOperator(NamedTuple):
@@ -288,39 +282,16 @@ def price_operator(op: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> Pr
     return PricedOperator(op, area, energy, latency, _engine_ready(0.0, t_e, k, tail, tp), tail)
 
 
-class OperatorTable:
-    """Bounded least-recently-used table of priced operator shapes for one
-    ``TechParams``.
+def _price_shape(tp: TechParams, key: tuple) -> PricedOperator:
+    """A table miss: the shape of one :func:`pimdse.mapping.map_model` key,
+    mapped for the ReRAM configuration its last four values name
+    ``(dac_bits, cell_bits, xbar_size, adc_bits)``, priced under ``tp``.
 
-    :func:`priced_operators` looks it up by the shape keys of
-    :func:`pimdse.mapping.map_model`, the values the operator's mapper
-    reads: ``(kind, weight_bits, *dims, dac_bits, cell_bits, xbar_size,
-    adc_bits)``, with no placement. An entry is a
-    :class:`PricedOperator` of the shape record, so operators of one shape
-    share it wherever they sit. Pricing is a pure function of the shape and
-    the technology, so a hit gives exactly what pricing afresh would.
+    The key is all pricing reads, so a hit gives exactly what pricing
+    afresh would: operators of one shape share an entry wherever they sit.
     """
-
-    def __init__(self, tech: TechParams):
-        self.tech = tech
-        self.entries: OrderedDict[tuple, PricedOperator] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key: tuple) -> PricedOperator | None:
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.entries.move_to_end(key)
-            self.hits += 1
-        return entry
-
-    def insert(self, key: tuple, op: MappedOperator, reram: ReRAMConfig) -> PricedOperator:
-        """Price ``op`` (mapped for ``reram``) and keep it under ``key``."""
-        self.misses += 1
-        entry = self.entries[key] = price_operator(op, self.tech, reram)
-        if len(self.entries) > OPERATOR_TABLE_SIZE:
-            self.entries.popitem(last=False)
-        return entry
+    reram = ReRAMConfig(*key[-4:])
+    return price_operator(map_shape(key, reram), tp, reram)
 
 
 def priced_operators(mm: MappedModel, tp: TechParams) -> tuple[PricedOperator, ...]:
@@ -331,11 +302,10 @@ def priced_operators(mm: MappedModel, tp: TechParams) -> tuple[PricedOperator, .
     for the last technology object (by identity) it was priced under."""
     memo = mm.__dict__.get("_priced")
     if memo is None or memo[0] is not tp:
-        table, reram = tp.operator_table, mm.reram
-        lookup, insert = table.lookup, table.insert
-        # Entries are nonempty tuples, so ``or`` maps and prices only on a miss.
-        priced = tuple([lookup(key) or insert(key, map_shape(key, reram), reram) for key in mm.keys])
-        memo = mm.__dict__["_priced"] = (tp, priced, {})
+        # Through a list: a tuple of known length reuses the tuples freed by
+        # earlier models, where tuple(map(...)) grows its own and leaves them
+        # idle in the interpreter's free lists, raising peak memory.
+        memo = mm.__dict__["_priced"] = (tp, tuple([*map(tp.operator_table, mm.keys)]), {})
     return memo[1]
 
 

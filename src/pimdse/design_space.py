@@ -557,13 +557,17 @@ def _mut_change_dim(point, rng, space, which):
 
 
 def _mut_rewire(point, rng, space):
-    blk = rng.choice(point.model.blocks)
+    # Sources are counted from the block's position, not its index, so a point
+    # whose indices are not positions cannot crash the draw; randrange(n)
+    # draws what rng.choice would.
+    pos = rng.randrange(len(point.model.blocks))
+    blk = point.model.blocks[pos]
     branch = rng.choice(["dense", "sparse"])
     ops = _branch_of(blk, branch)
     if not ops:
         return None
     idx = rng.randrange(len(ops))
-    new_inputs = _random_subset(rng, blk.index)
+    new_inputs = _random_subset(rng, pos + 1)  # the stem and the blocks before it
     if new_inputs == ops[idx].inputs:
         return None
     edited = list(ops)
@@ -577,7 +581,8 @@ def _mut_toggle_interaction(point, rng, space):
     menu = space.sparse_operators if branch == "sparse" else space.dense_operators
     if kind not in menu:
         return None
-    blk = rng.choice(point.model.blocks)
+    pos = rng.randrange(len(point.model.blocks))  # by position, as in _mut_rewire
+    blk = point.model.blocks[pos]
     ops = _branch_of(blk, branch)
     present = [op for op in ops if op.kind == kind]
     if present:
@@ -588,7 +593,7 @@ def _mut_toggle_interaction(point, rng, space):
     new = OperatorChoice(
         kind=kind,
         weight_bits=rng.choice(list(space.weight_bits)),
-        inputs=_random_subset(rng, blk.index),
+        inputs=_random_subset(rng, pos + 1),
     )
     return _replace_block(point, _with_branch(blk, branch, ops + (new,)))
 
@@ -596,10 +601,10 @@ def _mut_toggle_interaction(point, rng, space):
 def _mut_weight_bits(point, rng, space):
     # Final FC competes with block operators for the draw.
     targets = [("final", None, None)]
-    for blk in point.model.blocks:
+    for pos, blk in enumerate(point.model.blocks):
         for branch in ("dense", "sparse"):
             for i in range(len(_branch_of(blk, branch))):
-                targets.append((blk.index, branch, i))
+                targets.append((pos, branch, i))
     target = rng.choice(targets)
     if target[0] == "final":
         options = [b for b in space.weight_bits if b != point.model.final_fc_bits]
@@ -612,8 +617,8 @@ def _mut_weight_bits(point, rng, space):
             embedding_dim=point.model.embedding_dim,
         )
         return DesignPoint(model=model, reram=point.reram)
-    bidx, branch, i = target
-    blk = point.model.blocks[bidx - 1]
+    pos, branch, i = target
+    blk = point.model.blocks[pos]
     ops = _branch_of(blk, branch)
     options = [b for b in space.weight_bits if b != ops[i].weight_bits]
     if not options:

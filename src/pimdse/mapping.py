@@ -159,8 +159,9 @@ class MappedModel:
     :func:`placements` (see :func:`map_model`); ``shapes``, ``operators``,
     ``edges`` and ``tile_plan`` derive from it on first read.
 
-    :func:`pimdse.cost_model.priced_operators` keeps the model's prices
-    and stage occupancy under one technology beside the fields; like the
+    :func:`pimdse.cost_model.priced_operators` reads each key's prices
+    from the technology's operator table, and keeps the model's prices and
+    stage occupancy under one technology beside the fields; like the
     derived values, they are never compared, pickled or copied.
     """
 
@@ -411,10 +412,10 @@ def map_model(point: DesignPoint) -> MappedModel:
     Each operator is keyed by its shape: ``(kind, weight_bits, *dims,
     dac_bits, cell_bits, xbar_size, adc_bits)``, the values its mapper
     reads. Placement is not in the key, so one shape placed twice, in one
-    model or in two, shares one entry of a technology's
-    :class:`pimdse.cost_model.OperatorTable`. Only the keys are built here:
-    a shape is mapped when :attr:`MappedModel.shapes` is first read, or
-    when pricing misses the table.
+    model or in two, shares one entry of a technology's operator table
+    (:attr:`pimdse.cost_model.TechParams.operator_table`). Only the keys
+    are built here: a shape is mapped when :attr:`MappedModel.shapes` is
+    first read, or when pricing misses the table.
     """
     model, reram = point.model, point.reram
     n_s = model.num_sparse_features

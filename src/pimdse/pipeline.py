@@ -119,10 +119,7 @@ class Schedule:
 
     def to_dict(self) -> dict:
         return {
-            "events": [
-                {"stage_id": e.stage_id, "start": e.start, "end": e.end, "kind": e.kind}
-                for e in self.events
-            ],
+            "events": [e._asdict() for e in self.events],
             "edges": [list(e) for e in self.edges],
             "end_time": self.end_time,
         }

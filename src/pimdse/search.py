@@ -17,7 +17,7 @@ import logging
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Callable
 
@@ -99,17 +99,7 @@ class SearchLog:
     def to_dict(self) -> dict:
         return {
             "targets": list(self.targets),
-            "generations": [
-                {
-                    "generation": g.generation,
-                    "best": g.best,
-                    "median": g.median,
-                    "parent_id": g.parent_id,
-                    "child_ids": list(g.child_ids),
-                    "population_size": g.population_size,
-                }
-                for g in self.generations
-            ],
+            "generations": [asdict(g) for g in self.generations],
         }
 
     def to_canonical_json(self) -> str:

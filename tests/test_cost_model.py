@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from pimdse import cost_model, pipeline, search
 from pimdse.cost_model import (
     OPERATOR_TABLE_SIZE,
-    OperatorTable,
     TechParams,
     default_tech,
     model_cost,
@@ -261,6 +260,7 @@ class TestOperatorTable:
                 if seed is not None:
                     point = mutate(point, seed, edits, space) if edits else sample_random(seed, space)
                 mm, reram = map_model(point), point.reram
+                assert all(ReRAMConfig(*key[-4:]) == reram for key in mm.keys)  # what a miss maps for
                 direct = tuple(price_operator(map_shape(key, reram), tech, reram) for key in mm.keys)
                 assert priced_operators(mm, tech) == direct
                 assert mm.shapes == tuple(p.op for p in direct)
@@ -274,7 +274,8 @@ class TestOperatorTable:
                 for overlap in (True, False):
                     sched = schedule(mm, tech, overlap)
                     assert sched.to_dict() == schedule(plain, cold, overlap).to_dict()
-                assert len(tech.operator_table.entries) <= 8
+                info = tech.operator_table.cache_info()
+                assert info.maxsize == 8 and info.currsize <= 8
 
     def test_one_model_misses_once_per_distinct_shape(self):
         for seed in range(4):
@@ -287,11 +288,11 @@ class TestOperatorTable:
                 for overlap in (True, False):
                     assert simulate(mm, tech, overlap=overlap).latency
                     schedule(mm, tech, overlap)
-                assert (table.misses, table.hits) == (distinct, len(mm.keys) - distinct)
+                assert table.cache_info()[:2] == (len(mm.keys) - distinct, distinct)  # (hits, misses)
                 assert price.call_count == distinct
                 again = map_model(sample_random(seed))  # the same shapes, all held
                 model_cost(again, tech)
-                assert (table.misses, price.call_count) == (distinct, distinct)
+                assert (table.cache_info().misses, price.call_count) == (distinct, distinct)
 
     @mock.patch.object(cost_model, "OPERATOR_TABLE_SIZE", 64)  # about three default-space models
     def test_bound_and_counts(self):
@@ -302,31 +303,26 @@ class TestOperatorTable:
         for seed in range(40):
             point = mutate(point, seed, 2)
             operators += len(priced_operators(map_model(point), tech))
-            assert len(table.entries) <= 64
-        assert table.hits + table.misses == operators
-        assert table.hits > 0 and table.misses > 64  # children share operators; entries were evicted
+            assert table.cache_info().currsize <= 64
+        hits, misses, maxsize, _ = table.cache_info()
+        assert hits + misses == operators and maxsize == 64
+        assert hits > 0 and misses > 64  # children share operators; entries were evicted
         assert tech.operator_table is tech.operator_table
 
-    def test_default_bound_evicts_the_least_recent(self):
-        table = OperatorTable(TECH)
-        op = map_fc(16, 16, 4, R16)
-        for key in range(OPERATOR_TABLE_SIZE + 1):
-            table.insert(key, op, R16)
-            if key == 1:
-                assert table.lookup(0) is not None  # 0 is now more recent than 1
-        assert len(table.entries) == OPERATOR_TABLE_SIZE
-        assert 1 not in table.entries and 0 in table.entries
-
     @mock.patch.object(cost_model, "OPERATOR_TABLE_SIZE", 2)
-    def test_lookup_refreshes_recency(self):
-        table = OperatorTable(TECH)
-        op = map_fc(16, 16, 4, R16)
-        for key in ("a", "b"):
-            table.insert(key, op, R16)
-        assert table.lookup("a") is not None  # "a" is now the most recent
-        table.insert("c", op, R16)
-        assert list(table.entries) == ["a", "c"]
-        assert table.lookup("b") is None and (table.hits, table.misses) == (1, 3)
+    def test_least_recently_used_goes_first(self):
+        tech = default_tech()
+        table = tech.operator_table
+        a, b, c = list(dict.fromkeys(map_model(sample_random(0)).keys))[:3]
+        with mock.patch.object(cost_model, "_price_shape", wraps=cost_model._price_shape) as miss:
+            first = table(a)
+            table(b)
+            assert table(a) is first  # a hit; a is now more recent than b
+            table(c)  # evicts b
+            assert table(a) is first
+            table(b)  # evicts c
+        assert [call.args for call in miss.call_args_list] == [(tech, k) for k in (a, b, c, b)]
+        assert table.cache_info() == (2, 4, 2, 2)  # hits, misses, maxsize, currsize
 
     def test_scaled_times_prices_with_the_scaled_times(self):
         tech = default_tech()
@@ -335,12 +331,13 @@ class TestOperatorTable:
         unscaled = model_cost(priced, tech).to_dict()
         scaled = tech.scaled_times(3.0)
         assert scaled.operator_table is not tech.operator_table
-        assert not scaled.operator_table.entries and scaled.xbar_read_time == 3.0 * tech.xbar_read_time
+        assert scaled.operator_table.cache_info().currsize == 0
+        assert scaled.xbar_read_time == 3.0 * tech.xbar_read_time
         fresh = model_cost(map_model(point), scaled).to_dict()
-        assert scaled.operator_table.misses == len(set(priced.keys))
+        assert scaled.operator_table.cache_info().misses == len(set(priced.keys))
         # a model priced under tech is priced again from scaled's table: every lookup hits
         assert model_cost(priced, scaled).to_dict() == fresh
-        assert scaled.operator_table.misses == len(set(priced.keys))
+        assert scaled.operator_table.cache_info().misses == len(set(priced.keys))
         assert fresh != unscaled
 
     def test_one_shape_at_two_placements_shares_one_entry(self):
@@ -355,7 +352,7 @@ class TestOperatorTable:
         table = tech.operator_table
         mm = map_model(point)
         priced = priced_operators(mm, tech)
-        assert (table.hits, table.misses) == (1, 4)  # b2.dense.FC hit b1.dense.FC's entry
+        assert table.cache_info()[:2] == (1, 4)  # b2.dense.FC hit b1.dense.FC's entry
         assert priced[2] is priced[0] and mm.keys[2] == mm.keys[0] and mm.shapes[2] == mm.shapes[0]
         ids = [op.op_id for op in mm.operators]
         assert ids == ["b1.dense.FC", "b1.sparse.EFC", "b2.dense.FC", "b2.sparse.DSI", "final_fc"]
@@ -364,7 +361,7 @@ class TestOperatorTable:
         one = DesignPoint(ModelConfig(blocks[:1], 8, 4, 16), R16)
         again = map_model(one)
         assert priced_operators(again, tech) == (priced[0], priced[1], priced[4])
-        assert (table.hits, table.misses) == (4, 4)
+        assert table.cache_info()[:2] == (4, 4)
         assert again.shapes == (mm.shapes[0], mm.shapes[1], mm.shapes[4])
 
     def test_a_search_candidate_builds_no_shape_or_operator(self):
@@ -381,13 +378,14 @@ class TestOperatorTable:
         # shape and placed records are built on first read only
         assert "shapes" not in vars(mm) and "operators" not in vars(mm)
         assert all(p.op.op_id == "" and p.op.consumes == () for p in priced_operators(mm, tech))
-        for kind, *rest in tech.operator_table.entries:  # shape keys: a kind, then integers
+        assert tech.operator_table.cache_info().misses == len(set(mm.keys))
+        for kind, *rest in mm.keys:  # shape keys: a kind, then integers
             assert isinstance(kind, OperatorKind) and all(type(v) is int for v in rest)
 
     def test_table_is_not_serialized(self):
         tech = default_tech()
         priced_operators(map_model(sample_random(1)), tech)
-        assert tech.operator_table.entries
+        assert tech.operator_table.cache_info().currsize
         d = tech.to_dict()
         assert "operator_table" not in d
         assert from_plain(TechParams, d) == tech
@@ -476,12 +474,17 @@ class TestPickledRecords:
         metric_fn = default_hw_metrics(tech)
         for seed in range(200):
             metric_fn(sample_random(seed))
-        assert len(tech.operator_table.entries) == OPERATOR_TABLE_SIZE
+        full = tech.operator_table.cache_info()
+        assert full.currsize == full.maxsize == OPERATOR_TABLE_SIZE
         assert len(pickle.dumps(tech)) == len(pickle.dumps(default_tech()))
+        mm = map_model(sample_random(0))
         for again in (pickle.loads(pickle.dumps(tech)), copy.deepcopy(tech)):
-            assert again == tech and again.operator_table.tech is again
-            assert not again.operator_table.entries
-        assert len(tech.operator_table.entries) == OPERATOR_TABLE_SIZE
+            assert again == tech and again.operator_table.cache_info().currsize == 0
+            with mock.patch.object(cost_model, "_price_shape", wraps=cost_model._price_shape) as miss:
+                priced_operators(mm, again)
+            assert miss.call_count == len(set(mm.keys))
+            assert all(call.args[0] is again for call in miss.call_args_list)  # the copy prices under itself
+        assert tech.operator_table.cache_info().currsize == OPERATOR_TABLE_SIZE
 
     def test_mapped_model_pickles_without_prices_or_memo(self):
         tech = default_tech()

@@ -534,7 +534,32 @@ PROPERTY_SPACES = (
 TECH = default_tech()
 
 
+def scrambled(point, rng):
+    """``point`` with block indices that are not its positions: two blocks
+    swapped, one block re-indexed, or one block listed twice."""
+    blocks = list(point.model.blocks)
+    i, j = rng.sample(range(len(blocks)), 2)
+    how = rng.randrange(3)
+    if how == 0:
+        blocks[i], blocks[j] = blocks[j], blocks[i]
+    elif how == 1:
+        blocks[i] = replace(blocks[i], index=rng.choice([0, -1, len(blocks) + 1, j + 1]))
+    else:
+        blocks.insert(i, blocks[i])
+    return DesignPoint(replace(point.model, blocks=tuple(blocks)), point.reram)
+
+
 class TestPointProperties:
+    @pytest.mark.parametrize("space", PROPERTY_SPACES, ids=["default", "dp_fm_dsi", "fc_only"])
+    def test_mutating_a_point_whose_indices_are_not_positions(self, space):
+        # Mutators read blocks by position, so none raises; every child keeps
+        # a misplaced index and fails validate, so the point comes back as is.
+        rng = random.Random(0)
+        for seed in range(100):
+            point = scrambled(sample_random(seed, space), rng)
+            assert not validate(point, space).ok
+            assert mutate(point, seed, 3, space) is point
+
     @settings(max_examples=60)
     @given(
         space_index=st.sampled_from(range(len(PROPERTY_SPACES))),
