@@ -22,8 +22,11 @@ A ``--tech`` file whose costs overflow float64 exits 2 naming the file and
 the first value that is not finite: ``simulate`` before any output;
 ``search`` when it aborts on one (an initial point, or the child past the
 skip limit; other such children are skipped like any failing child). A
-``search`` that aborts, for this or any other reason, removes the files and
-directories it made. Every JSON file written is strict: no NaN or Infinity.
+``--search-config`` whose lambdas or targets push a criterion past float64
+is treated the same way and exits 2 naming the search config. A ``search``
+that aborts, for this or any other reason, removes the files and
+directories it made, result files included. Every JSON file written is
+strict: no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .evaluator import SurrogateParams, ingest_external
 from .mapping import map_model
 from .pipeline import schedule, simulate
 from .search import (
+    CriterionOverflow,
     SearchAborted,
     SearchConfig,
     default_hw_metrics,
@@ -219,37 +223,39 @@ def cmd_search(args) -> int:
                 csv_fh.flush()
 
             result = run_search(cfg, loss_fn, metric_fn, space, on_generation=flush_generation)
+        with open(out_dir / "search_log.json", "w", encoding="utf-8") as fh:
+            written.append(fh.name)
+            _dump({**result.log.to_dict(), "_manifest": "manifest.json"}, fh)
+        top = {
+            "_manifest": "manifest.json",
+            "entries": [
+                {
+                    "rank": rank,
+                    "point_id": e.point_id,
+                    "loss": e.loss,
+                    "metrics": list(e.metrics),
+                    "criterion": e.criterion,
+                    "point": e.point.to_dict(),
+                }
+                for rank, e in enumerate(result.top_entries, start=1)
+            ],
+        }
+        with open(out_dir / "top_points.json", "w", encoding="utf-8") as fh:
+            written.append(fh.name)
+            _dump(top, fh)
     except Exception as exc:  # an aborted search leaves nothing it wrote behind
         for name in written:
             os.remove(name)
         for d in created:
             d.rmdir()
-        if isinstance(exc, SearchAborted) and isinstance(exc.__cause__, OverflowError):
-            msg = f"tech params {args.tech} give a value that is not finite: {exc.__cause__}"
+        cause = exc.__cause__ if isinstance(exc, SearchAborted) else None
+        if isinstance(cause, CriterionOverflow):
+            msg = f"search config {args.search_config} gives a criterion that is not finite: {cause}"
+            raise CliError(msg, EXIT_PARSE) from exc
+        if isinstance(cause, OverflowError):
+            msg = f"tech params {args.tech} give a value that is not finite: {cause}"
             raise CliError(msg, EXIT_PARSE) from exc
         raise
-
-    with open(out_dir / "search_log.json", "w", encoding="utf-8") as fh:
-        payload = result.log.to_dict()
-        payload["_manifest"] = "manifest.json"
-        _dump(payload, fh)
-
-    top = {
-        "_manifest": "manifest.json",
-        "entries": [
-            {
-                "rank": rank,
-                "point_id": e.point_id,
-                "loss": e.loss,
-                "metrics": list(e.metrics),
-                "criterion": e.criterion,
-                "point": e.point.to_dict(),
-            }
-            for rank, e in enumerate(result.top_entries, start=1)
-        ],
-    }
-    with open(out_dir / "top_points.json", "w", encoding="utf-8") as fh:
-        _dump(top, fh)
 
     print(f"search complete: best criterion {result.top_entries[0].criterion!r}")
     print(f"results in {out_dir}")

@@ -53,6 +53,12 @@ _RERAM_MENUS = {
 }
 
 MUTATION_RETRIES = 16  # redraws per requested mutation before giving up
+# Upper bounds of a space: a point holds up to blocks x sources input
+# indices, the lookup trace draws one row per sparse feature per query, and
+# costs convert dims and crossbar sizes to float.
+MAX_BLOCKS = 64
+MAX_SPARSE_FEATURES = 4096
+MAX_DIM = 65536  # dims, embedding width and crossbar size
 
 
 def _field_state(record) -> dict:
@@ -203,9 +209,15 @@ class SpaceDescriptor:
     def __post_init__(self):
         """Reject menus that would only fail later, inside sampling, mapping
         or costing, and spaces with no valid point."""
-        for name in ("num_blocks", "num_sparse_features", "embedding_dim"):
+        for name, most in (
+            ("num_blocks", MAX_BLOCKS),
+            ("num_sparse_features", MAX_SPARSE_FEATURES),
+            ("embedding_dim", MAX_DIM),
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+            if getattr(self, name) > most:
+                raise ValueError(f"{name} must be <= {most}")
         for name in _MENUS:
             menu = getattr(self, name)
             if not menu:
@@ -226,6 +238,8 @@ class SpaceDescriptor:
         for name in ("dense_dims", "sparse_dims", "xbar_sizes"):
             if min(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must all be >= 1")
+            if max(getattr(self, name)) > MAX_DIM:
+                raise ValueError(f"{name} must all be <= {MAX_DIM}")
         for name in SUPPORTED_BITS:
             unsupported = sorted(set(getattr(self, name)) - set(SUPPORTED_BITS[name]))
             if unsupported:
@@ -662,13 +676,19 @@ def mutate(
 ) -> DesignPoint:
     """Apply up to ``num_mutations`` atomic edits drawn from the action menu.
 
-    Each requested mutation draws (action, target) pairs until one applies,
-    bounded by ``MUTATION_RETRIES`` redraws; an exhausted slot leaves the
-    point unchanged, so the result differs from the input in at most
+    The input must validate against ``space``; one that does not raises
+    ``ValueError`` naming its first violation, since no edit sequence is
+    searched for a valid child of it. Each requested mutation draws
+    (action, target) pairs until one applies, bounded by
+    ``MUTATION_RETRIES`` redraws; an exhausted slot leaves the point
+    unchanged, so the result differs from the input in at most
     ``num_mutations`` atomic actions and always validates.
     """
     if num_mutations < 1:
         raise ValueError("num_mutations must be >= 1")
+    report = validate(point, space)
+    if not report.ok:
+        raise ValueError(f"cannot mutate a point that fails validate: {report.violations[0]}")
     rng = random.Random(seed)
     current = point
     for _ in range(num_mutations):

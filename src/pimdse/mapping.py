@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -47,7 +47,6 @@ from .design_space import (
     STEM,
     DesignPoint,
     ModelConfig,
-    OperatorChoice,
     OperatorKind,
     ReRAMConfig,
     _field_state,
@@ -124,40 +123,22 @@ class MappedOperator(NamedTuple):
             yield self
 
     def to_dict(self) -> dict:
-        d = {
-            "op_id": self.op_id,
-            "kind": self.kind.value,
-            "engine": self.engine.value,
-            "in_dim": self.in_dim,
-            "out_dim": self.out_dim,
-            "w_bits": self.w_bits,
-            "planes": self.planes,
-            "row_tiles": self.row_tiles,
-            "col_tiles": self.col_tiles,
-            "passes": self.passes,
-            "programming_vectors": self.programming_vectors,
-            "mbsa_passes": self.mbsa_passes,
-            "emits_transposed": self.emits_transposed,
-            "block_index": self.block_index,
-            "branch": self.branch,
-            "consumes": [list(c) for c in self.consumes],
-        }
-        if self.geometry is not None:
-            d["geometry"] = {
-                "k_sparse": self.geometry.k_sparse,
-                "merged_rows": self.geometry.merged_rows,
-                "pair_count": self.geometry.pair_count,
-            }
-        if self.parts:
-            d["parts"] = [p.to_dict() for p in self.parts]
+        d = self._asdict()
+        geometry, parts = d.pop("geometry"), d.pop("parts")
+        d.update(kind=self.kind.value, engine=self.engine.value, consumes=[list(c) for c in self.consumes])
+        if geometry is not None:
+            d["geometry"] = geometry._asdict()
+        if parts:
+            d["parts"] = [p.to_dict() for p in parts]
         return d
 
 
 @dataclass(frozen=True)
 class MappedModel:
-    """A mapped design point: one shape key per operator, in the order of
-    :func:`placements` (see :func:`map_model`); ``shapes``, ``operators``,
-    ``edges`` and ``tile_plan`` derive from it on first read.
+    """A mapped design point: one shape key per operator and, in
+    :attr:`layout`, each operator's placement, both recorded by
+    :func:`map_model`; ``shapes``, ``operators``, ``edges`` and
+    ``tile_plan`` derive from them on first read.
 
     :func:`pimdse.cost_model.priced_operators` reads each key's prices
     from the technology's operator table, and keeps the model's prices and
@@ -172,30 +153,39 @@ class MappedModel:
     __getstate__ = _field_state
 
     @cached_property
+    def layout(self) -> tuple[tuple[str, int, str, tuple[tuple[int, str], ...]], ...]:
+        """``(op_id, block_index, branch, consumes)`` of every key, where
+        ``consumes`` lists the ``(source block, stream)`` pairs read. Set by
+        :func:`map_model`; a model restored by ``pickle`` or ``copy`` maps
+        its point again."""
+        return map_model(DesignPoint(self.model, self.reram)).layout
+
+    @cached_property
     def shapes(self) -> tuple[MappedOperator, ...]:
         """The unplaced shape record of every key."""
         return tuple([map_shape(key, self.reram) for key in self.keys])
 
     @cached_property
     def operators(self) -> tuple[MappedOperator, ...]:
-        """Every operator placed: its id, block, branch and consumed
-        streams, with its parts' ids prefixed by its own."""
+        """Every shape with its placement, its parts' ids prefixed by its own."""
         return tuple(
             shape._replace(
                 op_id=op_id,
                 block_index=block_index,
                 branch=branch,
-                consumes=tuple((s, st) for st in _CONSUMED_STREAMS[op.kind] for s in op.inputs),
+                consumes=consumes,
                 parts=tuple(p._replace(op_id=f"{op_id}.{p.op_id}") for p in shape.parts),
             )
-            for shape, (op_id, block_index, branch, op) in zip(self.shapes, placements(self.model))
+            for shape, (op_id, block_index, branch, consumes) in zip(self.shapes, self.layout)
         )
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
         """(source stream, consumer op_id) per consumed stream, in operator order."""
         return tuple(
-            (_stream_ref(s, stream), op.op_id) for op in self.operators for s, stream in op.consumes
+            (_stream_ref(s, stream), op_id)
+            for op_id, _, _, consumes in self.layout
+            for s, stream in consumes
         )
 
     @cached_property
@@ -409,13 +399,15 @@ _PLAN_KEYS = {Engine.MVM: "mvm_tiles", Engine.DP: "dp_tiles", Engine.FM: "fm_til
 def map_model(point: DesignPoint) -> MappedModel:
     """Map every operator of a valid design point onto engines and tiles.
 
-    Each operator is keyed by its shape: ``(kind, weight_bits, *dims,
-    dac_bits, cell_bits, xbar_size, adc_bits)``, the values its mapper
-    reads. Placement is not in the key, so one shape placed twice, in one
-    model or in two, shares one entry of a technology's operator table
-    (:attr:`pimdse.cost_model.TechParams.operator_table`). Only the keys
-    are built here: a shape is mapped when :attr:`MappedModel.shapes` is
-    first read, or when pricing misses the table.
+    One walk records each operator's shape key and its placement, in
+    operator order: each block's dense then sparse operators, then the
+    final FC. The key is ``(kind, weight_bits, *dims, dac_bits, cell_bits,
+    xbar_size, adc_bits)``, the values its mapper reads. Placement is not in
+    the key, so one shape placed twice, in one model or in two, shares one
+    entry of a technology's operator table
+    (:attr:`pimdse.cost_model.TechParams.operator_table`). No shape is
+    mapped here: a shape is mapped when :attr:`MappedModel.shapes` is first
+    read, or when pricing misses the table.
     """
     model, reram = point.model, point.reram
     n_s = model.num_sparse_features
@@ -423,27 +415,43 @@ def map_model(point: DesignPoint) -> MappedModel:
     # Dense output width of each source: the stem, then block 1, 2, ...
     dense_width = (model.embedding_dim, *(blk.dim_d for blk in model.blocks))
     FC, DP, FM, EFC = OperatorKind.FC, OperatorKind.DP, OperatorKind.FM, OperatorKind.EFC
-    keys = []
+    keys, layout = [], []
+
+    def place(op_id, index, branch, dim_d, dim_s, kind, w_bits, inputs):
+        if kind is FM:
+            shape = (kind, w_bits, n_s * len(inputs), dim_s, dim_d)
+        elif kind is EFC:
+            shape = (kind, w_bits, n_s * len(inputs), n_s, dim_s)
+        else:
+            dense_w = sum(dense_width[s] for s in inputs)
+            if kind is FC:
+                shape = (kind, w_bits, dense_w, dim_d)
+            elif kind is DP:
+                shape = (kind, w_bits, dense_w, dim_d, dim_s, n_s * len(inputs))
+            else:  # DSI: an FC producing n_s * dim_s values, then a reshape
+                shape = (kind, w_bits, dense_w, n_s * dim_s)
+        keys.append(shape + reram_fields)
+        layout.append((op_id, index, branch, _consumes(kind, inputs)))
+
     for blk in model.blocks:
-        dim_d, dim_s = blk.dim_d, blk.dim_s
-        for ops in (blk.dense_ops, blk.sparse_ops):
+        index = blk.index
+        for branch, ops in (("dense", blk.dense_ops), ("sparse", blk.sparse_ops)):
             for op in ops:
-                kind, inputs = op.kind, op.inputs
-                if kind is FM:
-                    shape = (kind, op.weight_bits, n_s * len(inputs), dim_s, dim_d)
-                elif kind is EFC:
-                    shape = (kind, op.weight_bits, n_s * len(inputs), n_s, dim_s)
-                else:
-                    dense_w = sum(dense_width[s] for s in inputs)
-                    if kind is FC:
-                        shape = (kind, op.weight_bits, dense_w, dim_d)
-                    elif kind is DP:
-                        shape = (kind, op.weight_bits, dense_w, dim_d, dim_s, n_s * len(inputs))
-                    else:  # DSI: an FC producing n_s * dim_s values, then a reshape
-                        shape = (kind, op.weight_bits, dense_w, n_s * dim_s)
-                keys.append(shape + reram_fields)
-    keys.append((FC, model.final_fc_bits, model.blocks[-1].dim_d, 1) + reram_fields)  # one logit
-    return MappedModel(model, reram, tuple(keys))
+                op_id = f"b{index}.{branch}.{_KIND_NAMES[op.kind]}"
+                place(op_id, index, branch, blk.dim_d, blk.dim_s, op.kind, op.weight_bits, op.inputs)
+    last = model.blocks[-1].index  # the final FC: one logit from the last block's dense output
+    place("final_fc", last + 1, "dense", 1, 0, FC, model.final_fc_bits, (last,))
+    mm = MappedModel(model, reram, tuple(keys))
+    mm.__dict__["layout"] = tuple(layout)  # where cached_property would store it
+    return mm
+
+
+@lru_cache(maxsize=1024)
+def _consumes(kind: OperatorKind, inputs: tuple[int, ...]) -> tuple[tuple[int, str], ...]:
+    """The ``(source block, stream)`` pairs an operator of ``kind`` reading
+    ``inputs`` consumes, in edge order; one tuple serves every operator that
+    reads its sources the same way."""
+    return tuple([(s, stream) for stream in _CONSUMED_STREAMS[kind] for s in inputs])
 
 
 def map_shape(key: tuple, reram: ReRAMConfig) -> MappedOperator:
@@ -458,20 +466,6 @@ def map_shape(key: tuple, reram: ReRAMConfig) -> MappedOperator:
     if kind is OperatorKind.EFC:
         return map_efc(*dims, w_bits, reram)
     return map_fc(*dims, w_bits, reram, kind=kind)  # FC or DSI: (in_dim, out_dim)
-
-
-def placements(model: ModelConfig):
-    """``(op_id, block_index, branch, block operator)`` of every operator of
-    ``model``, in operator order: each block's dense then sparse operators,
-    then the final FC, as an FC reading the last block's dense output."""
-    for blk in model.blocks:
-        index = blk.index
-        for op in blk.dense_ops:
-            yield f"b{index}.dense.{_KIND_NAMES[op.kind]}", index, "dense", op
-        for op in blk.sparse_ops:
-            yield f"b{index}.sparse.{_KIND_NAMES[op.kind]}", index, "sparse", op
-    last = model.blocks[-1].index
-    yield "final_fc", last + 1, "dense", OperatorChoice(OperatorKind.FC, model.final_fc_bits, (last,))
 
 
 def _stream_ref(source: int, stream: str) -> str:

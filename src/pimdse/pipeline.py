@@ -193,38 +193,36 @@ def _timeline(
     sparse_start = {0: 0.0}       # when stem production (the lookup) begins
 
     FM = Engine.FM
-    *records, (final, _) = zip(mm.operators, priced_operators(mm, tp))
-    for index, ops in groupby(records, key=lambda pair: pair[0].block_index):
+    placed = zip(mm.layout, priced_operators(mm, tp))
+    for index, group in groupby(placed, key=lambda pair: pair[0][1]):  # by block index
         dense_ends, sparse_ends, branch_starts = [], [], []
-        for op, p in ops:
-            if overlap and op.engine is FM:
+        for (op_id, _, branch, consumes), p in group:
+            if overlap and p.op.engine is FM:
                 # Occupancy has no timeline, so it spreads the source
                 # branches' summed production over the vectors. Here the
                 # branches' start and end times are known, so the engine is
                 # programmed across the observed production window instead;
                 # eager programming can only improve on the serialized plan.
-                k = op.parts[-2].programming_vectors
-                start = max(sparse_start[s] for s, stream in op.consumes)
-                window = max(sparse_ready[s] for s, stream in op.consumes) - start
+                k = p.op.parts[-2].programming_vectors
+                start = max(sparse_start[s] for s, stream in consumes)
+                window = max(sparse_ready[s] for s, stream in consumes) - start
                 end = _engine_ready(start, window / k, k, p.tail, tp)
             else:
                 start = max(
                     (dense_ready if stream == "dense" else sparse_ready)[s]
-                    for s, stream in op.consumes
+                    for s, stream in consumes
                 )
-                end = start + occ[op.op_id]
-            events.append(StageEvent(op.op_id, start, end, "compute"))
-            if op.branch == "dense":
+                end = start + occ[op_id]
+            events.append(StageEvent(op_id, start, end, "compute"))
+            if branch == "dense":
                 dense_ends.append(end)
             else:
                 sparse_ends.append(end)
                 branch_starts.append(start)
         dense_ready[index] = max(dense_ends) + tp.activation_time
-        sparse_ready[index] = max(sparse_ends)
-        sparse_start[index] = min(branch_starts)
-
-    start = max(dense_ready[s] for s, stream in final.consumes)  # the last block's dense output
-    events.append(StageEvent(final.op_id, start, start + occ[final.op_id], "compute"))
+        if sparse_ends:  # the final FC's group has none
+            sparse_ready[index] = max(sparse_ends)
+            sparse_start[index] = min(branch_starts)
     return tuple(events)
 
 

@@ -37,6 +37,7 @@ from .pipeline import LookupModel, simulate, zipf_lookup_model
 logger = logging.getLogger(__name__)
 
 MAX_SKIPPED_CHILDREN = 64
+MAX_COUNT = 1_000_000  # upper bound of every SearchConfig count
 METRIC_NAMES = ("inverse_throughput", "area", "peak_power")
 
 
@@ -58,6 +59,8 @@ class SearchConfig:
             count = getattr(self, name)
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {count!r}")
+            if count > MAX_COUNT:
+                raise ValueError(f"{name} must be <= {MAX_COUNT}, got {count!r}")
         # Written so that NaN, which fails every comparison, fails them too.
         if len(self.lambdas) != 3 or not all(0 <= l < math.inf for l in self.lambdas):
             raise ValueError("lambdas must be three finite nonnegative weights")
@@ -116,6 +119,11 @@ class SearchResult:
 
 class SearchAborted(RuntimeError):
     pass
+
+
+class CriterionOverflow(OverflowError):
+    """A criterion that is not finite although its metrics are: the
+    config's lambdas or targets scale them past float64."""
 
 
 def criterion(
@@ -228,6 +236,18 @@ def run_search(
                 return OverflowError(f"{name} is {value!r}")
         return loss, metrics
 
+    def entry(point: DesignPoint, res):
+        """``point``'s population entry from its evaluation ``res``, or the
+        exception that fails it: the evaluation's own, or
+        ``CriterionOverflow`` for a criterion that is not finite."""
+        if isinstance(res, Exception):
+            return res
+        loss, metrics = res
+        crit = criterion(loss, metrics, cfg, targets)
+        if not math.isfinite(crit):
+            return CriterionOverflow(f"criterion is {crit!r}")
+        return PopulationEntry(point, loss, metrics, crit, insertion)
+
     population: list[PopulationEntry] = []
     insertion = 0
 
@@ -241,10 +261,11 @@ def run_search(
             raise SearchAborted(f"initial population evaluation failed: {res}") from res
     targets = cfg.targets if cfg.targets is not None else init_evals[0][1]
     log = SearchLog(targets=tuple(targets))
-    for point, (loss, metrics) in zip(init_points, init_evals):
-        population.append(
-            PopulationEntry(point, loss, metrics, criterion(loss, metrics, cfg, targets), insertion)
-        )
+    for point, res in zip(init_points, init_evals):
+        new = entry(point, res)
+        if isinstance(new, Exception):
+            raise SearchAborted(f"initial population evaluation failed: {new}") from new
+        population.append(new)
         insertion += 1
 
     for gen in range(1, cfg.num_generations + 1):
@@ -259,19 +280,14 @@ def run_search(
         appended = 0
         child_ids = []
         for child in children:
-            res = evaluate(child)
-            if isinstance(res, Exception):
+            new = entry(child, evaluate(child))
+            if isinstance(new, Exception):
                 skipped += 1
-                logger.warning("skipping child %s: %s", child.point_id[:12], res)
+                logger.warning("skipping child %s: %s", child.point_id[:12], new)
                 if skipped > MAX_SKIPPED_CHILDREN:
-                    raise SearchAborted(f"{skipped} children failed evaluation") from res
+                    raise SearchAborted(f"{skipped} children failed evaluation") from new
                 continue
-            loss, metrics = res
-            population.append(
-                PopulationEntry(
-                    child, loss, metrics, criterion(loss, metrics, cfg, targets), insertion
-                )
-            )
+            population.append(new)
             insertion += 1
             appended += 1
             child_ids.append(child.point_id)
@@ -280,10 +296,14 @@ def run_search(
         if appended:
             del population[-appended:]
 
+        median = statistics.median(e.criterion for e in population)
+        if not math.isfinite(median):  # the mean of two criteria near the float64 limit
+            overflow = CriterionOverflow(f"median criterion is {median!r}")
+            raise SearchAborted(f"generation {gen} failed: {overflow}") from overflow
         record = GenerationRecord(
             generation=gen,
             best=population[0].criterion,
-            median=statistics.median(e.criterion for e in population),
+            median=median,
             parent_id=parent.point_id,
             child_ids=child_ids,
             population_size=len(population),

@@ -131,6 +131,17 @@ class TestUnrealizableSpace:
         # Used to let `space sample` exit 0 and `map` exit 4 ("dims must be >= 1").
         self.assert_every_command_exits_2(capsys, tmp_path, point_file, {"dense_dims": [0]}, "dense_dims")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dense_dims", [16, 1e308]), ("xbar_sizes", [16, 65537]), ("embedding_dim", 65537),
+         ("num_blocks", 65), ("num_sparse_features", 4097)],
+    )
+    def test_sizes_past_the_bounds(self, capsys, tmp_path, point_file, field, value):
+        # Used to load: a point of dim 10**308 made `map` and `simulate` exit 4 ("int too
+        # large to convert to float"), and a huge block or feature count made `space sample`
+        # or the lookup trace run without end.
+        self.assert_every_command_exits_2(capsys, tmp_path, point_file, {field: value}, field)
+
     def test_zero_embedding_dim(self, capsys, tmp_path, point_file):
         # Used to make `space sample` print a point that fails validation.
         space = {"embedding_dim": 0}
@@ -540,6 +551,22 @@ class TestSearch:
         assert f"cannot create output directory {out}: " in err
         assert afile.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == sorted([afile, tmp_path / "cfg.json"])
 
+    @pytest.mark.parametrize(
+        "edit",
+        [{"targets": [1e-320, 1, 1]}, {"lambdas": [1e308, 1e308, 1e308]}],
+        ids=["tiny_target", "huge_lambdas"],
+    )
+    def test_criterion_past_float64_exits_2_and_leaves_nothing(self, capsys, tmp_path, edit):
+        # Used to exit 4 ("Out of range float values are not JSON compliant: inf"),
+        # leaving manifest.json, a criterion.csv of "1,inf,inf" and a half-written search_log.json.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_generations": 1, "population_init_size": 2, "num_children": 1} | edit))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "search", "--search-config", str(cfg), "--out", str(out))
+        assert code == EXIT_PARSE and stdout == ""
+        assert f"search config {cfg} gives a criterion that is not finite: criterion is inf" in err
+        assert "tech params" not in err and not out.exists()
+
     def test_bad_config_exits_2(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"num_generations": 0}')
@@ -568,7 +595,41 @@ _EDITS = {
     "reverse": lambda path, value: isinstance(value, list) and len(value) > 1,
 }
 _OTHER_TYPES = (None, True, "16", [], {}, 2.5, [16])
-_OUT_OF_RANGE = (-1, 0, 3, 1025, 2**63, -(2**63), 10**40, 1e308, math.inf, math.nan)
+_OUT_OF_RANGE = (-1, 0, 3, 1025, 2**63, -(2**63), 10**40, 1e308, 1e-320, math.inf, math.nan)
+
+
+def _one_edit(doc, data):
+    """Apply to ``doc`` one edit drawn from ``data``: drop or rename a key,
+    give a value another JSON type, push a number out of range, or reverse
+    a list."""
+    nodes = list(_nodes(doc))
+    keys = sorted({p[-1] for p, _ in nodes if isinstance(p[-1], str)})
+    kinds = [e for e in sorted(_EDITS) if any(_EDITS[e](*n) for n in nodes)]  # a tech file has no list to reverse
+    edit = data.draw(st.sampled_from(kinds), label="edit")
+    path, value = data.draw(st.sampled_from([n for n in nodes if _EDITS[edit](*n)]), label="node")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if edit == "drop":
+        del parent[key]
+    elif edit == "rename":
+        parent[data.draw(st.sampled_from([k for k in keys if k != key] + [key + "s"]))] = parent.pop(key)
+    elif edit == "retype":
+        parent[key] = data.draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(value)]))
+    elif edit == "out-of-range":
+        parent[key] = data.draw(st.sampled_from(_OUT_OF_RANGE))
+    else:
+        value.reverse()
+
+
+def _exit_codes(*argvs):
+    """``(exit code, stderr)`` of each command line, run in turn."""
+    codes = []
+    for argv in argvs:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            codes.append((main(list(argv)), err.getvalue()))
+    return codes
 
 
 class TestOneEditedPointFile:
@@ -580,27 +641,62 @@ class TestOneEditedPointFile:
     @given(seed=st.integers(0, 3), data=st.data())
     def test_map_and_simulate_never_exit_4(self, tmp_path_factory, seed, data):
         doc = json.loads(canonical_json(sample_random(seed)))
-        nodes = list(_nodes(doc))
-        keys = sorted({p[-1] for p, _ in nodes if isinstance(p[-1], str)})
-        edit = data.draw(st.sampled_from(sorted(_EDITS)), label="edit")
-        path, value = data.draw(st.sampled_from([n for n in nodes if _EDITS[edit](*n)]), label="node")
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
-        if edit == "drop":
-            del parent[key]
-        elif edit == "rename":
-            parent[data.draw(st.sampled_from([k for k in keys if k != key] + [key + "s"]))] = parent.pop(key)
-        elif edit == "retype":
-            parent[key] = data.draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(value)]))
-        elif edit == "out-of-range":
-            parent[key] = data.draw(st.sampled_from(_OUT_OF_RANGE))
-        else:
-            value.reverse()
+        _one_edit(doc, data)
         point = tmp_path_factory.mktemp("edited") / "point.json"
         point.write_text(json.dumps(doc))
-        for command in ("map", "simulate"):
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-                code = main([command, "--point", str(point)])
-            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION), err.getvalue()
+        for code, err in _exit_codes(*([command, "--point", str(point)] for command in ("map", "simulate"))):
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION), err
+
+
+# A search small enough to run per example: three evaluations.
+_TINY_SEARCH = {
+    "num_generations": 1, "num_children": 1, "num_mutations": 1, "lambdas": [0.1, 0.1, 0.1],
+    "targets": [1.0, 1.0, 1.0], "population_init_size": 2, "tournament_size": 2, "seed": 0,
+}
+
+
+class TestOneEditedInputFile:
+    """A space descriptor, technology file or search configuration one edit
+    away from a valid one: every command that reads it exits 0, 2 or 3,
+    never 4. The design point is a valid default-space point."""
+
+    @staticmethod
+    def _base(kind):
+        from dataclasses import asdict
+        from importlib import resources
+
+        from pimdse.design_space import DEFAULT_SPACE
+
+        if kind == "space":
+            return json.loads(json.dumps(asdict(DEFAULT_SPACE)))
+        if kind == "tech":
+            return json.loads(resources.files("pimdse.data").joinpath("default_tech.json").read_text())
+        return json.loads(json.dumps(_TINY_SEARCH))
+
+    @pytest.mark.parametrize("kind", ["space", "tech", "search"])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_every_command_never_exits_4(self, tmp_path_factory, kind, data):
+        doc = self._base(kind)
+        _one_edit(doc, data)
+        tmp = tmp_path_factory.mktemp("edited")
+        edited, cfg, point = tmp / f"{kind}.json", tmp / "cfg.json", tmp / "point.json"
+        edited.write_text(json.dumps(doc))
+        cfg.write_text(json.dumps(_TINY_SEARCH))
+        point.write_text(canonical_json(sample_random(5)))
+        search = ["search", "--search-config", str(cfg), "--out", str(tmp / "out")]
+        if kind == "space":
+            flag = ["--space", str(edited)]
+            argvs = (
+                ["space", "count", *flag], ["space", "count", "--report", *flag],
+                ["space", "sample", "-n", "2", *flag],
+                ["map", "--point", str(point), *flag], ["simulate", "--point", str(point), *flag],
+                [*search, *flag],
+            )
+        elif kind == "tech":
+            flag = ["--tech", str(edited)]
+            argvs = (["simulate", "--point", str(point), *flag], [*search, *flag])
+        else:
+            argvs = (["search", "--search-config", str(edited), "--out", str(tmp / "out")],)
+        for code, err in _exit_codes(*argvs):
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION), err

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimdse import cost_model, pipeline, search
+from pimdse import cost_model, mapping, pipeline, search
 from pimdse.cost_model import (
     OPERATOR_TABLE_SIZE,
     TechParams,
@@ -271,9 +271,18 @@ class TestOperatorTable:
                 assert tuple(metric_fn(point)) == expected
                 assert model_cost(mm, tech).to_dict() == cost.to_dict()
                 assert simulate(mm, tech, lookup_model=lookup).to_dict() == report.to_dict()
+                # one operator order: stages, latencies, placed operators, compute events
+                ids = [op.op_id for op in mm.operators]
+                assert list(stage_times(mm, tech)) == list(model_cost(mm, tech).op_latencies) == ids
                 for overlap in (True, False):
                     sched = schedule(mm, tech, overlap)
                     assert sched.to_dict() == schedule(plain, cold, overlap).to_dict()
+                    assert [e.stage_id for e in sched.events if e.kind == "compute"] == ids
+                assert mm.edges == tuple(
+                    ("stem" if s == 0 else f"b{s}.{stream}", op.op_id)
+                    for op in mm.operators
+                    for s, stream in op.consumes
+                )
                 info = tech.operator_table.cache_info()
                 assert info.maxsize == 8 and info.currsize <= 8
 
@@ -381,6 +390,23 @@ class TestOperatorTable:
         assert tech.operator_table.cache_info().misses == len(set(mm.keys))
         for kind, *rest in mm.keys:  # shape keys: a kind, then integers
             assert isinstance(kind, OperatorKind) and all(type(v) is int for v in rest)
+
+    def test_a_latency_read_or_schedule_maps_no_shape(self):
+        # Placement is recorded by map_model and prices are kept on the model,
+        # so once a model is priced its timeline needs no shape record.
+        tech = default_tech()
+        for seed in range(4):
+            mm = map_model(sample_random(seed))
+            model_cost(mm, tech)
+            with (
+                mock.patch.object(mapping, "map_shape", wraps=map_shape) as mapped,
+                mock.patch.object(cost_model, "map_shape", mapped),
+            ):
+                for overlap in (True, False):
+                    assert simulate(mm, tech, overlap=overlap).latency > 0
+                    assert schedule(mm, tech, overlap).events
+            assert mapped.call_count == 0  # the timeline used to map every shape again
+            assert "shapes" not in vars(mm) and "operators" not in vars(mm)
 
     def test_table_is_not_serialized(self):
         tech = default_tech()

@@ -552,13 +552,16 @@ def scrambled(point, rng):
 class TestPointProperties:
     @pytest.mark.parametrize("space", PROPERTY_SPACES, ids=["default", "dp_fm_dsi", "fc_only"])
     def test_mutating_a_point_whose_indices_are_not_positions(self, space):
-        # Mutators read blocks by position, so none raises; every child keeps
-        # a misplaced index and fails validate, so the point comes back as is.
+        # Such a point has no valid child, so mutate refuses it at once,
+        # naming its first violation, instead of spending every draw.
         rng = random.Random(0)
         for seed in range(100):
             point = scrambled(sample_random(seed, space), rng)
-            assert not validate(point, space).ok
-            assert mutate(point, seed, 3, space) is point
+            report = validate(point, space)
+            assert not report.ok
+            with pytest.raises(ValueError, match="cannot mutate a point that fails validate") as refused:
+                mutate(point, seed, 3, space)
+            assert report.violations[0] in str(refused.value)
 
     @settings(max_examples=60)
     @given(

@@ -9,7 +9,9 @@ from pimdse.cost_model import default_tech
 from pimdse.design_space import sample_random, validate
 from pimdse.evaluator import SurrogateParams
 from pimdse.search import (
+    CriterionOverflow,
     PopulationEntry,
+    SearchAborted,
     SearchConfig,
     criterion,
     default_hw_metrics,
@@ -155,6 +157,37 @@ class TestRunSearch:
         assert all(math.isfinite(m) for e in res.population for m in e.metrics)
         assert sum(len(g.child_ids) for g in res.log.generations) < cfg.num_generations * cfg.num_children
         assert "area is inf" in caplog.text and "peak_power is nan" in caplog.text
+
+    def test_children_whose_criterion_overflows_are_skipped(self, caplog):
+        # Finite metrics, scaled past float64 by the config's lambdas.
+        cfg = small_cfg(num_generations=4, lambdas=(1e308, 0.0, 0.0), targets=(1.0, 1.0, 1.0))
+        calls = {"n": 0}
+
+        def metrics(point):
+            calls["n"] += 1
+            grown = calls["n"] > cfg.population_init_size and calls["n"] % 2 == 0
+            return (1e300 if grown else 1e-300, 1.0, 1.0)
+
+        res = run_search(cfg, self.loss_fn, metrics)
+        assert all(math.isfinite(e.criterion) for e in res.population)
+        assert sum(len(g.child_ids) for g in res.log.generations) < cfg.num_generations * cfg.num_children
+        assert "criterion is inf" in caplog.text
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"targets": (1e-320, 1.0, 1.0)}, "initial population evaluation failed: criterion is inf"),
+            ({"lambdas": (1e308, 1e308, 1e308)}, "initial population evaluation failed: criterion is inf"),
+            # each criterion is finite, but the mean of two of them is not
+            ({"lambdas": (1e308, 0.0, 0.0), "targets": (1.0, 1.0, 1.0)}, "generation 1 failed"),
+        ],
+        ids=["tiny_target", "huge_lambdas", "median"],
+    )
+    def test_a_criterion_past_float64_aborts(self, overrides, message):
+        cfg = small_cfg(num_generations=1, num_children=1, population_init_size=2, **overrides)
+        with pytest.raises(SearchAborted, match=message) as aborted:
+            run_search(cfg, self.loss_fn, lambda point: (1.0, 1.0, 1.0))
+        assert isinstance(aborted.value.__cause__, CriterionOverflow)
 
     def test_explicit_targets_respected(self):
         cfg = small_cfg(targets=(1.0, 2.0, 3.0))
