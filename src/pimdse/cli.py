@@ -23,7 +23,9 @@ the first value that is not finite: ``simulate`` before any output;
 ``search`` when it aborts on one (an initial point, or the child past the
 skip limit; other such children are skipped like any failing child). A
 ``--search-config`` whose lambdas or targets push a criterion past float64
-is treated the same way and exits 2 naming the search config. A ``search``
+is treated the same way and exits 2 naming the search config, and the
+``--tech`` file too when one is given (with ``"targets": null`` a tech
+file can make the targets, the first point's metrics, subnormal). A ``search``
 that aborts, for this or any other reason, removes the files and
 directories it made, result files included. Every JSON file written is
 strict: no NaN or Infinity.
@@ -249,9 +251,11 @@ def cmd_search(args) -> int:
         for d in created:
             d.rmdir()
         cause = exc.__cause__ if isinstance(exc, SearchAborted) else None
-        if isinstance(cause, CriterionOverflow):
-            msg = f"search config {args.search_config} gives a criterion that is not finite: {cause}"
-            raise CliError(msg, EXIT_PARSE) from exc
+        if isinstance(cause, CriterionOverflow):  # the config's weights scale the tech's metrics
+            inputs = f"search config {args.search_config}"
+            if args.tech:
+                inputs += f" with tech params {args.tech}"
+            raise CliError(f"{inputs} gives a criterion that is not finite: {cause}", EXIT_PARSE) from exc
         if isinstance(cause, OverflowError):
             msg = f"tech params {args.tech} give a value that is not finite: {cause}"
             raise CliError(msg, EXIT_PARSE) from exc

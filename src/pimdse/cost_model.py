@@ -22,10 +22,8 @@ operator sits in the model. Every model is therefore priced one way, by
 ``functools.lru_cache``, and only a shape the table does not hold is
 mapped and priced into it.
 :func:`model_cost`, :func:`stage_times` and :func:`pimdse.pipeline.schedule`
-read those entries, and take each operator's id, block and consumed
-streams from :attr:`pimdse.mapping.MappedModel.layout`, which
-:func:`pimdse.mapping.map_model` records in the walk that builds the keys.
-None of them maps a shape the table already holds.
+read those entries, and take placement from the
+:attr:`pimdse.mapping.MappedModel.layout` that :func:`pimdse.mapping.map_model` records.
 
 A model keeps its prices and its stage occupancy, walked once per overlap
 setting, for the last technology object it was priced under:
@@ -334,14 +332,14 @@ def stage_times(mm: MappedModel, tp: TechParams, overlap: bool = True) -> dict[s
 def _occupancy_walk(mm: MappedModel, tp: TechParams, overlap: bool, priced: tuple) -> dict[str, float]:
     times: dict[str, float] = {}
     sparse_branch: dict[int, float] = {0: tp.t_bank}  # stem production = lookup
-    for (op_id, block_index, branch, consumes), p in zip(mm.layout, priced):
+    for (op_id, block_index, branch, inputs), p in zip(mm.layout, priced):
         if not overlap:
             t = p.latency
         elif p.occupancy is not None:
             t = p.occupancy
         else:  # FM: producers are the source blocks' sparse branches
             k = p.op.parts[-2].programming_vectors
-            t_e = sum(sparse_branch[s] for s, _ in consumes) / k
+            t_e = sum(sparse_branch[s] for s in inputs) / k
             # Occupancy counts from the first vector's arrival: the engine is
             # held through the arrival-limited programming train.
             t = _engine_ready(-t_e, t_e, k, p.tail, tp)

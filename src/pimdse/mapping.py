@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import groupby
 from typing import NamedTuple
 
@@ -135,9 +135,8 @@ class MappedOperator(NamedTuple):
 
 @dataclass(frozen=True)
 class MappedModel:
-    """A mapped design point: one shape key per operator and, in
-    :attr:`layout`, each operator's placement, both recorded by
-    :func:`map_model`; ``shapes``, ``operators``, ``edges`` and
+    """A mapped design point: the shape key and placement of each operator,
+    recorded by :func:`map_model`; ``shapes``, ``operators``, ``edges`` and
     ``tile_plan`` derive from them on first read.
 
     :func:`pimdse.cost_model.priced_operators` reads each key's prices
@@ -149,16 +148,9 @@ class MappedModel:
     model: ModelConfig
     reram: ReRAMConfig
     keys: tuple[tuple, ...]  # block operators plus the final FC
+    layout: tuple[tuple[str, int, str, tuple[int, ...]], ...]  # (op_id, block_index, branch, inputs) per key
 
     __getstate__ = _field_state
-
-    @cached_property
-    def layout(self) -> tuple[tuple[str, int, str, tuple[tuple[int, str], ...]], ...]:
-        """``(op_id, block_index, branch, consumes)`` of every key, where
-        ``consumes`` lists the ``(source block, stream)`` pairs read. Set by
-        :func:`map_model`; a model restored by ``pickle`` or ``copy`` maps
-        its point again."""
-        return map_model(DesignPoint(self.model, self.reram)).layout
 
     @cached_property
     def shapes(self) -> tuple[MappedOperator, ...]:
@@ -173,10 +165,10 @@ class MappedModel:
                 op_id=op_id,
                 block_index=block_index,
                 branch=branch,
-                consumes=consumes,
+                consumes=consumed_streams(shape.kind, inputs),
                 parts=tuple(p._replace(op_id=f"{op_id}.{p.op_id}") for p in shape.parts),
             )
-            for shape, (op_id, block_index, branch, consumes) in zip(self.shapes, self.layout)
+            for shape, (op_id, block_index, branch, inputs) in zip(self.shapes, self.layout)
         )
 
     @cached_property
@@ -184,8 +176,8 @@ class MappedModel:
         """(source stream, consumer op_id) per consumed stream, in operator order."""
         return tuple(
             (_stream_ref(s, stream), op_id)
-            for op_id, _, _, consumes in self.layout
-            for s, stream in consumes
+            for key, (op_id, _, _, inputs) in zip(self.keys, self.layout)
+            for s, stream in consumed_streams(key[0], inputs)
         )
 
     @cached_property
@@ -399,15 +391,14 @@ _PLAN_KEYS = {Engine.MVM: "mvm_tiles", Engine.DP: "dp_tiles", Engine.FM: "fm_til
 def map_model(point: DesignPoint) -> MappedModel:
     """Map every operator of a valid design point onto engines and tiles.
 
-    One walk records each operator's shape key and its placement, in
-    operator order: each block's dense then sparse operators, then the
-    final FC. The key is ``(kind, weight_bits, *dims, dac_bits, cell_bits,
-    xbar_size, adc_bits)``, the values its mapper reads. Placement is not in
-    the key, so one shape placed twice, in one model or in two, shares one
-    entry of a technology's operator table
-    (:attr:`pimdse.cost_model.TechParams.operator_table`). No shape is
-    mapped here: a shape is mapped when :attr:`MappedModel.shapes` is first
-    read, or when pricing misses the table.
+    One walk records, in operator order (each block's dense then sparse
+    operators, then the final FC), each operator's shape key, ``(kind,
+    weight_bits, *dims, dac_bits, cell_bits, xbar_size, adc_bits)``, the
+    values its mapper reads, and its placement in ``layout``. Placement is
+    not in the key, so one shape placed twice, in one model or in two, shares
+    one entry of a technology's operator table
+    (:attr:`pimdse.cost_model.TechParams.operator_table`). A shape is mapped
+    when :attr:`MappedModel.shapes` is first read, or when pricing misses.
     """
     model, reram = point.model, point.reram
     n_s = model.num_sparse_features
@@ -431,7 +422,7 @@ def map_model(point: DesignPoint) -> MappedModel:
             else:  # DSI: an FC producing n_s * dim_s values, then a reshape
                 shape = (kind, w_bits, dense_w, n_s * dim_s)
         keys.append(shape + reram_fields)
-        layout.append((op_id, index, branch, _consumes(kind, inputs)))
+        layout.append((op_id, index, branch, inputs))
 
     for blk in model.blocks:
         index = blk.index
@@ -441,16 +432,12 @@ def map_model(point: DesignPoint) -> MappedModel:
                 place(op_id, index, branch, blk.dim_d, blk.dim_s, op.kind, op.weight_bits, op.inputs)
     last = model.blocks[-1].index  # the final FC: one logit from the last block's dense output
     place("final_fc", last + 1, "dense", 1, 0, FC, model.final_fc_bits, (last,))
-    mm = MappedModel(model, reram, tuple(keys))
-    mm.__dict__["layout"] = tuple(layout)  # where cached_property would store it
-    return mm
+    return MappedModel(model, reram, tuple(keys), tuple(layout))
 
 
-@lru_cache(maxsize=1024)
-def _consumes(kind: OperatorKind, inputs: tuple[int, ...]) -> tuple[tuple[int, str], ...]:
+def consumed_streams(kind: OperatorKind, inputs: tuple[int, ...]) -> tuple[tuple[int, str], ...]:
     """The ``(source block, stream)`` pairs an operator of ``kind`` reading
-    ``inputs`` consumes, in edge order; one tuple serves every operator that
-    reads its sources the same way."""
+    ``inputs`` consumes, in edge order."""
     return tuple([(s, stream) for stream in _CONSUMED_STREAMS[kind] for s in inputs])
 
 

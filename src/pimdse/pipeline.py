@@ -19,7 +19,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .cost_model import TechParams, _engine_ready, priced_operators, stage_times
-from .mapping import Engine, MappedModel
+from .mapping import Engine, MappedModel, consumed_streams
 
 ZIPF_ALPHA = 1.3  # Pareto exponent of the synthetic lookup trace's ranks
 
@@ -196,7 +196,7 @@ def _timeline(
     placed = zip(mm.layout, priced_operators(mm, tp))
     for index, group in groupby(placed, key=lambda pair: pair[0][1]):  # by block index
         dense_ends, sparse_ends, branch_starts = [], [], []
-        for (op_id, _, branch, consumes), p in group:
+        for (op_id, _, branch, inputs), p in group:
             if overlap and p.op.engine is FM:
                 # Occupancy has no timeline, so it spreads the source
                 # branches' summed production over the vectors. Here the
@@ -204,13 +204,13 @@ def _timeline(
                 # programmed across the observed production window instead;
                 # eager programming can only improve on the serialized plan.
                 k = p.op.parts[-2].programming_vectors
-                start = max(sparse_start[s] for s, stream in consumes)
-                window = max(sparse_ready[s] for s, stream in consumes) - start
+                start = max(sparse_start[s] for s in inputs)
+                window = max(sparse_ready[s] for s in inputs) - start
                 end = _engine_ready(start, window / k, k, p.tail, tp)
             else:
                 start = max(
                     (dense_ready if stream == "dense" else sparse_ready)[s]
-                    for s, stream in consumes
+                    for s, stream in consumed_streams(p.op.kind, inputs)
                 )
                 end = start + occ[op_id]
             events.append(StageEvent(op_id, start, end, "compute"))

@@ -123,7 +123,9 @@ class SearchAborted(RuntimeError):
 
 class CriterionOverflow(OverflowError):
     """A criterion that is not finite although its metrics are: the
-    config's lambdas or targets scale them past float64."""
+    config's lambdas or targets scale them past float64. With no targets
+    given, the targets are the first point's metrics, so a tech file that
+    makes one of them subnormal can cause it too."""
 
 
 def criterion(

@@ -567,6 +567,24 @@ class TestSearch:
         assert f"search config {cfg} gives a criterion that is not finite: criterion is inf" in err
         assert "tech params" not in err and not out.exists()
 
+    def test_criterion_past_float64_from_a_tech_file_names_both_inputs(self, capsys, tmp_path):
+        # With "targets": null the first initial point's metrics are the targets. This tech file
+        # makes that point's area subnormal (its ADCs are 4-bit) and the second point's normal.
+        from importlib import resources
+
+        tech = json.loads(resources.files("pimdse.data").joinpath("default_tech.json").read_text())
+        tech.update(dict.fromkeys(("dac_area", "cell_area", "mbsa_area", "buffer_area_per_byte"), 5e-324))
+        tech["adc_area"]["4"] = 5e-324
+        tech_path, cfg = tmp_path / "tech.json", tmp_path / "cfg.json"
+        tech_path.write_text(json.dumps(tech))
+        cfg.write_text('{"num_generations": 1, "population_init_size": 2, "num_children": 1, "targets": null}')
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            capsys, "search", "--search-config", str(cfg), "--tech", str(tech_path), "--out", str(out)
+        )
+        assert code == EXIT_PARSE and stdout == "" and not out.exists()
+        assert f"search config {cfg} with tech params {tech_path} gives a criterion that is not finite" in err
+
     def test_bad_config_exits_2(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"num_generations": 0}')

@@ -519,7 +519,7 @@ class TestPickledRecords:
         assert simulate(mm, tech).latency and mm.edges and mm.tile_plan
         assert "_priced" in vars(mm) and "shapes" in vars(mm)
         fresh = map_model(point)
-        assert pickle.dumps(mm) == pickle.dumps(MappedModel(mm.model, mm.reram, mm.keys))
+        assert pickle.dumps(mm) == pickle.dumps(MappedModel(mm.model, mm.reram, mm.keys, mm.layout))
         for again in (pickle.loads(pickle.dumps(mm)), copy.deepcopy(mm)):
-            assert again == mm and set(vars(again)) == {"model", "reram", "keys"}
+            assert again == mm and set(vars(again)) == {"model", "reram", "keys", "layout"}
             assert model_cost(again, tech).to_dict() == model_cost(fresh, tech).to_dict()
