@@ -277,7 +277,7 @@ def price_operator(op: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> Pr
     tail = (costs[-2][2], latencies[-1])  # the engine's read, the trailing FC
     if op.engine is Engine.FM:
         return PricedOperator(op, area, energy, latency, None, tail)
-    k = op.parts[-2].programming_vectors
+    k = op.programming_vectors
     t_e = sum(c[2] for c in costs[:-2]) / k  # DP: the front FC/EFC reads
     return PricedOperator(op, area, energy, latency, _engine_ready(0.0, t_e, k, tail, tp), tail)
 
@@ -338,7 +338,7 @@ def _occupancy_walk(mm: MappedModel, tp: TechParams, overlap: bool, priced: tupl
         elif p.occupancy is not None:
             t = p.occupancy
         else:  # FM: producers are the source blocks' sparse branches
-            k = p.op.parts[-2].programming_vectors
+            k = p.op.programming_vectors
             t_e = sum(sparse_branch[s] for s in inputs) / k
             # Occupancy counts from the first vector's arrival: the engine is
             # held through the arrival-limited programming train.

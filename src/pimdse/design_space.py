@@ -214,9 +214,12 @@ class SpaceDescriptor:
             ("num_sparse_features", MAX_SPARSE_FEATURES),
             ("embedding_dim", MAX_DIM),
         ):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-            if getattr(self, name) > most:
+            if value > most:
                 raise ValueError(f"{name} must be <= {most}")
         for name in _MENUS:
             menu = getattr(self, name)
@@ -226,6 +229,10 @@ class SpaceDescriptor:
                 raise ValueError(
                     f"{name} lists an entry more than once: {[getattr(x, 'value', x) for x in menu]}"
                 )
+        for name in _MENUS[2:]:  # dims, bits and crossbar sizes
+            stray = [x for x in getattr(self, name) if not isinstance(x, int) or isinstance(x, bool)]
+            if stray:
+                raise ValueError(f"{name} must list ints only, got {stray}")
         for name, branch_kinds in (
             ("dense_operators", DENSE_KINDS), ("sparse_operators", SPARSE_KINDS)
         ):

@@ -51,6 +51,9 @@ class SurrogateParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("base_loss", "capacity_weight", "low_bit_penalty", "interaction_bonus", "noise_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
 

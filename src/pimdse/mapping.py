@@ -77,19 +77,19 @@ class DPGeometry(NamedTuple):
 
 
 class MappedOperator(NamedTuple):
-    """One mapped operator: a leaf with its own tiles, or a composite.
+    """One mapped operator's shape: a leaf with its own tiles, or a composite.
 
     A composite (``engine`` DP or FM) has ``parts == (*front, engine,
     fc_out)``: the MVM leaves producing the engine's operands (DP: the front
     FC and EFC; FM: none, its operands are source sparse vectors), the
-    runtime-programmed engine leaf, and the trailing MVM FC. Every other
-    operator is a leaf with ``parts == ()``.
+    runtime-programmed engine leaf, and the trailing MVM FC. Parts are
+    leaves; every other operator is a leaf with ``parts == ()``.
 
-    The mappers build *shape* records: no ``op_id`` (``""``), no placement
-    (``block_index``, ``branch``, ``consumes`` at their defaults), and a
-    composite's parts named by their role (``fc_front``, ``efc``,
-    ``engine``, ``fc_out``). :attr:`MappedModel.operators` places them:
-    the operator's id goes on the record and prefixes its parts' roles.
+    A record says nothing of where its operator sits: placement is kept in
+    :attr:`MappedModel.layout` alone. The mappers leave ``op_id`` empty
+    (``""``) and name a composite's parts by their role (``fc_front``,
+    ``efc``, ``engine``, ``fc_out``); :attr:`MappedModel.operators` puts the
+    operator's id on the record and prefixes its parts' roles with it.
 
     Mapped records (``MappedOperator``, ``DPGeometry``) are immutable
     ``NamedTuple``s: cheap to build once per candidate, compared and hashed
@@ -111,21 +111,17 @@ class MappedOperator(NamedTuple):
     emits_transposed: bool = False
     parts: tuple["MappedOperator", ...] = ()
     geometry: DPGeometry | None = None
-    block_index: int = 0
-    branch: str = ""
-    consumes: tuple[tuple[int, str], ...] = ()  # (source block, stream)
 
-    def leaves(self):
-        if self.parts:
-            for p in self.parts:
-                yield from p.leaves()
-        else:
-            yield self
+    def leaves(self) -> tuple["MappedOperator", ...]:
+        return self.parts or (self,)
 
     def to_dict(self) -> dict:
+        """The record's fields, with the unplaced defaults ``block_index``
+        0, ``branch`` "" and ``consumes`` [] that ``pimdse map`` has always
+        printed; :meth:`MappedModel.to_dict` writes an operator's own."""
         d = self._asdict()
         geometry, parts = d.pop("geometry"), d.pop("parts")
-        d.update(kind=self.kind.value, engine=self.engine.value, consumes=[list(c) for c in self.consumes])
+        d.update(kind=self.kind.value, engine=self.engine.value, block_index=0, branch="", consumes=[])
         if geometry is not None:
             d["geometry"] = geometry._asdict()
         if parts:
@@ -137,7 +133,9 @@ class MappedOperator(NamedTuple):
 class MappedModel:
     """A mapped design point: the shape key and placement of each operator,
     recorded by :func:`map_model`; ``shapes``, ``operators``, ``edges`` and
-    ``tile_plan`` derive from them on first read.
+    ``tile_plan`` derive from them on first read. ``layout`` is the only
+    record of placement: every reader takes an operator's block, branch and
+    inputs from it, beside the operator's key, shape or record.
 
     :func:`pimdse.cost_model.priced_operators` reads each key's prices
     from the technology's operator table, and keeps the model's prices and
@@ -159,16 +157,10 @@ class MappedModel:
 
     @cached_property
     def operators(self) -> tuple[MappedOperator, ...]:
-        """Every shape with its placement, its parts' ids prefixed by its own."""
+        """Every shape with its operator's id, which prefixes its parts' ids."""
         return tuple(
-            shape._replace(
-                op_id=op_id,
-                block_index=block_index,
-                branch=branch,
-                consumes=consumed_streams(shape.kind, inputs),
-                parts=tuple(p._replace(op_id=f"{op_id}.{p.op_id}") for p in shape.parts),
-            )
-            for shape, (op_id, block_index, branch, inputs) in zip(self.shapes, self.layout)
+            shape._replace(op_id=op_id, parts=tuple(p._replace(op_id=f"{op_id}.{p.op_id}") for p in shape.parts))
+            for shape, (op_id, *_) in zip(self.shapes, self.layout)
         )
 
     @cached_property
@@ -196,7 +188,7 @@ class MappedModel:
         """Tiles per engine kind, plus the embedding memory tiles."""
         plan = dict.fromkeys(_PLAN_KEYS.values(), 0)
         for op in self.shapes:
-            for leaf in op.parts or (op,):  # parts are leaves
+            for leaf in op.leaves():
                 plan[_PLAN_KEYS[leaf.engine]] += leaf.row_tiles * leaf.col_tiles
         plan["memory_tiles"] = self.memory_tiles
         return plan
@@ -205,7 +197,11 @@ class MappedModel:
         return {
             "model": self.model.to_dict(),
             "reram": self.reram.to_dict(),
-            "operators": [op.to_dict() for op in self.operators],
+            "operators": [
+                {**op.to_dict(), "block_index": index, "branch": branch,
+                 "consumes": [list(c) for c in consumed_streams(op.kind, inputs)]}
+                for op, (_, index, branch, inputs) in zip(self.operators, self.layout)
+            ],
             "tile_plan": dict(self.tile_plan),
             "edges": [list(e) for e in self.edges],
         }
@@ -550,10 +546,11 @@ def functional_forward(
 ) -> tuple[np.ndarray, dict[str, SaturationLog]]:
     """Execute the mapped model through the crossbar kernel, batch size one.
 
-    Walks :attr:`MappedModel.operators` block by block; each leaf runs its
-    ``op_id``'s weight at its ``w_bits`` on the streams its operator
-    ``consumes``. Returns the last record's (the final FC's) unclamped output
-    and one saturation log per leaf, in leaf order. Activations are
+    Walks :attr:`MappedModel.operators` beside :attr:`MappedModel.layout`,
+    block by block; each leaf runs its ``op_id``'s weight at its ``w_bits``
+    on the streams its operator's kind reads from its layout ``inputs``.
+    Returns the last record's (the final FC's) unclamped output and one
+    saturation log per leaf, in leaf order. Activations are
     ``DEFAULT_ACTIVATION_BITS`` wide, the width the cost model prices. With
     lossless converter settings the output matches the pure-integer
     reference exactly.
@@ -569,10 +566,10 @@ def functional_forward(
     out = {"dense": {STEM: dense_in}, "sparse": {STEM: sparse_in}}  # stream -> source -> output
     logs: dict[str, SaturationLog] = {}
 
-    def gather(op, stream, dim_s=None):
-        """The ``stream`` sources ``op`` consumes: dense vectors joined end to
-        end, sparse matrices aligned to ``dim_s`` columns and stacked."""
-        mats = [out[stream][s] for s, st in op.consumes if st == stream]
+    def gather(inputs, stream, dim_s=None):
+        """The ``stream`` of every source in ``inputs``: dense vectors joined
+        end to end, sparse matrices aligned to ``dim_s`` columns and stacked."""
+        mats = [out[stream][s] for s in inputs]
         if stream == "dense":
             return np.concatenate(mats)
         return np.vstack([_align_width(m, dim_s) for m in mats])
@@ -587,13 +584,13 @@ def functional_forward(
         return y
 
     blocks = {blk.index: blk for blk in model.blocks}
-    *records, final = mm.operators
-    for index, ops in groupby(records, key=lambda op: op.block_index):
+    *placed, (final, (*_, final_inputs)) = zip(mm.operators, mm.layout)
+    for index, group in groupby(placed, key=lambda pair: pair[1][1]):  # by block index
         blk = blocks[index]
         acc = {"dense": np.zeros(blk.dim_d, np.int64), "sparse": np.zeros((n_s, blk.dim_s), np.int64)}
-        for op in ops:
-            if op.kind not in _BRANCH_KINDS[op.branch]:
-                allowed = [k.value for k in _BRANCH_KINDS[op.branch]]
+        for op, (_, _, branch, inputs) in group:
+            if op.kind not in _BRANCH_KINDS[branch]:
+                allowed = [k.value for k in _BRANCH_KINDS[branch]]
                 raise ValueError(
                     f"{op.op_id}: {op.kind.value} cannot run in this branch (allowed: {allowed})"
                 )
@@ -601,20 +598,20 @@ def functional_forward(
                 *front, engine, fc_out = op.parts
                 if front:  # DP: the front FC's row above the EFC's rows
                     fc_front, efc = front
-                    h = clamp_activations(run(fc_front, gather(op, "dense")))
-                    e = clamp_activations(run(efc, gather(op, "sparse", blk.dim_s)))
+                    h = clamp_activations(run(fc_front, gather(inputs, "dense")))
+                    e = clamp_activations(run(efc, gather(inputs, "sparse", blk.dim_s)))
                     x = np.vstack([h[None, :], e])
                 else:  # FM: the source sparse vectors
-                    x = gather(op, "sparse", blk.dim_s)
+                    x = gather(inputs, "sparse", blk.dim_s)
                 y = run(fc_out, clamp_activations(run(engine, x)))
             else:  # FC, EFC or DSI, whose flat output fills the sparse matrix
-                x = gather(op, op.consumes[0][1], blk.dim_s)
-                y = run(op, x).reshape(acc[op.branch].shape)
-            acc[op.branch] += clamp_activations(y)
+                x = gather(inputs, _CONSUMED_STREAMS[op.kind][0], blk.dim_s)
+                y = run(op, x).reshape(acc[branch].shape)
+            acc[branch] += clamp_activations(y)
         out["dense"][index] = clamp_activations(np.maximum(acc["dense"], 0))  # ReLU on dense
         out["sparse"][index] = clamp_activations(acc["sparse"])  # identity activation
 
-    return run(final, gather(final, "dense")), logs
+    return run(final, gather(final_inputs, "dense")), logs
 
 
 def _align_width(mat: np.ndarray, width: int) -> np.ndarray:

@@ -203,7 +203,7 @@ def _timeline(
                 # branches' start and end times are known, so the engine is
                 # programmed across the observed production window instead;
                 # eager programming can only improve on the serialized plan.
-                k = p.op.parts[-2].programming_vectors
+                k = p.op.programming_vectors
                 start = max(sparse_start[s] for s in inputs)
                 window = max(sparse_ready[s] for s in inputs) - start
                 end = _engine_ready(start, window / k, k, p.tail, tp)

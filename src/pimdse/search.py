@@ -222,32 +222,25 @@ def run_search(
     rng = Random(cfg.seed)
     skipped = 0
 
-    def evaluate(point: DesignPoint):
-        """(loss, metrics) of a point, or the exception its evaluation raised.
+    def evaluate(point: DesignPoint) -> tuple[float, tuple[float, float, float]]:
+        """(loss, metrics) of a point.
 
         Evaluation is a pure function of the point, so a repeated child is
         simply evaluated again and gets the same numbers. A metric that is
         not finite, as costs past float64 give, fails it with ``OverflowError``.
         """
-        try:
-            loss, metrics = loss_fn(point), tuple(metric_fn(point))
-        except Exception as exc:  # noqa: BLE001 - isolated per child
-            return exc
+        loss, metrics = loss_fn(point), tuple(metric_fn(point))
         for name, value in zip(METRIC_NAMES, metrics):
             if not math.isfinite(value):
-                return OverflowError(f"{name} is {value!r}")
+                raise OverflowError(f"{name} is {value!r}")
         return loss, metrics
 
-    def entry(point: DesignPoint, res):
-        """``point``'s population entry from its evaluation ``res``, or the
-        exception that fails it: the evaluation's own, or
-        ``CriterionOverflow`` for a criterion that is not finite."""
-        if isinstance(res, Exception):
-            return res
-        loss, metrics = res
+    def entry(point: DesignPoint, loss: float, metrics) -> PopulationEntry:
+        """``point``'s population entry; ``CriterionOverflow`` for a
+        criterion that is not finite."""
         crit = criterion(loss, metrics, cfg, targets)
         if not math.isfinite(crit):
-            return CriterionOverflow(f"criterion is {crit!r}")
+            raise CriterionOverflow(f"criterion is {crit!r}")
         return PopulationEntry(point, loss, metrics, crit, insertion)
 
     population: list[PopulationEntry] = []
@@ -257,18 +250,15 @@ def run_search(
         sample_random(derive_seed(cfg.seed, "init", i), space)
         for i in range(cfg.population_init_size)
     ]
-    init_evals = [evaluate(p) for p in init_points]
-    for res in init_evals:
-        if isinstance(res, Exception):
-            raise SearchAborted(f"initial population evaluation failed: {res}") from res
-    targets = cfg.targets if cfg.targets is not None else init_evals[0][1]
+    try:  # every point is evaluated before the first one is scored
+        init_evals = [evaluate(p) for p in init_points]
+        targets = cfg.targets if cfg.targets is not None else init_evals[0][1]
+        for point, res in zip(init_points, init_evals):
+            population.append(entry(point, *res))
+            insertion += 1
+    except Exception as exc:  # noqa: BLE001 - reported as the search's cause
+        raise SearchAborted(f"initial population evaluation failed: {exc}") from exc
     log = SearchLog(targets=tuple(targets))
-    for point, res in zip(init_points, init_evals):
-        new = entry(point, res)
-        if isinstance(new, Exception):
-            raise SearchAborted(f"initial population evaluation failed: {new}") from new
-        population.append(new)
-        insertion += 1
 
     for gen in range(1, cfg.num_generations + 1):
         parent = sample_and_select(population, cfg, rng)
@@ -282,12 +272,13 @@ def run_search(
         appended = 0
         child_ids = []
         for child in children:
-            new = entry(child, evaluate(child))
-            if isinstance(new, Exception):
+            try:
+                new = entry(child, *evaluate(child))
+            except Exception as exc:  # noqa: BLE001 - isolated per child
                 skipped += 1
-                logger.warning("skipping child %s: %s", child.point_id[:12], new)
+                logger.warning("skipping child %s: %s", child.point_id[:12], exc)
                 if skipped > MAX_SKIPPED_CHILDREN:
-                    raise SearchAborted(f"{skipped} children failed evaluation") from new
+                    raise SearchAborted(f"{skipped} children failed evaluation") from exc
                 continue
             population.append(new)
             insertion += 1
@@ -316,6 +307,5 @@ def run_search(
 
     log.wall_time_s = time.perf_counter() - t0
     ranked = sorted(population, key=lambda e: (e.criterion, e.insertion))
-    for entry in ranked:
-        assert validate(entry.point, space).ok  # truncation keeps only valid points
+    assert all(validate(e.point, space).ok for e in ranked)  # truncation keeps only valid points
     return SearchResult(population=population, top_entries=ranked[:top_k], log=log)

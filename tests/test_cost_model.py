@@ -34,7 +34,16 @@ from pimdse.design_space import (
     mutate,
     sample_random,
 )
-from pimdse.mapping import MappedModel, map_dp, map_fc, map_fm, map_model, map_shape
+from pimdse.mapping import (
+    MappedModel,
+    MappedOperator,
+    consumed_streams,
+    map_dp,
+    map_fc,
+    map_fm,
+    map_model,
+    map_shape,
+)
 from pimdse.pipeline import schedule, simulate, zipf_lookup_model
 from pimdse.search import default_hw_metrics
 
@@ -278,10 +287,11 @@ class TestOperatorTable:
                     sched = schedule(mm, tech, overlap)
                     assert sched.to_dict() == schedule(plain, cold, overlap).to_dict()
                     assert [e.stage_id for e in sched.events if e.kind == "compute"] == ids
+                assert [op_id for op_id, *_ in mm.layout] == ids
                 assert mm.edges == tuple(
                     ("stem" if s == 0 else f"b{s}.{stream}", op.op_id)
-                    for op in mm.operators
-                    for s, stream in op.consumes
+                    for op, (*_, inputs) in zip(mm.operators, mm.layout)
+                    for s, stream in consumed_streams(op.kind, inputs)
                 )
                 info = tech.operator_table.cache_info()
                 assert info.maxsize == 8 and info.currsize <= 8
@@ -365,7 +375,9 @@ class TestOperatorTable:
         assert priced[2] is priced[0] and mm.keys[2] == mm.keys[0] and mm.shapes[2] == mm.shapes[0]
         ids = [op.op_id for op in mm.operators]
         assert ids == ["b1.dense.FC", "b1.sparse.EFC", "b2.dense.FC", "b2.sparse.DSI", "final_fc"]
-        assert mm.operators[0].consumes == ((0, "dense"),) and mm.operators[2].consumes == ((1, "dense"),)
+        assert [op_id for op_id, *_ in mm.layout] == ids
+        consumes = [consumed_streams(op.kind, inputs) for op, (*_, inputs) in zip(mm.operators, mm.layout)]
+        assert consumes[0] == ((0, "dense"),) and consumes[2] == ((1, "dense"),)
         # block 1 alone: its FC, its EFC and a final FC from 16 wide are all held
         one = DesignPoint(ModelConfig(blocks[:1], 8, 4, 16), R16)
         again = map_model(one)
@@ -386,7 +398,8 @@ class TestOperatorTable:
         (mm,) = mapped
         # shape and placed records are built on first read only
         assert "shapes" not in vars(mm) and "operators" not in vars(mm)
-        assert all(p.op.op_id == "" and p.op.consumes == () for p in priced_operators(mm, tech))
+        assert "consumes" not in MappedOperator._fields
+        assert all(p.op.op_id == "" for p in priced_operators(mm, tech))
         assert tech.operator_table.cache_info().misses == len(set(mm.keys))
         for kind, *rest in mm.keys:  # shape keys: a kind, then integers
             assert isinstance(kind, OperatorKind) and all(type(v) is int for v in rest)

@@ -69,6 +69,16 @@ class TestSurrogate:
         with pytest.raises(ValueError):
             EvalResult(log_loss=0.4, auc=1.5, source="external")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("capacity_weight", math.inf), ("noise_scale", math.nan), ("base_loss", -math.inf), ("interaction_bonus", math.nan)],
+    )
+    def test_non_finite_surrogate_weight_is_refused(self, name, value):
+        # capacity_weight=inf scored every point at the loss floor, and
+        # noise_scale=nan passed the < 0 check to fail inside EvalResult.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SurrogateParams(**{name: value})
+
     @pytest.mark.parametrize("log_loss", [math.nan, math.inf])
     def test_non_finite_log_loss_is_refused(self, log_loss):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -139,6 +139,7 @@ def test_composites_are_front_engine_fc_out():
             *front, engine, fc_out = op.parts
             assert engine.engine is op.engine and engine.engine in (Engine.DP, Engine.FM)
             assert not engine.parts
+            assert op.programming_vectors == engine.programming_vectors
             assert fc_out.engine is Engine.MVM and not fc_out.parts
             assert all(p.engine is Engine.MVM and not p.parts for p in front)
             assert len(front) == (2 if op.engine is Engine.DP else 0)

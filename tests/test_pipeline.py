@@ -14,7 +14,7 @@ from pimdse.cost_model import (
     stage_times,
 )
 from pimdse.design_space import sample_random
-from pimdse.mapping import map_model
+from pimdse.mapping import consumed_streams, map_model
 from pimdse.pipeline import (
     UnplacedId,
     place_embeddings,
@@ -148,11 +148,11 @@ class TestSchedule:
         outputs and the post-lookup stem streams are ready at their ends.
         """
         ends: dict = {}
-        for op in mm.operators:
-            if op.op_id == "final_fc":
+        for op_id, block_index, branch, _ in mm.layout:
+            if op_id == "final_fc":
                 continue
-            key = (op.block_index, op.branch)
-            ends[key] = max(ends.get(key, 0.0), event(sched, op.op_id).end)
+            key = (block_index, branch)
+            ends[key] = max(ends.get(key, 0.0), event(sched, op_id).end)
         lookup_end = event(sched, "lookup").end
         ready = {(0, "dense"): lookup_end, (0, "sparse"): lookup_end}
         for (blk, branch), end in ends.items():
@@ -165,9 +165,9 @@ class TestSchedule:
             mm = map_model(sample_random(seed))
             sched = schedule(mm, TECH, overlap=False)
             ready = self._stream_ready(mm, sched)
-            for op in mm.operators:
+            for op, (*_, inputs) in zip(mm.operators, mm.layout):
                 start = event(sched, op.op_id).start
-                for src, stream in op.consumes:
+                for src, stream in consumed_streams(op.kind, inputs):
                     assert start >= ready[(src, stream)] - 1e-9
 
     def test_overlapped_fm_still_causal(self):
@@ -179,11 +179,11 @@ class TestSchedule:
             mm = map_model(sample_random(seed))
             sched = schedule(mm, TECH, overlap=True)
             ready = self._stream_ready(mm, sched)
-            for op in mm.operators:
+            for op, (*_, inputs) in zip(mm.operators, mm.layout):
                 if op.kind is not OperatorKind.FM or not op.parts:
                     continue
                 ev = event(sched, op.op_id)
-                src_end = max(ready[(s, stream)] for s, stream in op.consumes)
+                src_end = max(ready[(s, stream)] for s, stream in consumed_streams(op.kind, inputs))
                 assert ev.end >= src_end + TECH.xbar_write_time - 1e-9
 
     def test_stage_events_are_immutable(self):
