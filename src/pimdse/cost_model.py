@@ -20,7 +20,7 @@ operator sits in the model. Every model is therefore priced one way, by
 :func:`priced_operators`: each of its shape keys is looked up in the
 :class:`TechParams` object's operator table, a bounded
 ``functools.lru_cache``, and only a shape the table does not hold is
-mapped and priced into it.
+priced into it, from the key's :func:`pimdse.mapping.leaf_plan`.
 :func:`model_cost`, :func:`stage_times` and :func:`pimdse.pipeline.schedule`
 read those entries, and take placement from the
 :attr:`pimdse.mapping.MappedModel.layout` that :func:`pimdse.mapping.map_model` records.
@@ -42,7 +42,15 @@ from typing import NamedTuple
 
 from .crossbar import SUPPORTED_BITS
 from .design_space import ReRAMConfig, _field_state, from_plain
-from .mapping import DEFAULT_ACTIVATION_BITS, Engine, MappedModel, MappedOperator, map_shape
+from .mapping import (
+    DEFAULT_ACTIVATION_BITS,
+    ENGINE_OF,
+    Engine,
+    MappedModel,
+    MappedOperator,
+    _tile_counts,
+    leaf_plan,
+)
 
 
 @dataclass(frozen=True)
@@ -161,11 +169,13 @@ class CostReport:
 
 
 def _leaf_costs(
-    mo: MappedOperator, tp: TechParams, reram: ReRAMConfig
+    in_dim: int, out_dim: int, planes: int, row_tiles: int, col_tiles: int,
+    passes: int, vectors: int, mbsa_passes: int, tp: TechParams, reram_key: tuple,
 ) -> tuple[float, float, float, float]:
     """``(area, energy, read latency, write latency)`` of one leaf, from
-    its counts times the per-unit table entries; every cost function below
-    reads its leaf figures from here.
+    its counts times the per-unit table entries; every price is summed from
+    here. ``reram_key`` is a key's last four values, ``(dac_bits,
+    cell_bits, xbar_size, adc_bits)``.
 
     Area is a strict component sum: crossbar cells, converter shares, MBSA
     and buffer. Energy counts conversions, cell reads, writes and buffer
@@ -174,40 +184,39 @@ def _leaf_costs(
     converts at most ``xbar_size`` active columns. The write side is one
     write per runtime-programmed vector.
     """
+    dac_bits, _, xbar_size, adc_bits = reram_key
     a_bits = DEFAULT_ACTIVATION_BITS
-    n_slices = math.ceil(a_bits / reram.dac_bits)
-    vcols = mo.out_dim * mo.planes * 2
+    n_slices = math.ceil(a_bits / dac_bits)
+    vcols = out_dim * planes * 2
 
-    tiles = mo.row_tiles * mo.col_tiles
+    tiles = row_tiles * col_tiles
     per_tile = (
-        reram.xbar_size**2 * tp.cell_area
-        + tp.adcs_per_xbar * tp.adc_area[reram.adc_bits]
-        + reram.xbar_size * tp.dac_area
+        xbar_size**2 * tp.cell_area
+        + tp.adcs_per_xbar * tp.adc_area[adc_bits]
+        + xbar_size * tp.dac_area
     )
     area = tiles * per_tile
-    if mo.mbsa_passes:
+    if mbsa_passes:
         area += tp.mbsa_area
-    buffer_bytes = max(mo.in_dim, mo.out_dim) * DEFAULT_ACTIVATION_BITS / 8
+    buffer_bytes = max(in_dim, out_dim) * DEFAULT_ACTIVATION_BITS / 8
     area += buffer_bytes * tp.buffer_area_per_byte
 
-    reads = mo.passes * n_slices
+    reads = passes * n_slices
     energy = reads * (
-        mo.in_dim * mo.col_tiles * tp.dac_energy          # every col tile re-drives its rows
-        + mo.in_dim * vcols * tp.cell_read_energy          # occupied cells
-        + vcols * mo.row_tiles * tp.adc_energy[reram.adc_bits]
+        in_dim * col_tiles * tp.dac_energy          # every col tile re-drives its rows
+        + in_dim * vcols * tp.cell_read_energy      # occupied cells
+        + vcols * row_tiles * tp.adc_energy[adc_bits]
     )
-    energy += mo.programming_vectors * tp.xbar_write_energy
-    energy += mo.mbsa_passes * a_bits * tp.mbsa_energy
-    energy += mo.passes * (
-        mo.in_dim * tp.buffer_read_energy + mo.out_dim * tp.buffer_write_energy
-    )
+    energy += vectors * tp.xbar_write_energy
+    energy += mbsa_passes * a_bits * tp.mbsa_energy
+    energy += passes * (in_dim * tp.buffer_read_energy + out_dim * tp.buffer_write_energy)
 
-    active_cols = min(vcols, reram.xbar_size)
+    active_cols = min(vcols, xbar_size)
     per_sweep = n_slices * (
         tp.xbar_read_time + math.ceil(active_cols / tp.adcs_per_xbar) * tp.adc_time
     )
-    read = mo.passes * per_sweep + mo.mbsa_passes * a_bits * tp.mbsa_time
-    write = mo.programming_vectors * tp.xbar_write_time
+    read = passes * per_sweep + mbsa_passes * a_bits * tp.mbsa_time
+    write = vectors * tp.xbar_write_time
     return area, energy, read, write
 
 
@@ -244,10 +253,12 @@ OPERATOR_TABLE_SIZE = 1024  # entries per table, read as it is built; least rece
 
 
 class PricedOperator(NamedTuple):
-    """One operator's shape record with its prices under one technology
-    table; placement is not part of it."""
+    """One operator shape's prices under one technology table, with the two
+    shape values its occupancy and timeline read; placement is not part of
+    it, and neither is a shape record."""
 
-    op: MappedOperator
+    engine: Engine
+    programming_vectors: int  # runtime-programmed vectors of a DP/FM engine; 0 for MVM
     area: float
     energy: float
     latency: float           # serial latency: every leaf's read plus write
@@ -255,43 +266,71 @@ class PricedOperator(NamedTuple):
     tail: tuple[float, float] = ()  # DP/FM: engine read, trailing FC latency
 
 
-def price_operator(op: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> PricedOperator:
-    """Area, energy, serial latency and, where it depends on the operator
-    alone, overlapped stage occupancy: an MVM stage is held for its serial
-    latency, and a DP engine overlaps its own front FC/EFC output stream.
-    An FM engine overlaps its source blocks' sparse production, so its
-    occupancy is computed per model by :func:`stage_times`.
-
-    Each leaf is costed once by :func:`_leaf_costs`; a composite's totals
-    are its parts' sums, taken in part order.
-    """
-    if not op.parts:
-        area, energy, read, write = _leaf_costs(op, tp, reram)
+def _priced(engine: Engine, vectors: int, costs: list, tp: TechParams) -> PricedOperator:
+    """An operator's prices from its leaves' :func:`_leaf_costs`, listed in
+    part order: a leaf's own, or a composite's sums, taken in part order.
+    ``vectors`` are the operator's runtime-programmed vectors."""
+    if len(costs) == 1:
+        area, energy, read, write = costs[0]
         latency = read + write
-        return PricedOperator(op, area, energy, latency, latency)
-    costs = [_leaf_costs(p, tp, reram) for p in op.parts]  # (*front, engine, fc_out)
-    latencies = [read + write for _, _, read, write in costs]
+        return PricedOperator(engine, vectors, area, energy, latency, latency)
+    latencies = [read + write for _, _, read, write in costs]  # (*front, engine, fc_out)
     area = sum(c[0] for c in costs)
     energy = sum(c[1] for c in costs)
     latency = sum(latencies)
     tail = (costs[-2][2], latencies[-1])  # the engine's read, the trailing FC
-    if op.engine is Engine.FM:
-        return PricedOperator(op, area, energy, latency, None, tail)
-    k = op.programming_vectors
-    t_e = sum(c[2] for c in costs[:-2]) / k  # DP: the front FC/EFC reads
-    return PricedOperator(op, area, energy, latency, _engine_ready(0.0, t_e, k, tail, tp), tail)
+    if engine is Engine.FM:
+        return PricedOperator(engine, vectors, area, energy, latency, None, tail)
+    t_e = sum(c[2] for c in costs[:-2]) / vectors  # DP: the front FC/EFC reads
+    occupancy = _engine_ready(0.0, t_e, vectors, tail, tp)
+    return PricedOperator(engine, vectors, area, energy, latency, occupancy, tail)
+
+
+def price_operator(op: MappedOperator, tp: TechParams, reram: ReRAMConfig) -> PricedOperator:
+    """Area, energy, serial latency and, where it depends on the operator
+    alone, overlapped stage occupancy of a shape record: an MVM stage is
+    held for its serial latency, and a DP engine overlaps its own front
+    FC/EFC output stream. An FM engine overlaps its source blocks' sparse
+    production, so its occupancy is computed per model by
+    :func:`stage_times`.
+
+    Each leaf is costed once by :func:`_leaf_costs`, from the record's own
+    counts; a table miss prices a key's leaf plan the same way.
+    """
+    reram_key = (reram.dac_bits, reram.cell_bits, reram.xbar_size, reram.adc_bits)
+    costs = [
+        _leaf_costs(
+            leaf.in_dim, leaf.out_dim, leaf.planes, leaf.row_tiles, leaf.col_tiles,
+            leaf.passes, leaf.programming_vectors, leaf.mbsa_passes, tp, reram_key,
+        )
+        for leaf in op.leaves()
+    ]
+    return _priced(op.engine, op.programming_vectors, costs, tp)
 
 
 def _price_shape(tp: TechParams, key: tuple) -> PricedOperator:
-    """A table miss: the shape of one :func:`pimdse.mapping.map_model` key,
-    mapped for the ReRAM configuration its last four values name
-    ``(dac_bits, cell_bits, xbar_size, adc_bits)``, priced under ``tp``.
+    """A table miss: the :func:`pimdse.mapping.leaf_plan` of one
+    :func:`pimdse.mapping.map_model` key, tiled for the ReRAM configuration
+    its last four values name ``(dac_bits, cell_bits, xbar_size,
+    adc_bits)`` and priced under ``tp``, with no record built.
 
     The key is all pricing reads, so a hit gives exactly what pricing
-    afresh would: operators of one shape share an entry wherever they sit.
+    afresh would, and exactly what :func:`price_operator` gives for the
+    key's :func:`pimdse.mapping.map_shape` record: operators of one shape
+    share an entry wherever they sit.
     """
-    reram = ReRAMConfig(*key[-4:])
-    return price_operator(map_shape(key, reram), tp, reram)
+    reram_key = key[-4:]
+    _, cell_bits, xbar_size, _ = reram_key
+    plan = leaf_plan(key)
+    costs = [
+        _leaf_costs(
+            in_dim, out_dim, *_tile_counts(in_dim, out_dim, w_bits, cell_bits, xbar_size),
+            passes, vectors, mbsa_passes, tp, reram_key,
+        )
+        for in_dim, out_dim, w_bits, passes, vectors, mbsa_passes in plan
+    ]
+    vectors = plan[-2][4] if len(plan) > 1 else 0  # a composite programs its engine; a leaf is an MVM
+    return _priced(ENGINE_OF[key[0]], vectors, costs, tp)
 
 
 def priced_operators(mm: MappedModel, tp: TechParams) -> tuple[PricedOperator, ...]:
@@ -338,7 +377,7 @@ def _occupancy_walk(mm: MappedModel, tp: TechParams, overlap: bool, priced: tupl
         elif p.occupancy is not None:
             t = p.occupancy
         else:  # FM: producers are the source blocks' sparse branches
-            k = p.op.programming_vectors
+            k = p.programming_vectors
             t_e = sum(sparse_branch[s] for s in inputs) / k
             # Occupancy counts from the first vector's arrival: the engine is
             # held through the arrival-limited programming train.

@@ -114,7 +114,14 @@ class BlockConfig:
     @cached_property
     def canonical_fragment(self) -> str:
         """This block's part of :func:`canonical_json`, encoded once per object."""
-        return _canonical(self.to_dict())
+        index, dim_d, dim_s = self.index, self.dim_d, self.dim_s
+        dense, sparse = _ops_json(self.dense_ops), _ops_json(self.sparse_ops)
+        if dense is None or sparse is None or not _all_ints((index, dim_d, dim_s)):
+            return _canonical(self.to_dict())
+        return (
+            f'{{"dense_ops":[{dense}],"dim_d":{dim_d},"dim_s":{dim_s},'
+            f'"index":{index},"sparse_ops":[{sparse}]}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,10 @@ class ReRAMConfig:
     @cached_property
     def canonical_fragment(self) -> str:
         """This record's part of :func:`canonical_json`, encoded once per object."""
-        return _canonical(self.to_dict())
+        dac, cell, xbar, adc = self.dac_bits, self.cell_bits, self.xbar_size, self.adc_bits
+        if not _all_ints((dac, cell, xbar, adc)):
+            return _canonical(self.to_dict())
+        return f'{{"adc_bits":{adc},"cell_bits":{cell},"dac_bits":{dac},"xbar_size":{xbar}}}'
 
 
 @dataclass(frozen=True)
@@ -278,21 +288,48 @@ def _canonical(plain) -> str:
     return json.dumps(plain, sort_keys=True, separators=(",", ":"))
 
 
+def _all_ints(values) -> bool:
+    """True when every value is exactly an ``int``: no bool, float or numpy integer."""
+    return {*map(type, values)} <= {int}
+
+
+_KIND_VALUES = {kind: kind.value for kind in OperatorKind}
+
+
+def _ops_json(ops) -> str | None:
+    """A branch's operators as canonical JSON, without the brackets, or None
+    when one is not an :class:`OperatorChoice` of ints, which the caller
+    then encodes with ``json.dumps``."""
+    out = []
+    for op in ops:
+        if type(op) is not OperatorChoice or type(op.kind) is not OperatorKind:
+            return None
+        bits, inputs = op.weight_bits, op.inputs
+        if not _all_ints((bits, *inputs)):
+            return None
+        kind = _KIND_VALUES[op.kind]
+        out.append(f'{{"inputs":[{",".join(map(str, inputs))}],"kind":"{kind}","weight_bits":{bits}}}')
+    return ",".join(out)
+
+
 def canonical_json(point: DesignPoint) -> str:
     """Canonical serialized form: sorted keys, no whitespace, ASCII only.
 
     Byte-identical to ``json.dumps(point.to_dict(), sort_keys=True,
     separators=(",", ":"))``, but joined from the blocks' and the ReRAM
     record's cached fragments, so a mutated child encodes only the records
-    it does not share with its parent."""
+    it does not share with its parent. A record of ints is written directly
+    with f-strings; any other value (a bool, a float, a numpy integer)
+    sends its record through ``json.dumps``, which gives the same bytes or
+    raises the same exception as the one call would."""
     model = point.model
     blocks = ",".join(blk.canonical_fragment for blk in model.blocks)
-    scalars = _canonical({  # closes the model object; "blocks" sorts first
-        "embedding_dim": model.embedding_dim,
-        "final_fc_bits": model.final_fc_bits,
-        "num_sparse_features": model.num_sparse_features,
-    })
-    return f'{{"model":{{"blocks":[{blocks}],{scalars[1:]},"reram":{point.reram.canonical_fragment}}}'
+    emb, bits, n_s = model.embedding_dim, model.final_fc_bits, model.num_sparse_features
+    if _all_ints((emb, bits, n_s)):
+        scalars = f'"embedding_dim":{emb},"final_fc_bits":{bits},"num_sparse_features":{n_s}'
+    else:  # the model object's keys after "blocks", which sorts first
+        scalars = _canonical({"embedding_dim": emb, "final_fc_bits": bits, "num_sparse_features": n_s})[1:-1]
+    return f'{{"model":{{"blocks":[{blocks}],{scalars}}},"reram":{point.reram.canonical_fragment}}}'
 
 
 def point_from_json(text: str) -> DesignPoint:
@@ -392,48 +429,65 @@ def _decode(tp, value, path: str):
 def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions.
 
-    A block's violations depend only on the block, its position, the space
-    and ``num_sparse_features``, so they are kept on the frozen block with
-    that key (space by identity) and a child re-checks only the blocks it
-    does not share with its parent."""
+    Every count, dim, bit-width and input index must be an ``int`` (a bool
+    or a float equal to a menu entry is reported, not accepted), and every
+    operator kind an :class:`OperatorKind`. A block's violations depend
+    only on the block, its position, the space and ``num_sparse_features``,
+    so they are kept on the frozen block with that key (space by identity)
+    and a child re-checks only the blocks it does not share with its
+    parent."""
     v: list[str] = []
     model, reram = point.model, point.reram
     n_s = model.num_sparse_features
 
     if len(model.blocks) != space.num_blocks:
         v.append(f"model: expected {space.num_blocks} blocks, got {len(model.blocks)}")
-    if model.final_fc_bits not in space.weight_bits:
-        v.append(f"final_fc: weight_bits {model.final_fc_bits} not in menu")
-    if n_s != space.num_sparse_features:
-        v.append(f"model: expected num_sparse_features {space.num_sparse_features}, got {n_s}")
-    if model.embedding_dim != space.embedding_dim:
-        v.append(f"model: expected embedding_dim {space.embedding_dim}, got {model.embedding_dim}")
+    _check_number(v, "final_fc: weight_bits", model.final_fc_bits, space.weight_bits)
+    for name in ("num_sparse_features", "embedding_dim"):
+        value, expected = getattr(model, name), getattr(space, name)
+        if type(value) is not int:
+            v.append(f"model: {name} {value!r} is not an int")
+        elif value != expected:
+            v.append(f"model: expected {name} {expected}, got {value}")
 
     for pos, blk in enumerate(model.blocks, start=1):
-        memo = blk.__dict__.get("_violations")  # beside the fields, as cached_property stores
-        if memo is None or memo[0] is not space or memo[1] != pos or memo[2] != n_s:
-            memo = (space, pos, n_s, tuple(_block_violations(blk, pos, space, n_s)))
-            blk.__dict__["_violations"] = memo
-        v.extend(memo[3])
-
-    for name, menu in _RERAM_MENUS.items():
-        value = getattr(reram, name)
-        if value not in getattr(space, menu):
-            v.append(f"reram: {name} {value} not in menu")
-
+        v.extend(_checked_block(blk, pos, space, n_s))
+    _check_reram(v, reram, space)
     return ValidationReport(ok=not v, violations=v)
+
+
+def _check_number(v: list[str], subject: str, value, menu) -> None:
+    """Append the violation of one menu-drawn number, if it has one."""
+    if type(value) is not int:
+        v.append(f"{subject} {value!r} is not an int")
+    elif value not in menu:
+        v.append(f"{subject} {value} not in menu")
+
+
+def _check_reram(v: list[str], reram: ReRAMConfig, space: SpaceDescriptor) -> None:
+    for name, menu in _RERAM_MENUS.items():
+        _check_number(v, f"reram: {name}", getattr(reram, name), getattr(space, menu))
+
+
+def _checked_block(blk: BlockConfig, pos: int, space: SpaceDescriptor, n_s: int) -> tuple[str, ...]:
+    """The violations of the block at 1-based position ``pos``, kept on the
+    block beside its fields, as ``cached_property`` stores."""
+    memo = blk.__dict__.get("_violations")
+    if memo is None or memo[0] is not space or memo[1] != pos or memo[2] != n_s:
+        memo = blk.__dict__["_violations"] = (space, pos, n_s, tuple(_block_violations(blk, pos, space, n_s)))
+    return memo[3]
 
 
 def _block_violations(blk: BlockConfig, pos: int, space: SpaceDescriptor, n_s: int) -> list[str]:
     """Violations of the block at 1-based position ``pos``."""
     v: list[str] = []
     name = f"block {pos}"
-    if blk.index != pos:
+    if type(blk.index) is not int:
+        v.append(f"{name}: index {blk.index!r} is not an int")
+    elif blk.index != pos:
         v.append(f"{name}: index {blk.index} out of order")
-    if blk.dim_d not in space.dense_dims:
-        v.append(f"{name}: dim_d {blk.dim_d} not in menu")
-    if blk.dim_s not in space.sparse_dims:
-        v.append(f"{name}: dim_s {blk.dim_s} not in menu")
+    _check_number(v, f"{name}: dim_d", blk.dim_d, space.dense_dims)
+    _check_number(v, f"{name}: dim_s", blk.dim_s, space.sparse_dims)
     if not blk.dense_ops:
         v.append(f"{name}: dense branch empty")
     if not blk.sparse_ops:
@@ -446,18 +500,24 @@ def _block_violations(blk: BlockConfig, pos: int, space: SpaceDescriptor, n_s: i
         if len(set(kinds)) != len(kinds):
             v.append(f"{name}: duplicate operator in {branch} branch")
         for op in ops:
-            if op.kind not in menu:
-                v.append(f"{name}: {op.kind.value} not allowed in {branch} branch")
-            if op.weight_bits not in space.weight_bits:
-                v.append(f"{name}: {op.kind.value} weight_bits {op.weight_bits} not in menu")
-            if not op.inputs:
-                v.append(f"{name}: {op.kind.value} has no inputs")
-            if len(set(op.inputs)) != len(op.inputs):
-                v.append(f"{name}: {op.kind.value} has duplicate inputs")
-            for s in op.inputs:
-                if not (0 <= s < pos):
-                    v.append(f"{name}: {op.kind.value} input {s} violates DAG order")
-            if _fm_starved(op.kind, n_s, len(op.inputs)):
+            kind, bits, inputs = op.kind, op.weight_bits, op.inputs
+            if type(kind) is not OperatorKind:
+                v.append(f"{name}: operator kind {kind!r} is not an OperatorKind")
+                continue
+            if kind not in menu:
+                v.append(f"{name}: {kind.value} not allowed in {branch} branch")
+            if type(bits) is not int or bits not in space.weight_bits:  # formats the subject only then
+                _check_number(v, f"{name}: {kind.value} weight_bits", bits, space.weight_bits)
+            if not inputs:
+                v.append(f"{name}: {kind.value} has no inputs")
+            if len(set(inputs)) != len(inputs):
+                v.append(f"{name}: {kind.value} has duplicate inputs")
+            for s in inputs:
+                if type(s) is not int:
+                    v.append(f"{name}: {kind.value} input {s!r} is not an int")
+                elif not (0 <= s < pos):
+                    v.append(f"{name}: {kind.value} input {s} violates DAG order")
+            if _fm_starved(kind, n_s, len(inputs)):
                 v.append(f"{name}: FM needs at least two incoming sparse vectors")
     return v
 
@@ -685,26 +745,56 @@ def mutate(
 
     The input must validate against ``space``; one that does not raises
     ``ValueError`` naming its first violation, since no edit sequence is
-    searched for a valid child of it. Each requested mutation draws
-    (action, target) pairs until one applies, bounded by
+    searched for a valid child of it. The input is validated once per
+    point object and space (by identity), and the result is kept beside
+    the point's fields, as blocks keep their violations. Each requested
+    mutation draws (action, target) pairs until one applies, bounded by
     ``MUTATION_RETRIES`` redraws; an exhausted slot leaves the point
     unchanged, so the result differs from the input in at most
     ``num_mutations`` atomic actions and always validates.
     """
     if num_mutations < 1:
         raise ValueError("num_mutations must be >= 1")
-    report = validate(point, space)
-    if not report.ok:
-        raise ValueError(f"cannot mutate a point that fails validate: {report.violations[0]}")
+    memo = point.__dict__.get("_validated")
+    if memo is None or memo[0] is not space:
+        memo = point.__dict__["_validated"] = (space, tuple(validate(point, space).violations))
+    if memo[1]:
+        raise ValueError(f"cannot mutate a point that fails validate: {memo[1][0]}")
     rng = random.Random(seed)
     current = point
     for _ in range(num_mutations):
         for _ in range(MUTATION_RETRIES):
             child = _MUTATORS[rng.choice(MUTATION_ACTIONS)](current, rng, space)
-            if child is not None and validate(child, space).ok:
+            if child is not None and _edit_valid(child, current, space):
                 current = child
                 break
     return current
+
+
+def _edit_valid(child: DesignPoint, current: DesignPoint, space: SpaceDescriptor) -> bool:
+    """``validate(child, space).ok`` for an edit of ``current``, a point
+    that validates: a record the child shares with ``current`` (a block at
+    its own position, the ReRAM record, the final-FC width, the model's
+    counts) passed already, so only the records the edit replaced are
+    checked."""
+    v: list[str] = []
+    model, before = child.model, current.model
+    if model is not before:
+        if (
+            len(model.blocks) != len(before.blocks)
+            or model.num_sparse_features is not before.num_sparse_features
+            or model.embedding_dim is not before.embedding_dim
+        ):
+            return validate(child, space).ok
+        if model.final_fc_bits is not before.final_fc_bits:
+            _check_number(v, "final_fc: weight_bits", model.final_fc_bits, space.weight_bits)
+        n_s = model.num_sparse_features
+        for pos, (blk, old) in enumerate(zip(model.blocks, before.blocks), start=1):
+            if blk is not old:
+                v.extend(_checked_block(blk, pos, space, n_s))
+    if child.reram is not current.reram:
+        _check_reram(v, child.reram, space)
+    return not v
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Real CTR training is out of scope, so the loss term comes from a
 deterministic desk-scale surrogate with enough structure to exercise the
-search (capacity helps, interactions help, 4-bit boundary FCs hurt, plus a
-smooth pseudo-random term keyed off the point hash). Externally measured
-losses can be ingested from CSV and override the surrogate per point.
+search (capacity helps, interactions help, 4-bit boundary FCs hurt). It
+adds a pseudo-random term keyed off the point hash. That term is not
+smooth: it is a fresh draw per ``point_id``, so any one-field edit, even
+one operator's weight width, redraws it whole. Externally measured losses
+can be ingested from CSV and override the surrogate per point.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from .design_space import DesignPoint, OperatorKind
 
 INTERACTION_CAP = 4  # diminishing returns beyond this many DP/FM operators
+_INTERACTIONS = (OperatorKind.DP, OperatorKind.FM)
 _LOSS_FLOOR = 0.01
 _HEX64 = re.compile(r"^[0-9a-f]{64}$")
 
@@ -67,13 +70,12 @@ def _unit_noise(point_id: str, seed: int) -> float:
 def surrogate_loss(point: DesignPoint, sp: SurrogateParams = SurrogateParams()) -> EvalResult:
     """Deterministic stand-in for a measured validation loss."""
     model = point.model
-    total_dense = sum(b.dim_d for b in model.blocks)
-    interactions = sum(
-        1
-        for b in model.blocks
-        for op in b.dense_ops
-        if op.kind in (OperatorKind.DP, OperatorKind.FM)
-    )
+    total_dense = interactions = 0
+    for b in model.blocks:  # one pass counts both terms
+        total_dense += b.dim_d
+        for op in b.dense_ops:
+            if op.kind in _INTERACTIONS:
+                interactions += 1
     boundary_low_bits = sum(
         1
         for op in model.blocks[0].dense_ops

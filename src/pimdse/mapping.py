@@ -207,18 +207,114 @@ class MappedModel:
         }
 
 
-def _tile_counts(in_dim: int, out_dim: int, w_bits: int, reram: ReRAMConfig):
-    planes = math.ceil(w_bits / reram.cell_bits)
-    row_tiles = math.ceil(in_dim / reram.xbar_size)
-    col_tiles = math.ceil(out_dim * planes * 2 / reram.xbar_size)  # differential x2
+def _tile_counts(in_dim: int, out_dim: int, w_bits: int, cell_bits: int, xbar_size: int):
+    planes = math.ceil(w_bits / cell_bits)
+    row_tiles = math.ceil(in_dim / xbar_size)
+    col_tiles = math.ceil(out_dim * planes * 2 / xbar_size)  # differential x2
     return planes, row_tiles, col_tiles
 
 
 # ---------------------------------------------------------------------------
-# per-operator mappers
+# shapes: one leaf plan per key, and the records built from it
 # ---------------------------------------------------------------------------
-# Each mapper builds a shape record, which depends on its arguments alone;
-# ``op_id`` names a composite's part by its role.
+
+_FC, _EFC, _DP = OperatorKind.FC, OperatorKind.EFC, OperatorKind.DP
+_DSI, _FM = OperatorKind.DSI, OperatorKind.FM
+_MVM = Engine.MVM
+# Per key kind, each leaf's (role, kind, engine, emits_transposed), in part order.
+_LEAF_ROLES = {
+    _FC: (("", _FC, _MVM, False),),
+    _DSI: (("", _DSI, _MVM, False),),
+    _EFC: (("", _EFC, _MVM, True),),
+    _DP: (
+        ("fc_front", _FC, _MVM, False), ("efc", _EFC, _MVM, True), ("engine", _DP, Engine.DP, False),
+        ("fc_out", _FC, _MVM, False),
+    ),
+    _FM: (("engine", _FM, Engine.FM, True), ("fc_out", _FC, _MVM, False)),
+}
+# The engine an operator of each key kind runs on; a composite's is its engine leaf's.
+ENGINE_OF = {_FC: _MVM, _DSI: _MVM, _EFC: _MVM, _DP: Engine.DP, _FM: Engine.FM}
+
+
+def leaf_plan(key: tuple) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """Every leaf of the shape one :func:`map_model` key names, in part
+    order: ``(in_dim, out_dim, w_bits, passes, programming_vectors,
+    mbsa_passes)``.
+
+    The one derivation of a shape from its key: :func:`map_shape` tiles it
+    into records, and a table miss
+    (:attr:`pimdse.cost_model.TechParams.operator_table`) prices it
+    without building one. A composite's leaves are ``(*front, engine,
+    fc_out)`` (see :class:`MappedOperator`). DP: front FC (dense ->
+    dim_s), front EFC (the source sparse rows -> k_sparse), a
+    runtime-programmed pairwise engine, and a trailing FC from the
+    flattened pair vector to dim_d. FM: a transposed-write engine holding
+    the source sparse vectors, with an MBSA pass per arriving vector plus
+    the sum vector, then a trailing FC. Runtime operands carry the
+    activation width.
+    """
+    kind, w_bits = key[0], key[1]
+    if kind is _DP:
+        dense_w, dim_d, dim_s, sparse_count = key[2:6]
+        if sparse_count < 1:
+            raise ValueError("n_s must be >= 1")
+    elif kind is _FM and key[2] < 2:
+        raise ValueError("n_s must be >= 2")
+    if min(key[2:-4]) < 1:
+        raise ValueError("dims must be >= 1")
+    a_bits = DEFAULT_ACTIVATION_BITS
+    if kind is _DP:
+        k, m, pairs = DPGeometry.for_dense_dim(dim_d)
+        return (
+            (dense_w, dim_s, w_bits, 1, 0, 0),
+            (sparse_count, k, w_bits, dim_s, 0, 0),
+            (dim_s, m, a_bits, m, m, 0),
+            (pairs, dim_d, w_bits, 1, 0, 0),
+        )
+    if kind is _FM:
+        sparse_count, dim_s, dim_d = key[2:5]
+        return (
+            (sparse_count, dim_s, a_bits, 1, sparse_count, sparse_count + 1),
+            (dim_s, dim_d, w_bits, 1, 0, 0),
+        )
+    if kind is _EFC:  # swept once per feature column
+        n_in, n_out, dim_s = key[2:5]
+        return ((n_in, n_out, w_bits, dim_s, 0, 0),)
+    return ((key[2], key[3], w_bits, 1, 0, 0),)  # FC or DSI: (in_dim, out_dim)
+
+
+def map_shape(key: tuple, reram: ReRAMConfig) -> MappedOperator:
+    """The shape record of one :func:`map_model` key: its
+    :func:`leaf_plan` tiled for ``reram``, the configuration the key's last
+    four values name. A composite's parts are named by their role."""
+    kind = key[0]
+    plan = leaf_plan(key)
+    cell_bits, xbar_size = reram.cell_bits, reram.xbar_size
+    geometry = DPGeometry(plan[1][1], plan[2][1], plan[3][0]) if kind is _DP else None
+    leaves = tuple([
+        MappedOperator(
+            role, leaf_kind, engine, in_dim, out_dim, w_bits,
+            *_tile_counts(in_dim, out_dim, w_bits, cell_bits, xbar_size),
+            passes, vectors, mbsa, emits, (), geometry if engine is Engine.DP else None,
+        )
+        for (role, leaf_kind, engine, emits), (in_dim, out_dim, w_bits, passes, vectors, mbsa)
+        in zip(_LEAF_ROLES[kind], plan)
+    ])
+    if len(leaves) == 1:
+        return leaves[0]
+    engine = leaves[-2]  # the composite reads and programs as its engine does
+    return MappedOperator(
+        "", kind, engine.engine, leaves[0].in_dim, leaves[-1].out_dim, key[1], engine.planes, 0, 0, 1,
+        engine.programming_vectors, engine.mbsa_passes, False, leaves, geometry,
+    )
+
+
+def _reram_key(reram: ReRAMConfig) -> tuple[int, int, int, int]:
+    """The last four values of every key: ``(dac_bits, cell_bits, xbar_size, adc_bits)``."""
+    return (reram.dac_bits, reram.cell_bits, reram.xbar_size, reram.adc_bits)
+
+
+# Each mapper is map_shape of the key it names; ``op_id`` names the record.
 
 def map_fc(
     in_dim: int,
@@ -228,20 +324,10 @@ def map_fc(
     op_id: str = "",
     kind: OperatorKind = OperatorKind.FC,
 ) -> MappedOperator:
-    if in_dim < 1 or out_dim < 1:
-        raise ValueError("dims must be >= 1")
-    planes, rt, ct = _tile_counts(in_dim, out_dim, w_bits, reram)
-    return MappedOperator(
-        op_id=op_id,
-        kind=kind,
-        engine=Engine.MVM,
-        in_dim=in_dim,
-        out_dim=out_dim,
-        w_bits=w_bits,
-        planes=planes,
-        row_tiles=rt,
-        col_tiles=ct,
-    )
+    """A dense matmul (FC), or an FC whose output fills a sparse matrix (DSI)."""
+    if kind is not _FC and kind is not _DSI:  # every other kind's key holds other dims
+        raise ValueError(f"map_fc maps an FC or a DSI, not {kind!r}")
+    return map_shape((kind, w_bits, in_dim, out_dim, *_reram_key(reram)), reram)._replace(op_id=op_id)
 
 
 def map_efc(
@@ -255,22 +341,8 @@ def map_efc(
     """Sparse-axis matmul: the weight acts on the feature-count axis and the
     programmed array is swept once per feature column, emitting the output
     column-major (one dim_s-wide vector per output feature)."""
-    if n_in < 1 or n_out < 1 or dim_s < 1:
-        raise ValueError("dims must be >= 1")
-    planes, rt, ct = _tile_counts(n_in, n_out, w_bits, reram)
-    return MappedOperator(
-        op_id=op_id,
-        kind=OperatorKind.EFC,
-        engine=Engine.MVM,
-        in_dim=n_in,
-        out_dim=n_out,
-        w_bits=w_bits,
-        planes=planes,
-        row_tiles=rt,
-        col_tiles=ct,
-        passes=dim_s,
-        emits_transposed=True,
-    )
+    key = (OperatorKind.EFC, w_bits, n_in, n_out, dim_s, *_reram_key(reram))
+    return map_shape(key, reram)._replace(op_id=op_id)
 
 
 def map_dp(
@@ -281,45 +353,8 @@ def map_dp(
     reram: ReRAMConfig,
     dense_in_dim: int,
 ) -> MappedOperator:
-    """Dot-product interaction: front FC (dense -> dim_s), front EFC
-    (n_s -> k_sparse), a runtime-programmed pairwise engine, and a trailing
-    FC from the flattened pair vector to the dense output width dim_d."""
-    if n_s < 1:
-        raise ValueError("n_s must be >= 1")
-    geo = DPGeometry.for_dense_dim(dim_d)
-    a_bits = DEFAULT_ACTIVATION_BITS  # runtime operands carry activation width
-    fc_front = map_fc(dense_in_dim, dim_s, w_bits, reram, op_id="fc_front")
-    efc = map_efc(n_s, geo.k_sparse, dim_s, w_bits, reram, op_id="efc")
-    planes, rt, ct = _tile_counts(dim_s, geo.merged_rows, a_bits, reram)
-    engine = MappedOperator(
-        op_id="engine",
-        kind=OperatorKind.DP,
-        engine=Engine.DP,
-        in_dim=dim_s,
-        out_dim=geo.merged_rows,
-        w_bits=a_bits,
-        planes=planes,
-        row_tiles=rt,
-        col_tiles=ct,
-        passes=geo.merged_rows,
-        programming_vectors=geo.merged_rows,
-        geometry=geo,
-    )
-    fc_out = map_fc(geo.pair_count, dim_d, w_bits, reram, op_id="fc_out")
-    return MappedOperator(
-        op_id="",
-        kind=OperatorKind.DP,
-        engine=Engine.DP,
-        in_dim=dense_in_dim,
-        out_dim=dim_d,
-        w_bits=w_bits,
-        planes=planes,
-        row_tiles=0,
-        col_tiles=0,
-        programming_vectors=geo.merged_rows,
-        parts=(fc_front, efc, engine, fc_out),
-        geometry=geo,
-    )
+    """Dot-product interaction of ``n_s`` sparse rows (see :func:`leaf_plan`)."""
+    return map_shape((OperatorKind.DP, w_bits, dense_in_dim, dim_d, dim_s, n_s, *_reram_key(reram)), reram)
 
 
 def map_fm(
@@ -329,42 +364,8 @@ def map_fm(
     reram: ReRAMConfig,
     out_dim: int,
 ) -> MappedOperator:
-    """Factorization machine: a transposed-write crossbar group holding the
-    n_s producer vectors plus an MBSA squaring unit, then a trailing FC."""
-    if n_s < 2:
-        raise ValueError("n_s must be >= 2")
-    a_bits = DEFAULT_ACTIVATION_BITS
-    planes, rt, ct = _tile_counts(n_s, dim_s, a_bits, reram)
-    engine = MappedOperator(
-        op_id="engine",
-        kind=OperatorKind.FM,
-        engine=Engine.FM,
-        in_dim=n_s,
-        out_dim=dim_s,
-        w_bits=a_bits,
-        planes=planes,
-        row_tiles=rt,
-        col_tiles=ct,
-        passes=1,
-        programming_vectors=n_s,
-        mbsa_passes=n_s + 1,  # each arriving vector squared, plus the sum vector
-        emits_transposed=True,
-    )
-    fc_out = map_fc(dim_s, out_dim, w_bits, reram, op_id="fc_out")
-    return MappedOperator(
-        op_id="",
-        kind=OperatorKind.FM,
-        engine=Engine.FM,
-        in_dim=n_s,
-        out_dim=out_dim,
-        w_bits=w_bits,
-        planes=planes,
-        row_tiles=0,
-        col_tiles=0,
-        programming_vectors=n_s,
-        mbsa_passes=n_s + 1,
-        parts=(engine, fc_out),
-    )
+    """Factorization machine over ``n_s`` sparse vectors (see :func:`leaf_plan`)."""
+    return map_shape((OperatorKind.FM, w_bits, n_s, dim_s, out_dim, *_reram_key(reram)), reram)
 
 
 # ---------------------------------------------------------------------------
@@ -390,65 +391,49 @@ def map_model(point: DesignPoint) -> MappedModel:
     One walk records, in operator order (each block's dense then sparse
     operators, then the final FC), each operator's shape key, ``(kind,
     weight_bits, *dims, dac_bits, cell_bits, xbar_size, adc_bits)``, the
-    values its mapper reads, and its placement in ``layout``. Placement is
-    not in the key, so one shape placed twice, in one model or in two, shares
-    one entry of a technology's operator table
-    (:attr:`pimdse.cost_model.TechParams.operator_table`). A shape is mapped
-    when :attr:`MappedModel.shapes` is first read, or when pricing misses.
+    values its :func:`leaf_plan` reads, and its placement in ``layout``.
+    Placement is not in the key, so one shape placed twice, in one model or
+    in two, shares one entry of a technology's operator table
+    (:attr:`pimdse.cost_model.TechParams.operator_table`). A shape record is
+    built only when :attr:`MappedModel.shapes` is first read.
     """
-    model, reram = point.model, point.reram
+    model = point.model
     n_s = model.num_sparse_features
-    reram_fields = (reram.dac_bits, reram.cell_bits, reram.xbar_size, reram.adc_bits)
+    dac, cell, xbar, adc = _reram_key(point.reram)
     # Dense output width of each source: the stem, then block 1, 2, ...
-    dense_width = (model.embedding_dim, *(blk.dim_d for blk in model.blocks))
-    FC, DP, FM, EFC = OperatorKind.FC, OperatorKind.DP, OperatorKind.FM, OperatorKind.EFC
+    width = (model.embedding_dim, *(blk.dim_d for blk in model.blocks)).__getitem__
     keys, layout = [], []
-
-    def place(op_id, index, branch, dim_d, dim_s, kind, w_bits, inputs):
-        if kind is FM:
-            shape = (kind, w_bits, n_s * len(inputs), dim_s, dim_d)
-        elif kind is EFC:
-            shape = (kind, w_bits, n_s * len(inputs), n_s, dim_s)
-        else:
-            dense_w = sum(dense_width[s] for s in inputs)
-            if kind is FC:
-                shape = (kind, w_bits, dense_w, dim_d)
-            elif kind is DP:
-                shape = (kind, w_bits, dense_w, dim_d, dim_s, n_s * len(inputs))
-            else:  # DSI: an FC producing n_s * dim_s values, then a reshape
-                shape = (kind, w_bits, dense_w, n_s * dim_s)
-        keys.append(shape + reram_fields)
-        layout.append((op_id, index, branch, inputs))
-
     for blk in model.blocks:
-        index = blk.index
+        index, dim_d, dim_s = blk.index, blk.dim_d, blk.dim_s
         for branch, ops in (("dense", blk.dense_ops), ("sparse", blk.sparse_ops)):
             for op in ops:
-                op_id = f"b{index}.{branch}.{_KIND_NAMES[op.kind]}"
-                place(op_id, index, branch, blk.dim_d, blk.dim_s, op.kind, op.weight_bits, op.inputs)
-    last = model.blocks[-1].index  # the final FC: one logit from the last block's dense output
-    place("final_fc", last + 1, "dense", 1, 0, FC, model.final_fc_bits, (last,))
-    return MappedModel(model, reram, tuple(keys), tuple(layout))
+                kind, w_bits, inputs = op.kind, op.weight_bits, op.inputs
+                if kind is _FM:
+                    key = (kind, w_bits, n_s * len(inputs), dim_s, dim_d, dac, cell, xbar, adc)
+                elif kind is _EFC:
+                    key = (kind, w_bits, n_s * len(inputs), n_s, dim_s, dac, cell, xbar, adc)
+                elif kind is _FC:
+                    key = (kind, w_bits, sum(map(width, inputs)), dim_d, dac, cell, xbar, adc)
+                elif kind is _DP:
+                    key = (
+                        kind, w_bits, sum(map(width, inputs)), dim_d, dim_s, n_s * len(inputs),
+                        dac, cell, xbar, adc,
+                    )
+                else:  # DSI: an FC producing n_s * dim_s values, then a reshape
+                    key = (kind, w_bits, sum(map(width, inputs)), n_s * dim_s, dac, cell, xbar, adc)
+                keys.append(key)
+                layout.append((f"b{index}.{branch}.{_KIND_NAMES[kind]}", index, branch, inputs))
+    # The final FC: one logit from the last block's dense output, keyed as a block FC of width 1.
+    last = model.blocks[-1].index
+    keys.append((_FC, model.final_fc_bits, width(last), 1, dac, cell, xbar, adc))
+    layout.append(("final_fc", last + 1, "dense", (last,)))
+    return MappedModel(model, point.reram, tuple(keys), tuple(layout))
 
 
 def consumed_streams(kind: OperatorKind, inputs: tuple[int, ...]) -> tuple[tuple[int, str], ...]:
     """The ``(source block, stream)`` pairs an operator of ``kind`` reading
     ``inputs`` consumes, in edge order."""
     return tuple([(s, stream) for stream in _CONSUMED_STREAMS[kind] for s in inputs])
-
-
-def map_shape(key: tuple, reram: ReRAMConfig) -> MappedOperator:
-    """The shape record of one :func:`map_model` key."""
-    kind, w_bits, *dims = key[:-4]
-    if kind is OperatorKind.DP:
-        dense_w, dim_d, dim_s, sparse_count = dims
-        return map_dp(dim_d, dim_s, sparse_count, w_bits, reram, dense_in_dim=dense_w)
-    if kind is OperatorKind.FM:
-        sparse_count, dim_s, dim_d = dims
-        return map_fm(sparse_count, dim_s, w_bits, reram, out_dim=dim_d)
-    if kind is OperatorKind.EFC:
-        return map_efc(*dims, w_bits, reram)
-    return map_fc(*dims, w_bits, reram, kind=kind)  # FC or DSI: (in_dim, out_dim)
 
 
 def _stream_ref(source: int, stream: str) -> str:

@@ -193,24 +193,24 @@ def _timeline(
     sparse_start = {0: 0.0}       # when stem production (the lookup) begins
 
     FM = Engine.FM
-    placed = zip(mm.layout, priced_operators(mm, tp))
-    for index, group in groupby(placed, key=lambda pair: pair[0][1]):  # by block index
+    placed = zip(mm.layout, mm.keys, priced_operators(mm, tp))
+    for index, group in groupby(placed, key=lambda placed_op: placed_op[0][1]):  # by block index
         dense_ends, sparse_ends, branch_starts = [], [], []
-        for (op_id, _, branch, inputs), p in group:
-            if overlap and p.op.engine is FM:
+        for (op_id, _, branch, inputs), key, p in group:
+            if overlap and p.engine is FM:
                 # Occupancy has no timeline, so it spreads the source
                 # branches' summed production over the vectors. Here the
                 # branches' start and end times are known, so the engine is
                 # programmed across the observed production window instead;
                 # eager programming can only improve on the serialized plan.
-                k = p.op.programming_vectors
+                k = p.programming_vectors
                 start = max(sparse_start[s] for s in inputs)
                 window = max(sparse_ready[s] for s in inputs) - start
                 end = _engine_ready(start, window / k, k, p.tail, tp)
             else:
                 start = max(
                     (dense_ready if stream == "dense" else sparse_ready)[s]
-                    for s, stream in consumed_streams(p.op.kind, inputs)
+                    for s, stream in consumed_streams(key[0], inputs)
                 )
                 end = start + occ[op_id]
             events.append(StageEvent(op_id, start, end, "compute"))

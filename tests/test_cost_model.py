@@ -38,6 +38,7 @@ from pimdse.mapping import (
     MappedModel,
     MappedOperator,
     consumed_streams,
+    leaf_plan,
     map_dp,
     map_fc,
     map_fm,
@@ -271,8 +272,12 @@ class TestOperatorTable:
                 mm, reram = map_model(point), point.reram
                 assert all(ReRAMConfig(*key[-4:]) == reram for key in mm.keys)  # what a miss maps for
                 direct = tuple(price_operator(map_shape(key, reram), tech, reram) for key in mm.keys)
-                assert priced_operators(mm, tech) == direct
-                assert mm.shapes == tuple(p.op for p in direct)
+                entries = priced_operators(mm, tech)
+                for entry, priced in zip(entries, direct, strict=True):  # a miss prices the key's leaf plan
+                    assert entry._asdict() == priced._asdict()
+                assert [(p.engine, p.programming_vectors) for p in entries] == [
+                    (shape.engine, shape.programming_vectors) for shape in mm.shapes
+                ]
                 cold = default_tech()  # an empty table: this model's shapes alone
                 plain = map_model(point)
                 cost, report = model_cost(plain, cold), simulate(plain, cold, lookup_model=lookup)
@@ -302,7 +307,7 @@ class TestOperatorTable:
             table = tech.operator_table
             mm = map_model(sample_random(seed))
             distinct = len(set(mm.keys))
-            with mock.patch.object(cost_model, "price_operator", wraps=price_operator) as price:
+            with mock.patch.object(cost_model, "_price_shape", wraps=cost_model._price_shape) as price:
                 model_cost(mm, tech)
                 for overlap in (True, False):
                     assert simulate(mm, tech, overlap=overlap).latency
@@ -393,14 +398,18 @@ class TestOperatorTable:
             mapped.append(map_model(*args, **kwargs))
             return mapped[-1]
 
-        with mock.patch.object(search, "map_model", keep):
+        with (
+            mock.patch.object(search, "map_model", keep),
+            mock.patch.object(mapping, "map_shape", wraps=map_shape) as shaped,
+        ):
             default_hw_metrics(tech)(sample_random(3))
         (mm,) = mapped
+        # an empty table prices every key from its leaf plan: no shape record is built
+        assert shaped.call_count == 0
+        assert tech.operator_table.cache_info().misses == len(set(mm.keys))
         # shape and placed records are built on first read only
         assert "shapes" not in vars(mm) and "operators" not in vars(mm)
         assert "consumes" not in MappedOperator._fields
-        assert all(p.op.op_id == "" for p in priced_operators(mm, tech))
-        assert tech.operator_table.cache_info().misses == len(set(mm.keys))
         for kind, *rest in mm.keys:  # shape keys: a kind, then integers
             assert isinstance(kind, OperatorKind) and all(type(v) is int for v in rest)
 
@@ -413,12 +422,12 @@ class TestOperatorTable:
             model_cost(mm, tech)
             with (
                 mock.patch.object(mapping, "map_shape", wraps=map_shape) as mapped,
-                mock.patch.object(cost_model, "map_shape", mapped),
+                mock.patch.object(cost_model, "leaf_plan", wraps=leaf_plan) as planned,
             ):
                 for overlap in (True, False):
                     assert simulate(mm, tech, overlap=overlap).latency > 0
                     assert schedule(mm, tech, overlap).events
-            assert mapped.call_count == 0  # the timeline used to map every shape again
+            assert mapped.call_count == planned.call_count == 0  # the timeline used to map every shape again
             assert "shapes" not in vars(mm) and "operators" not in vars(mm)
 
     def test_table_is_not_serialized(self):

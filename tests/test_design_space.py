@@ -10,11 +10,14 @@ import random
 import types
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimdse import design_space
 from pimdse.cost_model import default_tech, model_cost
 from pimdse.crossbar import SUPPORTED_BITS
 from pimdse.design_space import (
@@ -681,3 +684,240 @@ class TestOneIdentityPerDesign:
                 latencies = model_cost(map_model(again), TECH).op_latencies
                 assert list(latencies) == list(model_cost(map_model(point), TECH).op_latencies)
         assert reordered > 0  # the reversal changed the listed order somewhere
+
+
+RERAM_FIELDS = ("dac_bits", "cell_bits", "xbar_size", "adc_bits")
+MODEL_FIELDS = ("final_fc_bits", "num_sparse_features", "embedding_dim")
+BLOCK_FIELDS = ("index", "dim_d", "dim_s")
+NUMBER_FIELDS = (*RERAM_FIELDS, *MODEL_FIELDS, *BLOCK_FIELDS, "weight_bits", "input")
+
+
+def number_at(point, where):
+    """One number of ``point``, named as :func:`with_field` names it."""
+    if where in RERAM_FIELDS:
+        return getattr(point.reram, where)
+    if where in MODEL_FIELDS:
+        return getattr(point.model, where)
+    blk = point.model.blocks[1]
+    if where in BLOCK_FIELDS:
+        return getattr(blk, where)
+    op = blk.dense_ops[0]
+    return op.weight_bits if where == "weight_bits" else op.inputs[0]
+
+
+def with_field(point, where, value):
+    """``point`` with one number replaced by ``value``: a ReRAM field, a
+    model scalar, block 2's index or a dim, or block 2's first dense
+    operator's weight width or first input."""
+    model, reram = point.model, point.reram
+    if where in RERAM_FIELDS:
+        return DesignPoint(model, replace(reram, **{where: value}))
+    if where in MODEL_FIELDS:
+        return DesignPoint(replace(model, **{where: value}), reram)
+    blocks = list(model.blocks)
+    blk = blocks[1]
+    if where in BLOCK_FIELDS:
+        blocks[1] = replace(blk, **{where: value})
+    else:
+        op = blk.dense_ops[0]
+        if where == "weight_bits":
+            edited = replace(op, weight_bits=value)
+        else:
+            edited = replace(op, inputs=(value, *op.inputs[1:]))
+        blocks[1] = replace(blk, dense_ops=(edited, *blk.dense_ops[1:]))
+    return DesignPoint(replace(model, blocks=tuple(blocks)), reram)
+
+
+class TestNumbersAreInts:
+    """A bool, a float or a numpy integer equal to a menu entry is not that
+    entry: such a point used to validate, then got another ``point_id`` or
+    failed in the functional path."""
+
+    @pytest.mark.parametrize("where", NUMBER_FIELDS)
+    @pytest.mark.parametrize("make", [float, np.int64], ids=["float", "numpy"])
+    def test_a_number_that_is_not_an_int_is_a_violation(self, where, make):
+        point = sample_random(3)
+        value = make(number_at(point, where))
+        bad = with_field(point, where, value)
+        assert bad == point  # an equal value of another type
+        violations = validate(bad).violations
+        assert violations and all(v.endswith(f"{value!r} is not an int") for v in violations), violations
+
+    @pytest.mark.parametrize("where", NUMBER_FIELDS)
+    def test_a_bool_is_a_violation(self, where):
+        point = sample_random(3)
+        report = validate(with_field(point, where, True))
+        assert any(v.endswith("True is not an int") for v in report.violations), report.violations
+
+    def test_the_reproduced_cases(self):
+        point = sample_random(3)
+        # dac_bits=True compared equal to dac_bits=1 yet hashed to another id
+        flagged = DesignPoint(point.model, replace(point.reram, dac_bits=True))
+        one = DesignPoint(point.model, replace(point.reram, dac_bits=1))
+        assert flagged == one and flagged.point_id != one.point_id
+        assert validate(flagged).violations == ["reram: dac_bits True is not an int"]
+        # a float weight width validated, then functional_forward raised TypeError on <<
+        kind = point.model.blocks[1].dense_ops[0].kind.value
+        report = validate(with_field(point, "weight_bits", 4.0))
+        assert report.violations == [f"block 2: {kind} weight_bits 4.0 is not an int"]
+        # a float dim_d validated and changed the id
+        dim = float(point.model.blocks[1].dim_d)
+        report = validate(with_field(point, "dim_d", dim))
+        assert report.violations == [f"block 2: dim_d {dim!r} is not an int"]
+
+    def test_a_kind_that_is_not_an_operator_kind_is_a_violation(self):
+        point = sample_random(3)
+        blk = point.model.blocks[1]
+        op = blk.dense_ops[0]
+        plain = replace(op, kind=op.kind.value)  # a str, equal to the member
+        blocks = list(point.model.blocks)
+        blocks[1] = replace(blk, dense_ops=(plain, *blk.dense_ops[1:]))
+        report = validate(DesignPoint(replace(point.model, blocks=tuple(blocks)), point.reram))
+        assert report.violations == [f"block 2: operator kind {op.kind.value!r} is not an OperatorKind"]
+
+
+def plain_encoding(point):
+    """``json.dumps`` of the whole point, or the type of what it raises."""
+    try:
+        return json.dumps(point.to_dict(), sort_keys=True, separators=(",", ":"))
+    except Exception as exc:  # noqa: BLE001 - the type is the expected result
+        return type(exc)
+
+
+def direct_encoding(point):
+    try:
+        return canonical_json(point)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc)
+
+
+@st.composite
+def custom_spaces(draw):
+    """Small spaces with random menus; FM starvation (one sparse feature) included."""
+    def subset(options):
+        return tuple(draw(st.lists(st.sampled_from(options), min_size=1, max_size=len(options), unique=True)))
+
+    fields = dict(
+        num_blocks=draw(st.integers(1, 4)),
+        dense_operators=subset(list(design_space.DENSE_KINDS)),
+        sparse_operators=subset(list(design_space.SPARSE_KINDS)),
+        dense_dims=subset([8, 16, 24, 64]),
+        sparse_dims=subset([4, 16, 48]),
+        weight_bits=subset([4, 8]),
+        dac_bits=subset([1, 2]),
+        cell_bits=subset([1, 2]),
+        xbar_sizes=subset([16, 32, 64]),
+        adc_bits=subset([4, 6, 8]),
+        num_sparse_features=draw(st.sampled_from([1, 2, 3, 26])),
+        embedding_dim=draw(st.sampled_from([4, 16])),
+    )
+    try:
+        return SpaceDescriptor(**fields)
+    except ValueError:  # an FM-only dense menu with one sparse feature holds no point
+        return replace(DEFAULT_SPACE, **{**fields, "dense_operators": (OperatorKind.FC,)})
+
+
+class TestDirectEncoding:
+    @settings(max_examples=80)
+    @given(
+        space=custom_spaces(), seed=st.integers(0, 2**32 - 1), edits=st.integers(0, 4),
+        where=st.sampled_from((None,) + NUMBER_FIELDS),
+        make=st.sampled_from([bool, float, np.int64, np.int32, int]),
+    )
+    def test_canonical_json_equals_one_json_dumps(self, space, seed, edits, where, make):
+        point = sample_random(seed, space)
+        if edits:
+            point = mutate(point, seed + 1, edits, space)
+        if where is not None:
+            if space.num_blocks < 2 and where not in RERAM_FIELDS + MODEL_FIELDS:
+                where = "final_fc_bits"  # with_field edits block 2
+            point = with_field(point, where, make(number_at(point, where)))
+        expected = plain_encoding(point)
+        assert direct_encoding(point) == expected
+        assert direct_encoding(point) == expected  # again, from the cached fragments
+        if isinstance(expected, str):
+            assert point.point_id == hashlib.sha256(expected.encode("ascii")).hexdigest()
+
+
+class TestEditCheck:
+    """``mutate`` checks only what each edit replaced; whenever the point it
+    edits validates, that check must agree with the full ``validate``."""
+
+    @settings(max_examples=60)
+    @given(
+        space=st.one_of(st.sampled_from(PROPERTY_SPACES), custom_spaces()),
+        seed=st.integers(0, 2**32 - 1),
+        mutation_seed=st.integers(0, 2**32 - 1),
+        edits=st.integers(1, 4),
+    )
+    def test_mutate_draws_what_a_full_validate_would(self, space, seed, mutation_seed, edits):
+        parent = sample_random(seed, space)
+        edit_valid = design_space._edit_valid
+
+        def compared(child, current, space):
+            assert validate(current, space).ok
+            ok = edit_valid(child, current, space)
+            assert ok == validate(memo_free(child), space).ok
+            return ok
+
+        with mock.patch.object(design_space, "_edit_valid", compared):
+            child = mutate(parent, mutation_seed, edits, space)
+            grandchild = mutate(child, mutation_seed + 1, edits, space)
+        # the same children as a mutate that runs the full validate on every edit
+        def full(child, current, space):
+            return validate(child, space).ok
+
+        fresh = memo_free(parent)
+        with mock.patch.object(design_space, "_edit_valid", full):
+            again = mutate(fresh, mutation_seed, edits, space)
+            assert again == child and again.point_id == child.point_id
+            assert mutate(again, mutation_seed + 1, edits, space) == grandchild
+        assert validate(grandchild, space).ok
+
+    def test_each_kind_of_edit_is_checked(self):
+        # The mutators draw ReRAM values and final-FC widths from the menus,
+        # so mutate alone cannot show that those checks run.
+        current = sample_random(5)
+        assert validate(current).ok
+        model, reram = current.model, current.reram
+        blocks = model.blocks
+
+        def with_block(blk):
+            return DesignPoint(replace(model, blocks=(*blocks[:2], blk, *blocks[3:])), reram)
+
+        edits = {
+            "reram off the menu": (DesignPoint(model, replace(reram, adc_bits=5)), False),
+            "reram bool": (DesignPoint(model, replace(reram, dac_bits=True)), False),
+            "reram equal, new object": (DesignPoint(model, replace(reram)), True),
+            "final FC off the menu": (DesignPoint(replace(model, final_fc_bits=6), reram), False),
+            "block off the menu": (with_block(replace(blocks[2], dim_d=17)), False),
+            "block equal, new object": (with_block(replace(blocks[2])), True),
+            "model counts changed": (DesignPoint(replace(model, num_sparse_features=1), reram), False),
+            "a block fewer": (DesignPoint(replace(model, blocks=blocks[:-1]), reram), False),
+        }
+        for name, (child, ok) in edits.items():
+            assert validate(child).ok is ok, name
+            assert design_space._edit_valid(child, current, DEFAULT_SPACE) is ok, name
+
+    def test_one_input_check_per_point_object_and_space(self):
+        calls = []
+
+        def counting(point, space=DEFAULT_SPACE):
+            calls.append(point)
+            return validate(point, space)
+
+        parent = sample_random(5)
+        twin = replace(DEFAULT_SPACE)  # equal, but another object
+        with mock.patch.object(design_space, "validate", counting):
+            children = [mutate(parent, seed, 3) for seed in range(8)]
+            assert calls == [parent]
+            mutate(parent, 0, 3, twin)
+            assert calls == [parent, parent]
+            mutate(memo_free(parent), 0, 3)
+            assert len(calls) == 3
+        assert all(validate(c).ok for c in children)
+        bad = scrambled(parent, random.Random(1))
+        for _ in range(2):  # the kept result still refuses the point
+            with pytest.raises(ValueError, match="cannot mutate a point that fails validate"):
+                mutate(bad, 0, 3)
+        assert "_validated" not in vars(pickle.loads(pickle.dumps(parent)))

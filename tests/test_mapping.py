@@ -27,6 +27,7 @@ from pimdse.mapping import (
     map_fc,
     map_fm,
     map_model,
+    map_shape,
     random_weights,
     run_fc,
 )
@@ -114,6 +115,19 @@ class TestMapComposites:
     def test_fm_requires_two_vectors(self):
         with pytest.raises(ValueError):
             map_fm(1, 16, 4, R16, out_dim=16)
+
+    def test_each_mapper_is_the_shape_of_its_key(self):
+        kinds = OperatorKind
+        fc, efc, dp, fm, dsi = kinds.FC, kinds.EFC, kinds.DP, kinds.FM, kinds.DSI
+        tail = (R16.dac_bits, R16.cell_bits, R16.xbar_size, R16.adc_bits)
+        assert map_fc(40, 24, 8, R16) == map_shape((fc, 8, 40, 24, *tail), R16)
+        assert map_fc(40, 24, 8, R16, kind=dsi) == map_shape((dsi, 8, 40, 24, *tail), R16)
+        assert map_efc(26, 8, 16, 4, R16) == map_shape((efc, 4, 26, 8, 16, *tail), R16)
+        assert map_dp(32, 16, 4, 4, R16, dense_in_dim=48) == map_shape((dp, 4, 48, 32, 16, 4, *tail), R16)
+        assert map_fm(4, 16, 8, R16, out_dim=32) == map_shape((fm, 8, 4, 16, 32, *tail), R16)
+        for kind in (efc, dp, fm):  # their keys hold other dims than (in_dim, out_dim)
+            with pytest.raises(ValueError, match="map_fc maps an FC or a DSI"):
+                map_fc(40, 24, 8, R16, kind=kind)
 
 
 class TestDPEngine:
