@@ -680,33 +680,35 @@ def _mut_toggle_interaction(point, rng, space):
 
 
 def _mut_weight_bits(point, rng, space):
-    # Final FC competes with block operators for the draw.
-    targets = [("final", None, None)]
-    for pos, blk in enumerate(point.model.blocks):
-        for branch in ("dense", "sparse"):
-            for i in range(len(_branch_of(blk, branch))):
-                targets.append((pos, branch, i))
-    target = rng.choice(targets)
-    if target[0] == "final":
+    # Final FC competes with block operators for the draw: target 0 is the
+    # final FC, then every block's dense and then sparse operators in order.
+    # randrange(n) draws what rng.choice over a list of the n targets would.
+    blocks = point.model.blocks
+    k = rng.randrange(1 + sum(len(blk.dense_ops) + len(blk.sparse_ops) for blk in blocks))
+    if k == 0:
         options = [b for b in space.weight_bits if b != point.model.final_fc_bits]
         if not options:
             return None
         model = ModelConfig(
-            blocks=point.model.blocks,
+            blocks=blocks,
             final_fc_bits=rng.choice(options),
             num_sparse_features=point.model.num_sparse_features,
             embedding_dim=point.model.embedding_dim,
         )
         return DesignPoint(model=model, reram=point.reram)
-    pos, branch, i = target
-    blk = point.model.blocks[pos]
-    ops = _branch_of(blk, branch)
-    options = [b for b in space.weight_bits if b != ops[i].weight_bits]
-    if not options:
-        return None
-    edited = list(ops)
-    edited[i] = OperatorChoice(ops[i].kind, rng.choice(options), ops[i].inputs)
-    return _replace_block(point, _with_branch(blk, branch, edited))
+    k -= 1
+    for blk in blocks:
+        for branch in ("dense", "sparse"):
+            ops = _branch_of(blk, branch)
+            if k >= len(ops):
+                k -= len(ops)
+                continue
+            options = [b for b in space.weight_bits if b != ops[k].weight_bits]
+            if not options:
+                return None
+            edited = list(ops)
+            edited[k] = OperatorChoice(ops[k].kind, rng.choice(options), ops[k].inputs)
+            return _replace_block(point, _with_branch(blk, branch, edited))
 
 
 def _mut_reram(point, rng, space):

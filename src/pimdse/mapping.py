@@ -35,6 +35,7 @@ import numpy as np
 from .crossbar import (
     ConverterSpec,
     CrossbarSpec,
+    SUPPORTED_BITS,
     SaturationLog,
     ShapeMismatch,
     mbsa_square,
@@ -458,14 +459,60 @@ def _conv(reram: ReRAMConfig) -> ConverterSpec:
     return ConverterSpec(dac_bits=reram.dac_bits, adc_bits=reram.adc_bits)
 
 
+# Bytes of float32 cells ``run_fc`` programs and reads at a time: a block
+# of whole row tiles this size stays in a core's cache between the gather
+# that programs it and the matmul that reads it. 4 MiB ran fastest in two
+# sweeps of 1, 2, 4, 8 and 16 MiB over the benchmark's forward panel on a
+# 2-core x86-64 host with 4 MiB of L2 per core: each block costs ~60 us of
+# calls, so smaller blocks gain less, and larger ones spill to memory.
+_BLOCK_CELL_BYTES = 4 << 20
+
+
 def run_fc(weight, x, w_bits, reram):
-    """One FC through the crossbar: weight is (out, in), programmed
-    transposed. ``x`` is one input vector, or a matrix whose columns are
-    swept through the one programmed array (an EFC sweeps one column per
-    embedding coordinate)."""
-    w = np.asarray(weight, dtype=np.int64)
-    pt = program_signed(w.T, w_bits, _xbar_spec(reram))
-    return mvm(pt, x, DEFAULT_ACTIVATION_BITS, _conv(reram))
+    """One FC through the crossbar: ``weight`` is (out, in), programmed
+    transposed, and is handed to :func:`~pimdse.crossbar.program_signed`
+    in its own dtype, so its entry checks apply to every weight (a
+    fractional or NaN float raises ``OutOfRange``). ``x`` is one input
+    vector, or a matrix whose columns are swept through the one programmed
+    array (an EFC sweeps one column per embedding coordinate).
+
+    The matrix is programmed and read in blocks of whole row tiles, each
+    holding at most ``_BLOCK_CELL_BYTES`` of cells (at least one row
+    tile), so the memory a call takes is bounded by the block, not by the
+    weight: the block's cells and its read's analog sums, which for ``n``
+    input vectors take ``(ceil(8 / dac_bits) + 1) * n / xbar_size`` times
+    the cells' bytes.
+
+    This is exact. A block's row tiles are the whole matrix's own tiles
+    (only the last tile of the matrix is zero-padded), so every analog sum
+    and every ADC clamp is the one a single read makes; each block's
+    output is the exact integer sum over its rows, and the int64 sum over
+    blocks is the whole read's output. Clip counts add across blocks, and
+    ``max_overflow`` is their maximum. A weight of ``MAX_ROW_TILES`` row
+    tiles or more, which ``program_signed`` refuses as one matrix, is
+    computed block by block, exactly.
+    """
+    w, x = np.asarray(weight), np.asarray(x)
+    if w.ndim != 2 or 0 in w.shape:
+        raise ShapeMismatch(f"weight must be 2-D and nonempty, got shape {w.shape}")
+    out_dim, in_dim = w.shape
+    if x.ndim not in (1, 2) or x.shape[0] != in_dim:  # once, before the rows are split
+        raise ShapeMismatch(f"expected {in_dim} input rows, got shape {x.shape}")
+    spec, conv = _xbar_spec(reram), _conv(reram)
+    # Cells per row: out_dim * planes * 2 float32 (a bad w_bits reaches
+    # program_signed's check with one plane).
+    planes = math.ceil(w_bits / spec.cell_bits) if w_bits in SUPPORTED_BITS["weight_bits"] else 1
+    tile_bytes = spec.rows * out_dim * planes * 2 * 4
+    step = spec.rows * max(1, _BLOCK_CELL_BYTES // tile_bytes)
+    a_bits = DEFAULT_ACTIVATION_BITS
+    reads = [
+        mvm(program_signed(w[:, r : r + step].T, w_bits, spec), x[r : r + step], a_bits, conv)
+        for r in range(0, in_dim, step)
+    ]
+    log = SaturationLog(
+        sum(lg.clip_count for _, lg in reads), max(lg.max_overflow for _, lg in reads)
+    )
+    return sum(y for y, _ in reads), log
 
 
 def dp_engine_forward(x_matrix, reram):
@@ -510,7 +557,8 @@ def fm_engine_forward(vectors, reram):
 
 def random_weights(mm: MappedModel, seed: int) -> dict[str, np.ndarray]:
     """Integer weights in range for every weight-carrying leaf, drawn in
-    leaf order."""
+    leaf order. Each leaf is drawn as int64 and kept as int8: every
+    supported weight width fits, and the values are those of the draw."""
     rng = np.random.default_rng(seed)
     out = {}
     for op in mm.operators:
@@ -519,7 +567,7 @@ def random_weights(mm: MappedModel, seed: int) -> dict[str, np.ndarray]:
                 lim = (1 << (leaf.w_bits - 1)) - 1
                 out[leaf.op_id] = rng.integers(
                     -lim, lim + 1, size=(leaf.out_dim, leaf.in_dim), dtype=np.int64
-                )
+                ).astype(np.int8)
     return out
 
 
@@ -539,6 +587,11 @@ def functional_forward(
     ``DEFAULT_ACTIVATION_BITS`` wide, the width the cost model prices. With
     lossless converter settings the output matches the pure-integer
     reference exactly.
+
+    Each weight is read in its own dtype (:func:`random_weights` gives
+    int8) and must hold integers in its leaf's signed range; every MVM leaf
+    runs through :func:`run_fc`, whose memory is bounded by its row block,
+    not by the leaf.
     """
     model, reram = mm.model, mm.reram
     n_s = model.num_sparse_features

@@ -4,6 +4,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -309,7 +310,7 @@ class TestMalformedFiles:
         from importlib import resources
 
         return {
-            "point": json.loads(open(point_file).read()),
+            "point": json.loads(Path(point_file).read_text()),
             "space": {},
             "search": {"num_generations": 1, "population_init_size": 2},
             "tech": json.loads(resources.files("pimdse.data").joinpath("default_tech.json").read_text()),
@@ -429,7 +430,7 @@ class TestMapSimulate:
         assert f"cannot load design point {bad}: maximum recursion depth" in err
 
     def test_invalid_point_exits_3(self, capsys, tmp_path, point_file):
-        doc = json.loads(open(point_file).read())
+        doc = json.loads(Path(point_file).read_text())
         doc["model"]["blocks"][0]["sparse_ops"] = []
         bad = tmp_path / "invalid.json"
         bad.write_text(json.dumps(doc))
@@ -437,7 +438,7 @@ class TestMapSimulate:
         assert code == EXIT_VALIDATION and "sparse branch empty" in err
 
     def test_point_outside_the_space_exits_3(self, capsys, tmp_path, point_file):
-        doc = json.loads(open(point_file).read())
+        doc = json.loads(Path(point_file).read_text())
         doc["model"]["num_sparse_features"] = 999
         doc["model"]["embedding_dim"] = 3
         bad = tmp_path / "elsewhere.json"

@@ -227,6 +227,51 @@ class TestMutate:
             child = mutate(parent, seed=seed, num_mutations=3)
             assert validate(child).ok
 
+    def test_weight_bits_draws_what_a_target_list_draws(self):
+        # The oracle builds the list of every target, as the mutator once
+        # did, and picks one with rng.choice; the mutator counts the
+        # targets and indexes them with one randrange. Both must give the
+        # same child and leave the generator in the same state.
+        def listed(point, rng, space):
+            targets = [("final", None, None)]
+            for pos, blk in enumerate(point.model.blocks):
+                for branch in ("dense", "sparse"):
+                    for i in range(len(design_space._branch_of(blk, branch))):
+                        targets.append((pos, branch, i))
+            target = rng.choice(targets)
+            if target[0] == "final":
+                options = [b for b in space.weight_bits if b != point.model.final_fc_bits]
+                if not options:
+                    return None
+                model = ModelConfig(
+                    blocks=point.model.blocks,
+                    final_fc_bits=rng.choice(options),
+                    num_sparse_features=point.model.num_sparse_features,
+                    embedding_dim=point.model.embedding_dim,
+                )
+                return DesignPoint(model=model, reram=point.reram)
+            pos, branch, i = target
+            blk = point.model.blocks[pos]
+            ops = design_space._branch_of(blk, branch)
+            options = [b for b in space.weight_bits if b != ops[i].weight_bits]
+            if not options:
+                return None
+            edited = list(ops)
+            edited[i] = OperatorChoice(ops[i].kind, rng.choice(options), ops[i].inputs)
+            return design_space._replace_block(point, design_space._with_branch(blk, branch, edited))
+
+        one_width = replace(DEFAULT_SPACE, weight_bits=(8,))  # every draw finds no option
+        mutations = 0
+        for space in (DEFAULT_SPACE, one_width):
+            for i in range(1000):
+                point = sample_random(i, space)
+                ours, theirs = random.Random(i), random.Random(i)
+                child = design_space._mut_weight_bits(point, ours, space)
+                assert child == listed(point, theirs, space)
+                assert ours.getstate() == theirs.getstate()
+                mutations += 1
+        assert mutations == 2000
+
     def test_closure_fuzz(self):
         # Closure under repeated mutation from many parents.
         rng = random.Random(0)

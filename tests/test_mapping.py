@@ -1,10 +1,15 @@
 """Operator mapping, engine equivalence, and end-to-end functional checks."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimdse import mapping
-from pimdse.crossbar import mbsa_square
+from pimdse.crossbar import MAX_ROW_TILES, OutOfRange, ShapeMismatch, mbsa_square, mvm, program_signed
 from pimdse.design_space import (
     BlockConfig,
     DesignPoint,
@@ -384,3 +389,121 @@ def test_efc_identity_weight_passes_sparse_through():
     y, log = run_fc(np.eye(4, dtype=int), xs, 4, ReRAMConfig(1, 1, 16, 6))
     assert log.clean
     assert np.array_equal(y, xs)
+
+
+def test_fractional_or_nan_weights_are_refused():
+    # run_fc used to cast weights to int64 first: 2.7 ran as 2, and NaN
+    # warned and then failed the range check instead of the integer one.
+    x, reram = np.array([1, 1]), ReRAMConfig(1, 1, 16, 8)
+    for bad in (2.7, np.nan, np.inf):
+        with pytest.raises(OutOfRange, match="entries must be finite integers"):
+            run_fc(np.array([[bad, 1.0]]), x, 8, reram)
+    y, log = run_fc(np.array([[2.0, 1.0]]), x, 8, reram)
+    assert y.tolist() == [3] and log.clean
+
+
+def whole_read(weight, x, w_bits, reram):
+    """One ``program_signed`` and one ``mvm`` of the whole matrix."""
+    pt = program_signed(np.asarray(weight, dtype=np.int64).T, w_bits, mapping._xbar_spec(reram))
+    return mvm(pt, x, mapping.DEFAULT_ACTIVATION_BITS, mapping._conv(reram))
+
+
+class TestRowBlocks:
+    """``run_fc`` programs and reads a matrix in blocks of whole row tiles;
+    with the block budget patched small, a matrix of a few row tiles
+    splits into several blocks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        xbar=st.sampled_from([16, 32, 64]),
+        w_bits=st.sampled_from([4, 8]),
+        converters=st.sampled_from([(1, 1, 8), (2, 2, 4), (1, 2, 6), (2, 1, 8)]),
+        budget=st.integers(1, 1 << 16),
+        batch=st.sampled_from([0, 1, 3]),  # 0: one vector; else an EFC-style matrix of columns
+        form=st.sampled_from(["int8", "int64", "list", "float"]),
+    )
+    def test_equals_one_read_of_the_whole_matrix(
+        self, data, xbar, w_bits, converters, budget, batch, form
+    ):
+        dac, cell, adc = converters
+        reram = ReRAMConfig(dac, cell, xbar, adc)  # (1, 1, 8) is lossless at every size; (2, 2, 4) clips
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        out_dim = data.draw(st.integers(1, 6))
+        in_dim = data.draw(st.integers(1, 5 * xbar))
+        lim = (1 << (w_bits - 1)) - 1
+        w = rng.integers(-lim, lim + 1, size=(out_dim, in_dim))
+        x = rng.integers(-127, 128, size=(in_dim, batch) if batch else in_dim)
+        weight = {"int8": w.astype(np.int8), "int64": w, "list": w.tolist(), "float": w.astype(float)}[form]
+        with mock.patch.object(mapping, "_BLOCK_CELL_BYTES", budget):
+            y, log = run_fc(weight, x, w_bits, reram)
+        y_whole, log_whole = whole_read(w, x, w_bits, reram)
+        assert y.dtype == np.int64 and np.array_equal(y, y_whole)
+        assert (log.clip_count, log.max_overflow) == (log_whole.clip_count, log_whole.max_overflow)
+
+    def test_lossy_reads_clip_in_several_blocks(self):
+        # Dense all-max rows at a 4-bit ADC clip in every block; the counts
+        # add and the overflow is the largest block's.
+        reram = ReRAMConfig(2, 2, 16, 4)
+        w = np.full((3, 16 * 5), 127, dtype=np.int8)
+        x = np.arange(16 * 5) % 255 - 127
+        with mock.patch.object(mapping, "_BLOCK_CELL_BYTES", 1):  # one row tile per block
+            y, log = run_fc(w, x, 8, reram)
+        y_whole, log_whole = whole_read(w, x, 8, reram)
+        assert log.clip_count > 0 and log.clip_count == log_whole.clip_count
+        assert log.max_overflow == log_whole.max_overflow and np.array_equal(y, y_whole)
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    @pytest.mark.parametrize("batch", [0, 2])
+    def test_input_length_is_checked_before_the_split(self, extra, batch):
+        # in_dim is exactly two blocks of one row tile: a longer x would
+        # otherwise drop its extra rows, a shorter one reach the last block.
+        reram = ReRAMConfig(1, 1, 16, 8)
+        w = np.ones((2, 32), dtype=np.int8)
+        n = 32 + extra
+        x = np.ones((n, batch) if batch else n, dtype=np.int64)
+        with mock.patch.object(mapping, "_BLOCK_CELL_BYTES", 1):
+            with pytest.raises(ShapeMismatch, match="expected 32 input rows"):
+                run_fc(w, x, 8, reram)
+
+    def test_a_matrix_past_the_row_tile_limit_runs_block_by_block(self):
+        # program_signed refuses this matrix whole; run_fc computes it exactly.
+        reram = ReRAMConfig(1, 1, 16, 8)
+        w = np.ones((1, MAX_ROW_TILES * 16), dtype=np.int8)
+        x = np.ones(MAX_ROW_TILES * 16, dtype=np.int64)
+        with pytest.raises(ShapeMismatch, match=f"{MAX_ROW_TILES} row tiles"):
+            program_signed(w.T, 8, mapping._xbar_spec(reram))
+        y, log = run_fc(w, x, 8, reram)
+        assert log.clean and y.tolist() == [MAX_ROW_TILES * 16]
+
+    def test_memory_is_bounded_by_the_block(self):
+        # A leaf whose cells exceed 8x the block budget: the read's peak
+        # stays below 3x the budget (the whole-matrix read takes over 8x).
+        budget = mapping._BLOCK_CELL_BYTES
+        reram = ReRAMConfig(1, 1, 16, 8)
+        out_dim, cell_bytes_per_row = 640, 640 * 8 * 2 * 4  # 8 planes, differential, float32
+        in_dim = 16 * (9 * budget // (16 * cell_bytes_per_row) + 1)
+        assert in_dim * cell_bytes_per_row > 8 * budget
+        rng = np.random.default_rng(0)
+        w = rng.integers(-127, 128, size=(out_dim, in_dim)).astype(np.int8)
+        x = rng.integers(-127, 128, size=in_dim)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_fc(w, x, 8, reram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * budget
+
+
+def test_random_weights_are_the_int64_draw_kept_as_int8():
+    mm = map_model(two_block_point(with_dp=True, with_fm=True))
+    weights = random_weights(mm, seed=4)
+    rng = np.random.default_rng(4)
+    for op_id, w in weights.items():
+        leaf = next(leaf for op in mm.operators for leaf in op.leaves() if leaf.op_id == op_id)
+        lim = (1 << (leaf.w_bits - 1)) - 1
+        drawn = rng.integers(-lim, lim + 1, size=(leaf.out_dim, leaf.in_dim), dtype=np.int64)
+        assert w.dtype == np.int8 and np.array_equal(w, drawn)
