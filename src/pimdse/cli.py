@@ -2,7 +2,8 @@
 
 Subcommands: ``space count``, ``space sample``, ``map``, ``simulate``,
 ``search``. All output JSON is emitted with sorted keys so reruns with the
-same inputs are byte-identical. Exit codes: 0 ok, 2 parse error,
+same inputs are byte-identical. Exit codes: 0 ok, 1 output pipe closed
+by its reader (``pimdse space sample -n 50 | head -1``), 2 parse error,
 3 validation error, 4 internal error. Set PIMDSE_LOG to control verbosity.
 
 Every input file (``--point``, ``--space``, ``--tech``, ``--search-config``)
@@ -71,6 +72,7 @@ from .search import (
 )
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
@@ -266,6 +268,12 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+def nonnegative_int(text: str) -> int:
+    if (n := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pimdse",
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = space_sub.add_parser("sample", help="print random design points")
     p_sample.add_argument("--space", help="space descriptor JSON")
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("-n", "--num", type=int, default=1)
+    p_sample.add_argument("-n", "--num", type=nonnegative_int, default=1)
     p_sample.set_defaults(func=cmd_space)
 
     p_map = sub.add_parser("map", help="map a design point onto engines and tiles")
@@ -317,7 +325,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # as Python's SIGPIPE note advises, the unwritten rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -87,11 +87,13 @@ class TechParams:
             self.adc_time, self.dac_energy, self.dac_area, self.cell_read_energy,
             self.cell_area, self.mbsa_time, self.mbsa_energy, self.mbsa_area,
             self.buffer_read_energy, self.buffer_write_energy,
-            self.buffer_area_per_byte, self.t_bank, self.activation_time,
+            self.buffer_area_per_byte, self.t_bank, self.activation_time, self.adcs_per_xbar,
         ]
         # Written so that NaN, which fails every comparison, fails them too.
-        if not all(0 < v < math.inf for v in numeric) or not 1 <= self.adcs_per_xbar < math.inf:
+        if not all(0 < v < math.inf for v in numeric):
             raise ValueError("technology parameters must be positive and finite")
+        if type(self.adcs_per_xbar) is not int:  # a positive int, so at least 1
+            raise ValueError(f"adcs_per_xbar must be an int, got {self.adcs_per_xbar!r}")
         if not 0 <= self.controller_overhead_fraction < math.inf:
             raise ValueError("controller overhead must be nonnegative and finite")
         for name, table in (("adc_energy", self.adc_energy), ("adc_area", self.adc_area)):

@@ -69,6 +69,12 @@ def _field_state(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record) if f.compare}
 
 
+def _not_an_int(record, *names: str) -> ValueError:
+    """The refusal of the first of ``names`` not holding exactly an ``int``."""
+    name = next(n for n in names if type(getattr(record, n)) is not int)
+    return ValueError(f"{name} must be an int, got {getattr(record, name)!r}")
+
+
 @dataclass(frozen=True)
 class OperatorChoice:
     """One operator instance inside a block branch."""
@@ -78,7 +84,15 @@ class OperatorChoice:
     inputs: tuple[int, ...]  # source indices, stored sorted; 0 = stem
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(sorted(self.inputs)))
+        if type(self.kind) is not OperatorKind:
+            raise ValueError(f"kind must be an OperatorKind, got {self.kind!r}")
+        if type(self.weight_bits) is not int:
+            raise _not_an_int(self, "weight_bits")
+        inputs = tuple(self.inputs)
+        for s in inputs:
+            if type(s) is not int:
+                raise ValueError(f"inputs must list ints only, got {s!r}")
+        object.__setattr__(self, "inputs", tuple(sorted(inputs)))
 
     def to_dict(self) -> dict:
         return {
@@ -99,8 +113,15 @@ class BlockConfig:
     __getstate__ = _field_state
 
     def __post_init__(self):
-        object.__setattr__(self, "dense_ops", tuple(sorted(self.dense_ops, key=_KIND)))
-        object.__setattr__(self, "sparse_ops", tuple(sorted(self.sparse_ops, key=_KIND)))
+        if type(self.index) is not int or type(self.dim_d) is not int or type(self.dim_s) is not int:
+            raise _not_an_int(self, "index", "dim_d", "dim_s")
+        dense, sparse = tuple(self.dense_ops), tuple(self.sparse_ops)
+        for op in (*dense, *sparse):
+            if type(op) is not OperatorChoice:
+                name = "dense_ops" if op in dense else "sparse_ops"
+                raise ValueError(f"{name} must list OperatorChoice records only, got {op!r}")
+        object.__setattr__(self, "dense_ops", tuple(sorted(dense, key=_KIND)))
+        object.__setattr__(self, "sparse_ops", tuple(sorted(sparse, key=_KIND)))
 
     def to_dict(self) -> dict:
         return {
@@ -114,13 +135,9 @@ class BlockConfig:
     @cached_property
     def canonical_fragment(self) -> str:
         """This block's part of :func:`canonical_json`, encoded once per object."""
-        index, dim_d, dim_s = self.index, self.dim_d, self.dim_s
-        dense, sparse = _ops_json(self.dense_ops), _ops_json(self.sparse_ops)
-        if dense is None or sparse is None or not _all_ints((index, dim_d, dim_s)):
-            return _canonical(self.to_dict())
         return (
-            f'{{"dense_ops":[{dense}],"dim_d":{dim_d},"dim_s":{dim_s},'
-            f'"index":{index},"sparse_ops":[{sparse}]}}'
+            f'{{"dense_ops":[{_ops_json(self.dense_ops)}],"dim_d":{self.dim_d},"dim_s":{self.dim_s},'
+            f'"index":{self.index},"sparse_ops":[{_ops_json(self.sparse_ops)}]}}'
         )
 
 
@@ -130,6 +147,11 @@ class ModelConfig:
     final_fc_bits: int
     num_sparse_features: int  # count of input embedding tables
     embedding_dim: int        # width of input embeddings (and of the stem dense vector)
+
+    def __post_init__(self):
+        bits, n_s, emb = self.final_fc_bits, self.num_sparse_features, self.embedding_dim
+        if type(bits) is not int or type(n_s) is not int or type(emb) is not int:
+            raise _not_an_int(self, "final_fc_bits", "num_sparse_features", "embedding_dim")
 
     def to_dict(self) -> dict:
         return {
@@ -149,6 +171,11 @@ class ReRAMConfig:
 
     __getstate__ = _field_state
 
+    def __post_init__(self):
+        dac, cell, xbar, adc = self.dac_bits, self.cell_bits, self.xbar_size, self.adc_bits
+        if type(dac) is not int or type(cell) is not int or type(xbar) is not int or type(adc) is not int:
+            raise _not_an_int(self, *_RERAM_MENUS)
+
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in _RERAM_MENUS}
 
@@ -156,8 +183,6 @@ class ReRAMConfig:
     def canonical_fragment(self) -> str:
         """This record's part of :func:`canonical_json`, encoded once per object."""
         dac, cell, xbar, adc = self.dac_bits, self.cell_bits, self.xbar_size, self.adc_bits
-        if not _all_ints((dac, cell, xbar, adc)):
-            return _canonical(self.to_dict())
         return f'{{"adc_bits":{adc},"cell_bits":{cell},"dac_bits":{dac},"xbar_size":{xbar}}}'
 
 
@@ -225,24 +250,23 @@ class SpaceDescriptor:
             ("embedding_dim", MAX_DIM),
         ):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            if type(value) is not int:
+                raise _not_an_int(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
             if value > most:
                 raise ValueError(f"{name} must be <= {most}")
         for name in _MENUS:
-            menu = getattr(self, name)
+            menu, entry = getattr(self, name), OperatorKind if name in _MENUS[:2] else int
             if not menu:
                 raise ValueError(f"{name} must not be empty")
+            stray = [x for x in menu if type(x) is not entry]
+            if stray:
+                raise ValueError(f"{name} must list {entry.__name__}s only, got {stray}")
             if len(set(menu)) != len(menu):
                 raise ValueError(
                     f"{name} lists an entry more than once: {[getattr(x, 'value', x) for x in menu]}"
                 )
-        for name in _MENUS[2:]:  # dims, bits and crossbar sizes
-            stray = [x for x in getattr(self, name) if not isinstance(x, int) or isinstance(x, bool)]
-            if stray:
-                raise ValueError(f"{name} must list ints only, got {stray}")
         for name, branch_kinds in (
             ("dense_operators", DENSE_KINDS), ("sparse_operators", SPARSE_KINDS)
         ):
@@ -284,32 +308,16 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
 
 
-def _canonical(plain) -> str:
-    return json.dumps(plain, sort_keys=True, separators=(",", ":"))
-
-
-def _all_ints(values) -> bool:
-    """True when every value is exactly an ``int``: no bool, float or numpy integer."""
-    return {*map(type, values)} <= {int}
-
-
 _KIND_VALUES = {kind: kind.value for kind in OperatorKind}
 
 
-def _ops_json(ops) -> str | None:
-    """A branch's operators as canonical JSON, without the brackets, or None
-    when one is not an :class:`OperatorChoice` of ints, which the caller
-    then encodes with ``json.dumps``."""
-    out = []
-    for op in ops:
-        if type(op) is not OperatorChoice or type(op.kind) is not OperatorKind:
-            return None
-        bits, inputs = op.weight_bits, op.inputs
-        if not _all_ints((bits, *inputs)):
-            return None
-        kind = _KIND_VALUES[op.kind]
-        out.append(f'{{"inputs":[{",".join(map(str, inputs))}],"kind":"{kind}","weight_bits":{bits}}}')
-    return ",".join(out)
+def _ops_json(ops) -> str:
+    """A branch's operators as canonical JSON, without the brackets."""
+    return ",".join(
+        f'{{"inputs":[{",".join(map(str, op.inputs))}],"kind":"{_KIND_VALUES[op.kind]}",'
+        f'"weight_bits":{op.weight_bits}}}'
+        for op in ops
+    )
 
 
 def canonical_json(point: DesignPoint) -> str:
@@ -318,18 +326,15 @@ def canonical_json(point: DesignPoint) -> str:
     Byte-identical to ``json.dumps(point.to_dict(), sort_keys=True,
     separators=(",", ":"))``, but joined from the blocks' and the ReRAM
     record's cached fragments, so a mutated child encodes only the records
-    it does not share with its parent. A record of ints is written directly
-    with f-strings; any other value (a bool, a float, a numpy integer)
-    sends its record through ``json.dumps``, which gives the same bytes or
-    raises the same exception as the one call would."""
+    it does not share with its parent. Records hold only ints and operator
+    kinds (they refuse anything else when built), written with f-strings."""
     model = point.model
     blocks = ",".join(blk.canonical_fragment for blk in model.blocks)
-    emb, bits, n_s = model.embedding_dim, model.final_fc_bits, model.num_sparse_features
-    if _all_ints((emb, bits, n_s)):
-        scalars = f'"embedding_dim":{emb},"final_fc_bits":{bits},"num_sparse_features":{n_s}'
-    else:  # the model object's keys after "blocks", which sorts first
-        scalars = _canonical({"embedding_dim": emb, "final_fc_bits": bits, "num_sparse_features": n_s})[1:-1]
-    return f'{{"model":{{"blocks":[{blocks}],{scalars}}},"reram":{point.reram.canonical_fragment}}}'
+    return (
+        f'{{"model":{{"blocks":[{blocks}],"embedding_dim":{model.embedding_dim},'
+        f'"final_fc_bits":{model.final_fc_bits},"num_sparse_features":{model.num_sparse_features}}},'
+        f'"reram":{point.reram.canonical_fragment}}}'
+    )
 
 
 def point_from_json(text: str) -> DesignPoint:
@@ -429,13 +434,13 @@ def _decode(tp, value, path: str):
 def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions.
 
-    Every count, dim, bit-width and input index must be an ``int`` (a bool
-    or a float equal to a menu entry is reported, not accepted), and every
-    operator kind an :class:`OperatorKind`. A block's violations depend
-    only on the block, its position, the space and ``num_sparse_features``,
-    so they are kept on the frozen block with that key (space by identity)
-    and a child re-checks only the blocks it does not share with its
-    parent."""
+    Only menus and structure are checked: a record refuses, when built,
+    any number that is not exactly an ``int`` (a bool, a float, a numpy
+    integer) and any kind that is not an :class:`OperatorKind`. A block's
+    violations depend only on the block, its position, the space and
+    ``num_sparse_features``, so they are kept on the frozen block with that
+    key (space by identity) and a child re-checks only the blocks it does
+    not share with its parent."""
     v: list[str] = []
     model, reram = point.model, point.reram
     n_s = model.num_sparse_features
@@ -445,9 +450,7 @@ def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> Vali
     _check_number(v, "final_fc: weight_bits", model.final_fc_bits, space.weight_bits)
     for name in ("num_sparse_features", "embedding_dim"):
         value, expected = getattr(model, name), getattr(space, name)
-        if type(value) is not int:
-            v.append(f"model: {name} {value!r} is not an int")
-        elif value != expected:
+        if value != expected:
             v.append(f"model: expected {name} {expected}, got {value}")
 
     for pos, blk in enumerate(model.blocks, start=1):
@@ -458,9 +461,7 @@ def validate(point: DesignPoint, space: SpaceDescriptor = DEFAULT_SPACE) -> Vali
 
 def _check_number(v: list[str], subject: str, value, menu) -> None:
     """Append the violation of one menu-drawn number, if it has one."""
-    if type(value) is not int:
-        v.append(f"{subject} {value!r} is not an int")
-    elif value not in menu:
+    if value not in menu:
         v.append(f"{subject} {value} not in menu")
 
 
@@ -482,9 +483,7 @@ def _block_violations(blk: BlockConfig, pos: int, space: SpaceDescriptor, n_s: i
     """Violations of the block at 1-based position ``pos``."""
     v: list[str] = []
     name = f"block {pos}"
-    if type(blk.index) is not int:
-        v.append(f"{name}: index {blk.index!r} is not an int")
-    elif blk.index != pos:
+    if blk.index != pos:
         v.append(f"{name}: index {blk.index} out of order")
     _check_number(v, f"{name}: dim_d", blk.dim_d, space.dense_dims)
     _check_number(v, f"{name}: dim_s", blk.dim_s, space.sparse_dims)
@@ -501,21 +500,16 @@ def _block_violations(blk: BlockConfig, pos: int, space: SpaceDescriptor, n_s: i
             v.append(f"{name}: duplicate operator in {branch} branch")
         for op in ops:
             kind, bits, inputs = op.kind, op.weight_bits, op.inputs
-            if type(kind) is not OperatorKind:
-                v.append(f"{name}: operator kind {kind!r} is not an OperatorKind")
-                continue
             if kind not in menu:
                 v.append(f"{name}: {kind.value} not allowed in {branch} branch")
-            if type(bits) is not int or bits not in space.weight_bits:  # formats the subject only then
-                _check_number(v, f"{name}: {kind.value} weight_bits", bits, space.weight_bits)
+            if bits not in space.weight_bits:
+                v.append(f"{name}: {kind.value} weight_bits {bits} not in menu")
             if not inputs:
                 v.append(f"{name}: {kind.value} has no inputs")
             if len(set(inputs)) != len(inputs):
                 v.append(f"{name}: {kind.value} has duplicate inputs")
             for s in inputs:
-                if type(s) is not int:
-                    v.append(f"{name}: {kind.value} input {s!r} is not an int")
-                elif not (0 <= s < pos):
+                if not (0 <= s < pos):
                     v.append(f"{name}: {kind.value} input {s} violates DAG order")
             if _fm_starved(kind, n_s, len(inputs)):
                 v.append(f"{name}: FM needs at least two incoming sparse vectors")
@@ -559,22 +553,21 @@ def sample_random(seed: int, space: SpaceDescriptor = DEFAULT_SPACE) -> DesignPo
     """Draw a valid point; identical seed gives an identical point."""
     rng = random.Random(seed)
     n_s = space.num_sparse_features
-    blocks = []
-    for i in range(1, space.num_blocks + 1):
-        blocks.append(
-            BlockConfig(
-                index=i,
-                dim_d=rng.choice(list(space.dense_dims)),
-                dim_s=rng.choice(list(space.sparse_dims)),
-                dense_ops=_random_branch(rng, space.dense_operators, i, space.weight_bits, n_s),
-                sparse_ops=_random_branch(rng, space.sparse_operators, i, space.weight_bits, n_s),
-            )
+    blocks = tuple(
+        BlockConfig(
+            index=i,
+            dim_d=rng.choice(list(space.dense_dims)),
+            dim_s=rng.choice(list(space.sparse_dims)),
+            dense_ops=_random_branch(rng, space.dense_operators, i, space.weight_bits, n_s),
+            sparse_ops=_random_branch(rng, space.sparse_operators, i, space.weight_bits, n_s),
         )
+        for i in range(1, space.num_blocks + 1)
+    )
     reram = ReRAMConfig(
         **{name: rng.choice(list(getattr(space, menu))) for name, menu in _RERAM_MENUS.items()}
     )
     model = ModelConfig(
-        blocks=tuple(blocks),
+        blocks=blocks,
         final_fc_bits=rng.choice(list(space.weight_bits)),
         num_sparse_features=space.num_sparse_features,
         embedding_dim=space.embedding_dim,

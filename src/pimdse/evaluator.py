@@ -59,6 +59,8 @@ class SurrogateParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
+        if type(self.seed) is not int:  # the noise hashes str(seed): True and 1.0 are not 1
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
 
 
 def _unit_noise(point_id: str, seed: int) -> float:

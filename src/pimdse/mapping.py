@@ -50,6 +50,7 @@ from .design_space import (
     ModelConfig,
     OperatorKind,
     ReRAMConfig,
+    _KIND_VALUES,
     _field_state,
 )
 
@@ -381,7 +382,6 @@ _CONSUMED_STREAMS = {
     OperatorKind.EFC: ("sparse",),
     OperatorKind.DSI: ("dense",),
 }
-_KIND_NAMES = {kind: kind.value for kind in OperatorKind}
 _BRANCH_KINDS = {"dense": DENSE_KINDS, "sparse": SPARSE_KINDS}
 _PLAN_KEYS = {Engine.MVM: "mvm_tiles", Engine.DP: "dp_tiles", Engine.FM: "fm_tiles"}
 
@@ -423,7 +423,7 @@ def map_model(point: DesignPoint) -> MappedModel:
                 else:  # DSI: an FC producing n_s * dim_s values, then a reshape
                     key = (kind, w_bits, sum(map(width, inputs)), n_s * dim_s, dac, cell, xbar, adc)
                 keys.append(key)
-                layout.append((f"b{index}.{branch}.{_KIND_NAMES[kind]}", index, branch, inputs))
+                layout.append((f"b{index}.{branch}.{_KIND_VALUES[kind]}", index, branch, inputs))
     # The final FC: one logit from the last block's dense output, keyed as a block FC of width 1.
     last = model.blocks[-1].index
     keys.append((_FC, model.final_fc_bits, width(last), 1, dac, cell, xbar, adc))

@@ -13,6 +13,7 @@ from it alone; the stage timeline is built only when a latency is read.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -54,10 +55,7 @@ def simulate_lookup(trace, placement: EmbeddingPlacement, t_bank: float) -> list
     parallel, so each query costs t_bank times its worst per-bank count."""
     out = []
     for query in trace:
-        per_bank: dict[int, int] = {}
-        for row_id in query:
-            bank = placement.bank_of(row_id)
-            per_bank[bank] = per_bank.get(bank, 0) + 1
+        per_bank = Counter(placement.bank_of(row_id) for row_id in query)
         out.append(t_bank * max(per_bank.values()) if per_bank else 0.0)
     return out
 
@@ -91,11 +89,7 @@ def zipf_lookup_model(
             rank = min(int(rng.paretovariate(ZIPF_ALPHA)), rows_per_table)
             query.append(f"t{t}:r{rank}")
         trace.append(tuple(query))
-    freqs: dict[str, int] = {}
-    for query in trace:
-        for row_id in query:
-            freqs[row_id] = freqs.get(row_id, 0) + 1
-    placement = place_embeddings(freqs, num_banks)
+    placement = place_embeddings(Counter(row_id for query in trace for row_id in query), num_banks)
     return LookupModel(placement=placement, trace=tuple(trace), t_bank=t_bank)
 
 
@@ -238,12 +232,9 @@ def simulate(
     alone; the timeline is built only when the report's ``latency`` is
     first read.
     """
-    if lookup_model is not None:
-        lookup_lat = lookup_model.latencies
-        first_lookup = lookup_lat[0] if lookup_lat else tp.t_bank
-        worst_lookup = max(lookup_lat) if lookup_lat else tp.t_bank
-    else:
-        first_lookup = worst_lookup = tp.t_bank
+    lookup_lat = lookup_model.latencies if lookup_model is not None else ()
+    first_lookup = lookup_lat[0] if lookup_lat else tp.t_bank
+    worst_lookup = max(lookup_lat) if lookup_lat else tp.t_bank
 
     stages = stage_times(mm, tp, overlap=overlap)
     stages["lookup"] = worst_lookup

@@ -57,10 +57,12 @@ class SearchConfig:
             "num_generations", "num_children", "num_mutations", "population_init_size", "tournament_size"
         ):
             count = getattr(self, name)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            if type(count) is not int or count < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {count!r}")
             if count > MAX_COUNT:
                 raise ValueError(f"{name} must be <= {MAX_COUNT}, got {count!r}")
+        if type(self.seed) is not int:  # derive_seed hashes str(seed): True and 1.0 are not 1
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         # Written so that NaN, which fails every comparison, fails them too.
         if len(self.lambdas) != 3 or not all(0 <= l < math.inf for l in self.lambdas):
             raise ValueError("lambdas must be three finite nonnegative weights")
@@ -262,14 +264,11 @@ def run_search(
 
     for gen in range(1, cfg.num_generations + 1):
         parent = sample_and_select(population, cfg, rng)
-        children: list[DesignPoint] = []
-        for c in range(cfg.num_children):
-            child = mutate(
-                parent.point, derive_seed(cfg.seed, "mut", gen, c), cfg.num_mutations, space
-            )
-            children.append(child)
+        children = [
+            mutate(parent.point, derive_seed(cfg.seed, "mut", gen, c), cfg.num_mutations, space)
+            for c in range(cfg.num_children)
+        ]
 
-        appended = 0
         child_ids = []
         for child in children:
             try:
@@ -282,12 +281,11 @@ def run_search(
                 continue
             population.append(new)
             insertion += 1
-            appended += 1
             child_ids.append(child.point_id)
 
         population.sort(key=lambda e: (e.criterion, e.insertion))
-        if appended:
-            del population[-appended:]
+        if child_ids:  # one entry dropped per child appended
+            del population[-len(child_ids):]
 
         median = statistics.median(e.criterion for e in population)
         if not math.isfinite(median):  # the mean of two criteria near the float64 limit

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimdse.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+import pimdse
+from pimdse.cli import EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_VALIDATION, main
 from pimdse.design_space import point_from_json, sample_random, canonical_json
 
 
@@ -68,6 +72,28 @@ class TestSpace:
         assert len(lines) == 2
         for line in lines:
             point_from_json(line)  # parses and round-trips
+
+    def test_negative_sample_count_is_a_parse_error(self, capsys):
+        # -n -3 used to exit 0 and print nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["space", "sample", "-n", "-3"])
+        assert exc.value.code == EXIT_PARSE
+        assert "argument -n/--num: must be >= 0, got -3" in capsys.readouterr().err
+
+    def test_a_reader_that_closes_the_pipe_ends_the_run_quietly(self):
+        # `pimdse space sample -n 50 | head -1` used to exit 4 with a BrokenPipeError traceback
+        src = str(Path(pimdse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cli = "import sys; from pimdse.cli import main; sys.exit(main())"
+        argv = [sys.executable, "-X", "dev", "-W", "error", "-c", cli, "space", "sample", "-n", "3000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            point_from_json(proc.stdout.readline().decode())
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        assert code == EXIT_PIPE
+        for text in ("Traceback", "internal error", "Exception ignored"):
+            assert text not in err, err
 
     def test_bad_space_file_is_parse_error(self, capsys, tmp_path):
         p = tmp_path / "space.json"

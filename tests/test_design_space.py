@@ -7,9 +7,12 @@ import json
 import math
 import pickle
 import random
+import re
 import types
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
+from typing import get_type_hints
 from unittest import mock
 
 import numpy as np
@@ -773,67 +776,84 @@ def with_field(point, where, value):
     return DesignPoint(replace(model, blocks=tuple(blocks)), reram)
 
 
+def _int_fields(record) -> list[str]:
+    """The fields of ``record`` declared ``int`` or ``tuple[int, ...]``."""
+    return [name for name, tp in get_type_hints(type(record)).items() if tp in (int, tuple[int, ...])]
+
+
+_POINT = sample_random(3)
+INT_RECORDS = (
+    _POINT.model.blocks[1].dense_ops[0], _POINT.model.blocks[1], _POINT.model, _POINT.reram,
+    DEFAULT_SPACE, SearchConfig(), SurrogateParams(), TECH,
+)
+INT_CASES = [(record, name) for record in INT_RECORDS for name in _int_fields(record)]
+
+
+def _int_enum_member(value):
+    return IntEnum("Entry", {"E": value}).E
+
+
 class TestNumbersAreInts:
-    """A bool, a float or a numpy integer equal to a menu entry is not that
-    entry: such a point used to validate, then got another ``point_id`` or
-    failed in the functional path."""
+    """Every record holds exactly an ``int`` in each field declared ``int``
+    (or ``tuple[int, ...]``), and refuses anything else when it is built: a
+    bool, a float, a numpy integer or an ``IntEnum`` member equal to an
+    entry used to be accepted, then hashed, encoded or computed otherwise."""
 
-    @pytest.mark.parametrize("where", NUMBER_FIELDS)
-    @pytest.mark.parametrize("make", [float, np.int64], ids=["float", "numpy"])
-    def test_a_number_that_is_not_an_int_is_a_violation(self, where, make):
-        point = sample_random(3)
-        value = make(number_at(point, where))
-        bad = with_field(point, where, value)
-        assert bad == point  # an equal value of another type
-        violations = validate(bad).violations
-        assert violations and all(v.endswith(f"{value!r} is not an int") for v in violations), violations
+    def test_every_int_field_of_every_record_is_covered(self):
+        assert {type(r).__name__: len(_int_fields(r)) for r in INT_RECORDS} == {
+            "OperatorChoice": 2, "BlockConfig": 3, "ModelConfig": 3, "ReRAMConfig": 4,
+            "SpaceDescriptor": 10, "SearchConfig": 6, "SurrogateParams": 1, "TechParams": 1,
+        }
 
-    @pytest.mark.parametrize("where", NUMBER_FIELDS)
-    def test_a_bool_is_a_violation(self, where):
-        point = sample_random(3)
-        report = validate(with_field(point, where, True))
-        assert any(v.endswith("True is not an int") for v in report.violations), report.violations
+    @pytest.mark.parametrize(
+        "record, name", INT_CASES, ids=[f"{type(r).__name__}.{n}" for r, n in INT_CASES]
+    )
+    @pytest.mark.parametrize(
+        "make", [lambda v: True, float, np.int64, _int_enum_member], ids=["bool", "float", "numpy", "intenum"]
+    )
+    def test_a_number_that_is_not_an_int_is_refused_at_construction(self, record, name, make):
+        value = getattr(record, name)
+        bad = (make(value[0]), *value[1:]) if isinstance(value, tuple) else make(value)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            replace(record, **{name: bad})
+        assert replace(record, **{name: value}) == record  # the int itself is accepted
+
+    def test_a_kind_or_branch_entry_of_another_type_is_refused(self):
+        blk = _POINT.model.blocks[1]
+        op = blk.dense_ops[0]
+        with pytest.raises(ValueError, match=f"^kind must be an OperatorKind, got {op.kind.value!r}$"):
+            replace(op, kind=op.kind.value)  # a str, equal to the member
+        for name in ("dense_ops", "sparse_ops"):
+            with pytest.raises(ValueError, match=f"^{name} must list OperatorChoice records only"):
+                replace(blk, **{name: (*getattr(blk, name), op.to_dict())})
+        with pytest.raises(ValueError, match=r"^dense_operators must list OperatorKinds only, got \['FC'\]$"):
+            SpaceDescriptor(dense_operators=("FC",))
 
     def test_the_reproduced_cases(self):
-        point = sample_random(3)
         # dac_bits=True compared equal to dac_bits=1 yet hashed to another id
-        flagged = DesignPoint(point.model, replace(point.reram, dac_bits=True))
-        one = DesignPoint(point.model, replace(point.reram, dac_bits=1))
-        assert flagged == one and flagged.point_id != one.point_id
-        assert validate(flagged).violations == ["reram: dac_bits True is not an int"]
-        # a float weight width validated, then functional_forward raised TypeError on <<
-        kind = point.model.blocks[1].dense_ops[0].kind.value
-        report = validate(with_field(point, "weight_bits", 4.0))
-        assert report.violations == [f"block 2: {kind} weight_bits 4.0 is not an int"]
-        # a float dim_d validated and changed the id
-        dim = float(point.model.blocks[1].dim_d)
-        report = validate(with_field(point, "dim_d", dim))
-        assert report.violations == [f"block 2: dim_d {dim!r} is not an int"]
+        with pytest.raises(ValueError, match="^dac_bits must be an int, got True$"):
+            replace(_POINT.reram, dac_bits=True)
+        # an IntEnum dense dim was accepted; every sample then failed validate and mutate raised
+        width = IntEnum("Width", {"NARROW": 16, "WIDE": 32})
+        with pytest.raises(ValueError, match=r"^dense_dims must list ints only, got \[<Width.NARROW: 16>"):
+            SpaceDescriptor(dense_dims=tuple(width))
+        # seed=True and seed=1.0 compared equal to seed=1, yet gave other search logs
+        for seed in (True, 1.0):
+            with pytest.raises(ValueError, match=f"^seed must be an int, got {seed!r}$"):
+                SearchConfig(seed=seed)
+        # SurrogateParams(seed=True) compared equal to seed=1, yet gave other losses
+        with pytest.raises(ValueError, match="^seed must be an int, got True$"):
+            SurrogateParams(seed=True)
+        # a fractional ADC count per crossbar was priced
+        with pytest.raises(ValueError, match=r"^adcs_per_xbar must be an int, got 2\.5$"):
+            replace(TECH, adcs_per_xbar=2.5)
 
-    def test_a_kind_that_is_not_an_operator_kind_is_a_violation(self):
-        point = sample_random(3)
-        blk = point.model.blocks[1]
-        op = blk.dense_ops[0]
-        plain = replace(op, kind=op.kind.value)  # a str, equal to the member
-        blocks = list(point.model.blocks)
-        blocks[1] = replace(blk, dense_ops=(plain, *blk.dense_ops[1:]))
-        report = validate(DesignPoint(replace(point.model, blocks=tuple(blocks)), point.reram))
-        assert report.violations == [f"block 2: operator kind {op.kind.value!r} is not an OperatorKind"]
-
-
-def plain_encoding(point):
-    """``json.dumps`` of the whole point, or the type of what it raises."""
-    try:
-        return json.dumps(point.to_dict(), sort_keys=True, separators=(",", ":"))
-    except Exception as exc:  # noqa: BLE001 - the type is the expected result
-        return type(exc)
-
-
-def direct_encoding(point):
-    try:
-        return canonical_json(point)
-    except Exception as exc:  # noqa: BLE001
-        return type(exc)
+    def test_a_file_number_equal_to_an_int_still_loads_as_that_int(self):
+        text = canonical_json(_POINT)
+        as_floats = re.sub(r"(?<=[:\[,])(\d+)(?=[,\]}])", r"\1.0", text)
+        assert as_floats.count(".0") > 40
+        loaded = point_from_json(as_floats)
+        assert loaded == _POINT and canonical_json(loaded) == text
 
 
 @st.composite
@@ -876,12 +896,16 @@ class TestDirectEncoding:
         if where is not None:
             if space.num_blocks < 2 and where not in RERAM_FIELDS + MODEL_FIELDS:
                 where = "final_fc_bits"  # with_field edits block 2
-            point = with_field(point, where, make(number_at(point, where)))
-        expected = plain_encoding(point)
-        assert direct_encoding(point) == expected
-        assert direct_encoding(point) == expected  # again, from the cached fragments
-        if isinstance(expected, str):
-            assert point.point_id == hashlib.sha256(expected.encode("ascii")).hexdigest()
+            value = make(number_at(point, where))
+            if make is int:  # a fresh record of the same int
+                point = with_field(point, where, value)
+            else:  # any other number is refused when its record is built
+                with pytest.raises(ValueError, match="^inputs must" if where == "input" else f"^{where} must"):
+                    with_field(point, where, value)
+        expected = json.dumps(point.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert canonical_json(point) == expected
+        assert canonical_json(point) == expected  # again, from the cached fragments
+        assert point.point_id == hashlib.sha256(expected.encode("ascii")).hexdigest()
 
 
 class TestEditCheck:
@@ -932,7 +956,6 @@ class TestEditCheck:
 
         edits = {
             "reram off the menu": (DesignPoint(model, replace(reram, adc_bits=5)), False),
-            "reram bool": (DesignPoint(model, replace(reram, dac_bits=True)), False),
             "reram equal, new object": (DesignPoint(model, replace(reram)), True),
             "final FC off the menu": (DesignPoint(replace(model, final_fc_bits=6), reram), False),
             "block off the menu": (with_block(replace(blocks[2], dim_d=17)), False),
@@ -943,6 +966,8 @@ class TestEditCheck:
         for name, (child, ok) in edits.items():
             assert validate(child).ok is ok, name
             assert design_space._edit_valid(child, current, DEFAULT_SPACE) is ok, name
+        with pytest.raises(ValueError, match="^dac_bits must be an int, got True$"):
+            replace(reram, dac_bits=True)  # refused when built, so no edit can carry it
 
     def test_one_input_check_per_point_object_and_space(self):
         calls = []
