@@ -748,8 +748,8 @@ def mutate(
     unchanged, so the result differs from the input in at most
     ``num_mutations`` atomic actions and always validates.
     """
-    if num_mutations < 1:
-        raise ValueError("num_mutations must be >= 1")
+    if type(num_mutations) is not int or num_mutations < 1:
+        raise ValueError(f"num_mutations must be an int >= 1, got {num_mutations!r}")
     memo = point.__dict__.get("_validated")
     if memo is None or memo[0] is not space:
         memo = point.__dict__["_validated"] = (space, tuple(validate(point, space).violations))

@@ -555,19 +555,34 @@ def fm_engine_forward(vectors, reram):
     return square_of_sum - sum_of_squares, log
 
 
+# Values ``random_weights`` draws at a time: the int64 draw of a block is
+# 512 KiB, so drawing a leaf takes its int8 array plus one block, not an
+# int64 copy of the leaf (8x its int8 size).
+_DRAW_BLOCK_VALUES = 1 << 16
+
+
 def random_weights(mm: MappedModel, seed: int) -> dict[str, np.ndarray]:
     """Integer weights in range for every weight-carrying leaf, drawn in
-    leaf order. Each leaf is drawn as int64 and kept as int8: every
-    supported weight width fits, and the values are those of the draw."""
+    leaf order and kept as int8 (every supported weight width fits).
+
+    Each leaf is drawn in row-major blocks of at most
+    ``_DRAW_BLOCK_VALUES`` values straight into its int8 array. An int64
+    ``Generator.integers`` draw takes its values one at a time in that
+    order, so the blocks give the values of one int64 draw of the whole
+    leaf and leave the generator in the same state: the weights do not
+    depend on the block size."""
     rng = np.random.default_rng(seed)
     out = {}
     for op in mm.operators:
         for leaf in op.leaves():
             if leaf.engine is Engine.MVM:
                 lim = (1 << (leaf.w_bits - 1)) - 1
-                out[leaf.op_id] = rng.integers(
-                    -lim, lim + 1, size=(leaf.out_dim, leaf.in_dim), dtype=np.int64
-                ).astype(np.int8)
+                w = np.empty((leaf.out_dim, leaf.in_dim), dtype=np.int8)
+                flat = w.reshape(-1)
+                for i in range(0, flat.size, _DRAW_BLOCK_VALUES):
+                    block = flat[i : i + _DRAW_BLOCK_VALUES]
+                    block[:] = rng.integers(-lim, lim + 1, size=block.size, dtype=np.int64)
+                out[leaf.op_id] = w
     return out
 
 

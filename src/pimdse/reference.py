@@ -13,6 +13,9 @@ from .design_space import STEM, ModelConfig, OperatorKind
 
 ACTIVATION_BITS = 8  # set here, not imported from mapping, so the oracle stays independent
 _LIMIT = (1 << (ACTIVATION_BITS - 1)) - 1
+# Weight values ``_product`` multiplies at a time (512 KiB as int64), so a
+# product never holds an int64 copy of a whole weight.
+_PRODUCT_BLOCK_VALUES = 1 << 16
 
 
 def _clamp(values):
@@ -26,6 +29,20 @@ def _align(mat, width):
         return mat[:, :width]
     out = np.zeros((mat.shape[0], width), dtype=mat.dtype)
     out[:, : mat.shape[1]] = mat
+    return out
+
+
+def _product(weight, x: np.ndarray) -> np.ndarray:
+    """``weight @ x``, a block of whole weight rows (at most
+    ``_PRODUCT_BLOCK_VALUES`` values, at least one row) at a time. numpy
+    promotes only the block to the product's dtype (int64 for an integer
+    weight), and each output row is its weight row's own product, so the
+    result is the whole matrix's, exactly, whatever the block size."""
+    w = np.asarray(weight)
+    out = np.empty((w.shape[0],) + x.shape[1:], dtype=np.result_type(w, x))
+    step = max(1, _PRODUCT_BLOCK_VALUES // max(1, w.shape[1]))
+    for r in range(0, w.shape[0], step):
+        np.matmul(w[r : r + step], x, out=out[r : r + step])
     return out
 
 
@@ -58,7 +75,11 @@ def reference_forward(
     sparse_in,
     weights: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Forward pass of the quantized network in exact integer arithmetic."""
+    """Forward pass of the quantized network in exact integer arithmetic.
+
+    Every weight product runs through :func:`_product`, a row block at a
+    time, so the pass takes no int64 copy of a weight, whatever its dtype
+    (:func:`pimdse.mapping.random_weights` gives int8)."""
     n_s = model.num_sparse_features
     dense_out = {STEM: _clamp(dense_in)}
     sparse_out = {STEM: _clamp(sparse_in)}
@@ -74,16 +95,16 @@ def reference_forward(
         for op in blk.dense_ops:
             op_id = f"b{blk.index}.dense.{op.kind.value}"
             if op.kind == OperatorKind.FC:
-                y = weights[op_id] @ gather_dense(op.inputs)
+                y = _product(weights[op_id], gather_dense(op.inputs))
             elif op.kind == OperatorKind.DP:
-                h = _clamp(weights[f"{op_id}.fc_front"] @ gather_dense(op.inputs))
-                e = _clamp(weights[f"{op_id}.efc"] @ gather_sparse(op.inputs, blk.dim_s))
+                h = _clamp(_product(weights[f"{op_id}.fc_front"], gather_dense(op.inputs)))
+                e = _clamp(_product(weights[f"{op_id}.efc"], gather_sparse(op.inputs, blk.dim_s)))
                 x = np.vstack([h[None, :], e])
                 pairs = _clamp(strict_upper_pairs(x))
-                y = weights[f"{op_id}.fc_out"] @ pairs
+                y = _product(weights[f"{op_id}.fc_out"], pairs)
             else:  # FM
                 ix = _clamp(fm_interaction(gather_sparse(op.inputs, blk.dim_s)))
-                y = weights[f"{op_id}.fc_out"] @ ix
+                y = _product(weights[f"{op_id}.fc_out"], ix)
             d_acc += _clamp(y)
         d_acc = _clamp(np.maximum(d_acc, 0))
 
@@ -91,13 +112,13 @@ def reference_forward(
         for op in blk.sparse_ops:
             op_id = f"b{blk.index}.sparse.{op.kind.value}"
             if op.kind == OperatorKind.EFC:
-                ys = weights[op_id] @ gather_sparse(op.inputs, blk.dim_s)
+                ys = _product(weights[op_id], gather_sparse(op.inputs, blk.dim_s))
             else:  # DSI
-                ys = (weights[op_id] @ gather_dense(op.inputs)).reshape(n_s, blk.dim_s)
+                ys = _product(weights[op_id], gather_dense(op.inputs)).reshape(n_s, blk.dim_s)
             s_acc += _clamp(ys)
         s_acc = _clamp(s_acc)
 
         dense_out[blk.index] = d_acc
         sparse_out[blk.index] = s_acc
 
-    return weights["final_fc"] @ dense_out[model.blocks[-1].index]
+    return _product(weights["final_fc"], dense_out[model.blocks[-1].index])

@@ -219,7 +219,12 @@ def run_search(
     top_k: int = 15,
     on_generation: Callable[[GenerationRecord], None] | None = None,
 ) -> SearchResult:
-    """Run the evolution loop; see the module docstring for the semantics."""
+    """Run the evolution loop; see the module docstring for the semantics.
+
+    ``top_k``, the number of best entries returned, must be an int >= 0;
+    it is checked before the first evaluation."""
+    if type(top_k) is not int or top_k < 0:
+        raise ValueError(f"top_k must be an int >= 0, got {top_k!r}")
     t0 = time.perf_counter()
     rng = Random(cfg.seed)
     skipped = 0

@@ -209,8 +209,10 @@ class TestSampleRandom:
 
 class TestMutate:
     def test_rejects_zero_mutations(self):
-        with pytest.raises(ValueError):
-            mutate(minimal_point(), seed=0, num_mutations=0)
+        # True ran as 1, and 2.5 and 1.0 raised a TypeError from range().
+        for bad in (0, True, 2.5, 1.0):
+            with pytest.raises(ValueError, match=f"^num_mutations must be an int >= 1, got {bad!r}$"):
+                mutate(minimal_point(), seed=0, num_mutations=bad)
 
     def test_deterministic(self):
         parent = sample_random(3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimdse import mapping
+from pimdse import mapping, reference
 from pimdse.crossbar import MAX_ROW_TILES, OutOfRange, ShapeMismatch, mbsa_square, mvm, program_signed
 from pimdse.design_space import (
     BlockConfig,
@@ -507,3 +507,130 @@ def test_random_weights_are_the_int64_draw_kept_as_int8():
         lim = (1 << (leaf.w_bits - 1)) - 1
         drawn = rng.integers(-lim, lim + 1, size=(leaf.out_dim, leaf.in_dim), dtype=np.int64)
         assert w.dtype == np.int8 and np.array_equal(w, drawn)
+
+
+SMALL_SPACES = [
+    SpaceDescriptor(num_blocks=2, dense_dims=(16, 32), sparse_dims=(16,), num_sparse_features=3),
+    SpaceDescriptor(
+        num_blocks=3, dense_dims=(16, 48), sparse_dims=(16, 32), num_sparse_features=2, embedding_dim=8
+    ),
+]
+
+
+def mvm_leaves(mm):
+    return [leaf for op in mm.operators for leaf in op.leaves() if leaf.engine is Engine.MVM]
+
+
+class TestBlockedDrawsAndProducts:
+    """``random_weights`` draws and ``reference_forward`` multiplies a
+    block of values at a time; with the block patched small, every leaf
+    splits into several blocks, mid-row included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        space=st.sampled_from(SMALL_SPACES),
+        point_seed=st.integers(0, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 7, 64]),
+    )
+    def test_random_weights_are_one_int64_draw_per_leaf(self, space, point_seed, seed, block):
+        mm = map_model(sample_random(point_seed, space))
+        real_rng, made = np.random.default_rng, []
+
+        def spy(s):
+            made.append(real_rng(s))
+            return made[-1]
+
+        with mock.patch.object(mapping, "_DRAW_BLOCK_VALUES", block):
+            with mock.patch.object(np.random, "default_rng", spy):
+                weights = random_weights(mm, seed)
+        rng = np.random.default_rng(seed)
+        leaves = mvm_leaves(mm)
+        assert list(weights) == [leaf.op_id for leaf in leaves]
+        for leaf in leaves:
+            lim = (1 << (leaf.w_bits - 1)) - 1
+            whole = rng.integers(-lim, lim + 1, size=(leaf.out_dim, leaf.in_dim), dtype=np.int64)
+            w = weights[leaf.op_id]
+            assert w.dtype == np.int8 and np.array_equal(w, whole.astype(np.int8))
+        assert made[0].bit_generator.state == rng.bit_generator.state
+        assert made[0].integers(0, 1 << 62) == rng.integers(0, 1 << 62)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        block=st.sampled_from([1, 7, 64]),
+        batch=st.sampled_from([0, 1, 3]),
+        dtype=st.sampled_from([np.int8, np.int64, np.float64]),
+    )
+    def test_product_equals_the_whole_matrix_product(self, data, block, batch, dtype):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        out_dim, in_dim = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 150))
+        w = rng.integers(-127, 128, size=(out_dim, in_dim)).astype(dtype)
+        x = rng.integers(-(1 << 20), 1 << 20, size=(in_dim, batch) if batch else in_dim)
+        with mock.patch.object(reference, "_PRODUCT_BLOCK_VALUES", block):
+            y = reference._product(w, x)
+        whole = w @ x
+        assert y.dtype == whole.dtype and np.array_equal(y, whole)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        space=st.sampled_from(SMALL_SPACES),
+        point_seed=st.integers(0, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 7, 64]),
+    )
+    def test_reference_forward_equals_whole_matrix_products(self, space, point_seed, seed, block):
+        pt = sample_random(point_seed, space)
+        weights = random_weights(map_model(pt), seed)
+        rng = np.random.default_rng(seed)
+        n_s, dim = pt.model.num_sparse_features, pt.model.embedding_dim
+        dense, sparse = rng.integers(-127, 128, dim), rng.integers(-127, 128, (n_s, dim))
+
+        def whole(w, x):
+            return w @ x
+
+        with mock.patch.object(reference, "_PRODUCT_BLOCK_VALUES", block):
+            y = reference_forward(pt.model, dense, sparse, weights)
+        with mock.patch.object(reference, "_product", whole):
+            y_whole = reference_forward(pt.model, dense, sparse, weights)
+        assert y.dtype == np.int64 and np.array_equal(y, y_whole)
+
+
+class TestFunctionalPathMemory:
+    """On a large default point (622,946 tiles, 10 MB of int8 weights,
+    largest leaf 1664x2560) neither drawing the weights nor the reference
+    pass takes an int64 copy of a leaf (~34 MB for the largest one)."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        pt = sample_random(10140)
+        mm = map_model(pt)
+        mvm_leaves(mm)  # build the cached leaf records before tracing
+        return pt, mm
+
+    def test_random_weights_take_the_weights_plus_one_block(self, large):
+        _, mm = large
+        tracemalloc.start()
+        try:
+            weights = random_weights(mm, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weight_bytes = sum(w.nbytes for w in weights.values())
+        assert weight_bytes > 10 << 20
+        assert peak < weight_bytes + 8 * mapping._DRAW_BLOCK_VALUES + (64 << 10)
+
+    def test_reference_forward_takes_a_few_blocks(self, large):
+        pt, mm = large
+        weights = random_weights(mm, seed=0)
+        rng = np.random.default_rng(0)
+        n_s, dim = pt.model.num_sparse_features, pt.model.embedding_dim
+        dense, sparse = rng.integers(-127, 128, dim), rng.integers(-127, 128, (n_s, dim))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reference_forward(pt.model, dense, sparse, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 4 * 8 * reference._PRODUCT_BLOCK_VALUES

@@ -189,6 +189,16 @@ class TestRunSearch:
             run_search(cfg, self.loss_fn, lambda point: (1.0, 1.0, 1.0))
         assert isinstance(aborted.value.__cause__, CriterionOverflow)
 
+    @pytest.mark.parametrize("top_k", [-1, 2.5, True], ids=["negative", "float", "bool"])
+    def test_top_k_is_checked_before_the_first_evaluation(self, top_k):
+        # -1 returned all but the last entry, 2.5 failed after the whole
+        # search with a TypeError, and True was taken as 1.
+        def never(point):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match=f"^top_k must be an int >= 0, got {top_k!r}$"):
+            run_search(small_cfg(), never, never, top_k=top_k)
+
     def test_explicit_targets_respected(self):
         cfg = small_cfg(targets=(1.0, 2.0, 3.0))
         res = run_search(cfg, self.loss_fn, self.metric_fn)
