@@ -13,9 +13,14 @@ array of shape ``(row_tiles, xbar_size, virtual_cols)``: rows are
 zero-padded to ``row_tiles * xbar_size``, and the virtual columns run per
 output, then per digit plane (LSB first), then positive before negative.
 Column tile ``ct`` is the column range ``[ct * xbar_size, (ct+1) * xbar_size)``.
-A read stacks every DAC slice and the sign slice of every input vector
-into one drive tensor ``(row_tiles, slices * n, xbar_size)`` and obtains
-all analog column sums from one batched matmul.
+A read stacks every driven slice of every input vector into one drive
+tensor ``(row_tiles, slices * n, xbar_size)`` and obtains all analog
+column sums from one batched matmul. A signed read drives every DAC slice
+and the sign slice. A read with no negative input drives only the DAC
+slices below the top bit of its largest input: the sign slice and the
+higher DAC slices put 0 on every word line, so their sums would be 0,
+which adds nothing to any output and cannot clip, and skipping them is
+exact.
 
 Float32 arithmetic is exact here. Every drive, cell, product and partial
 sum is a nonnegative integer no larger than
@@ -174,16 +179,18 @@ def adc_quantize(sums: np.ndarray, adc_bits: int) -> SaturationLog:
     return log
 
 
-def _signed_ints(values, bits: int, what: str) -> np.ndarray:
-    """``values`` as an integer array after checking each is an integer in
-    the signed ``bits``-bit range; a float entry must be finite and
-    integral. Integer arrays come back as they are, without a copy."""
+def _signed_ints(values, bits: int, what: str) -> tuple[np.ndarray, int, int]:
+    """``values`` as an integer array, with its smallest and largest entry,
+    after checking each is an integer in the signed ``bits``-bit range; a
+    float entry must be finite and integral. Integer arrays come back as
+    they are, without a copy."""
     a = np.asarray(values)
     if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.trunc(a))).all():
         raise OutOfRange(f"{what} must be finite integers")
-    if a.max() >= 1 << (bits - 1) or a.min() <= -(1 << (bits - 1)):
+    lo, hi = int(a.min()), int(a.max())
+    if hi >= 1 << (bits - 1) or lo <= -(1 << (bits - 1)):
         raise OutOfRange(f"{what} exceed signed {bits}-bit range")
-    return a if a.dtype.kind in "iu" else a.astype(np.int64)
+    return (a if a.dtype.kind in "iu" else a.astype(np.int64)), lo, hi
 
 
 def _plane_weights(planes: int, cell_bits: int) -> np.ndarray:
@@ -210,6 +217,18 @@ def _digit_table(w_bits: int, cell_bits: int) -> np.ndarray:
     return table
 
 
+def checked_weights(matrix, w_bits: int) -> np.ndarray:
+    """A nonempty ``matrix`` as an integer array, after checking that
+    ``w_bits`` is a supported weight width and that every entry is an
+    integer in the symmetric signed ``w_bits`` range (else ``OutOfRange``).
+    """
+    if not (isinstance(w_bits, (int, np.integer)) and w_bits in SUPPORTED_BITS["weight_bits"]):
+        raise OutOfRange(
+            f"w_bits must be an integer in {SUPPORTED_BITS['weight_bits']}, got {w_bits!r}"
+        )
+    return _signed_ints(matrix, w_bits, "entries")[0]
+
+
 def program_signed(
     matrix,
     w_bits: int,
@@ -224,10 +243,6 @@ def program_signed(
     raises ``ShapeMismatch``; an entry that is not an integer in the
     symmetric signed ``w_bits`` range raises ``OutOfRange``.
     """
-    if not (isinstance(w_bits, (int, np.integer)) and w_bits in SUPPORTED_BITS["weight_bits"]):
-        raise OutOfRange(
-            f"w_bits must be an integer in {SUPPORTED_BITS['weight_bits']}, got {w_bits!r}"
-        )
     m = np.asarray(matrix)
     if m.ndim != 2 or 0 in m.shape:
         raise ShapeMismatch(f"matrix must be 2-D and nonempty, got shape {m.shape}")
@@ -238,7 +253,7 @@ def program_signed(
             f"{in_dim} rows need {row_tiles} row tiles of {spec.rows}; "
             f"row-tile sums stay exact in float32 below {MAX_ROW_TILES}"
         )
-    m = _signed_ints(m, w_bits, "entries")
+    m = checked_weights(m, w_bits)
 
     cb = spec.cell_bits
     planes = math.ceil(w_bits / cb)
@@ -270,16 +285,17 @@ def program_signed(
 
 
 @lru_cache(maxsize=None)
-def _drive_table(a_bits: int, dac_bits: int) -> np.ndarray:
+def _drive_table(a_bits: int, dac_bits: int, slices: int) -> np.ndarray:
     """Row ``u`` holds the word-line drives of the input whose ``a_bits``-bit
     two's-complement pattern is ``u``: its unsigned DAC slices, LSB first,
-    then its sign bit. Reconstruction:
-    x = sum_k slice_k * 2^(k*dac_bits) - 2^a_bits * sign."""
+    then its sign bit, of which the first ``slices`` are kept.
+    Reconstruction: x = sum_k slice_k * 2^(k*dac_bits) - 2^a_bits * sign."""
     n_slices = math.ceil(a_bits / dac_bits)
     u = np.arange(1 << a_bits)
     table = np.empty((1 << a_bits, n_slices + 1), dtype=np.float32)
     table[:, :n_slices] = (u[:, None] >> np.arange(n_slices) * dac_bits) & ((1 << dac_bits) - 1)
     table[:, n_slices] = u >> (a_bits - 1)
+    table = np.ascontiguousarray(table[:, :slices])  # a contiguous table gathers fastest
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 
@@ -297,11 +313,10 @@ def _shift_add_weights(a_bits: int, dac_bits: int, planes: int, cell_bits: int) 
     return weights
 
 
-def _drives(x: np.ndarray, a_bits: int, dac_bits: int, row_tiles: int, rows: int):
-    """Word-line drives of every row tile: the DAC slices, then the sign
-    bit, each over all input vectors, as a ``(row_tiles, slices * n, rows)``
-    float32 tensor (``slices`` counts the sign slice)."""
-    table = _drive_table(a_bits, dac_bits)
+def _drives(x: np.ndarray, a_bits: int, table: np.ndarray, row_tiles: int, rows: int):
+    """Word-line drives of every row tile: each slice (column) of the drive
+    ``table``, over all input vectors, as a ``(row_tiles, slices * n, rows)``
+    float32 tensor."""
     n = x.shape[1]
     # The uint8 pattern x & (2^a_bits - 1) indexes the table; padding rows
     # get pattern 0, which drives nothing.
@@ -323,6 +338,13 @@ def mvm(
     recombine by digital shift-and-add and differential subtraction. When
     the returned log is clean the result equals the exact integer product.
 
+    Only driven slices are read. When no input is negative, the sign slice
+    and every DAC slice at or above the top bit of the largest input drive
+    nothing: their analog sums are 0, which adds nothing and cannot clip,
+    so skipping them leaves the output and the log exact. An all-zero
+    input reads zeros with a clean log. The range check already takes the
+    smallest and largest input, so a signed read pays nothing for this.
+
     ``x`` may also be a matrix whose columns are independent drive vectors
     (repeated MVM sharing one saturation log), returning one output column
     per drive. Inputs follow ``program_signed``'s entry rules at ``a_bits``,
@@ -340,18 +362,29 @@ def mvm(
         raise ShapeMismatch(
             f"expected {meta.in_dim} input rows and at least one vector, got shape {x.shape}"
         )
-    x = _signed_ints(x, a_bits, "inputs")
+    x, lo, hi = _signed_ints(x, a_bits, "inputs")
 
     n = x.shape[1]
-    drives = _drives(x, a_bits, conv.dac_bits, meta.row_tiles, meta.xbar_size)
-    sums = np.matmul(drives, pt.cells)  # every analog column sum, exact
+    # Driven slices: every DAC slice and the sign slice for a signed input,
+    # else the DAC slices below the top bit of the largest input.
+    if lo < 0:
+        slices = math.ceil(a_bits / conv.dac_bits) + 1
+    else:
+        slices = -(-hi.bit_length() // conv.dac_bits)
+    if slices == 0:  # an all-zero input
+        out = np.zeros((meta.out_dim, n), dtype=np.int64)
+        return (out if batched else out[:, 0]), SaturationLog()
+    table = _drive_table(a_bits, conv.dac_bits, slices)
+    drives = _drives(x, a_bits, table, meta.row_tiles, meta.xbar_size)
+    sums = np.matmul(drives, pt.cells)  # every driven analog column sum, exact
     log = adc_quantize(sums, conv.adc_bits)
 
     # Shift-and-add: row tiles in exact float32, then one exact float64
     # contraction over slices, planes and signs: a matmul per slice over the
     # plane-sign columns of each output, summed over slices.
-    weights = _shift_add_weights(a_bits, conv.dac_bits, meta.planes, meta.cell_bits)
-    digital = sums.reshape(meta.row_tiles, len(weights), n * meta.out_dim, -1).sum(axis=0)
+    weights = _shift_add_weights(a_bits, conv.dac_bits, meta.planes, meta.cell_bits)[:slices]
+    digital = sums.reshape(meta.row_tiles, len(weights), n * meta.out_dim, -1)
+    digital = digital[0] if meta.row_tiles == 1 else digital.sum(axis=0)
     out = np.matmul(digital, weights).sum(axis=0).reshape(n, meta.out_dim)
     out = out.astype(np.int64).T
     return (out if batched else out[:, 0]), log

@@ -35,9 +35,9 @@ import numpy as np
 from .crossbar import (
     ConverterSpec,
     CrossbarSpec,
-    SUPPORTED_BITS,
     SaturationLog,
     ShapeMismatch,
+    checked_weights,
     mbsa_square,
     mvm,
     program_signed,
@@ -459,38 +459,46 @@ def _conv(reram: ReRAMConfig) -> ConverterSpec:
     return ConverterSpec(dac_bits=reram.dac_bits, adc_bits=reram.adc_bits)
 
 
-# Bytes of float32 cells ``run_fc`` programs and reads at a time: a block
-# of whole row tiles this size stays in a core's cache between the gather
-# that programs it and the matmul that reads it. 4 MiB ran fastest in two
-# sweeps of 1, 2, 4, 8 and 16 MiB over the benchmark's forward panel on a
-# 2-core x86-64 host with 4 MiB of L2 per core: each block costs ~60 us of
-# calls, so smaller blocks gain less, and larger ones spill to memory.
+# Bytes of float32 cells and analog sums ``run_fc`` programs and reads at
+# a time: a block of row tiles this size stays in a core's cache between
+# the gather that programs it and the matmul that reads it. 4 MiB ran
+# fastest in two sweeps of 1, 2, 4, 8 and 16 MiB (counting cells only)
+# over the benchmark's forward panel on a 2-core x86-64 host with 2 MiB of
+# L2 per core: each block costs ~60 us of calls, so smaller blocks gain
+# less, and larger ones spill to memory.
 _BLOCK_CELL_BYTES = 4 << 20
 
 
 def run_fc(weight, x, w_bits, reram):
     """One FC through the crossbar: ``weight`` is (out, in), programmed
-    transposed, and is handed to :func:`~pimdse.crossbar.program_signed`
-    in its own dtype, so its entry checks apply to every weight (a
-    fractional or NaN float raises ``OutOfRange``). ``x`` is one input
-    vector, or a matrix whose columns are swept through the one programmed
-    array (an EFC sweeps one column per embedding coordinate).
+    transposed. Every entry is checked as :func:`~pimdse.crossbar.
+    program_signed` checks it (a fractional, NaN or out-of-range entry
+    raises ``OutOfRange``), and integer weights are programmed in their own
+    dtype. ``x`` is one input vector, or a matrix whose columns are swept
+    through the one programmed array (an EFC sweeps one column per
+    embedding coordinate).
 
-    The matrix is programmed and read in blocks of whole row tiles, each
-    holding at most ``_BLOCK_CELL_BYTES`` of cells (at least one row
-    tile), so the memory a call takes is bounded by the block, not by the
-    weight: the block's cells and its read's analog sums, which for ``n``
-    input vectors take ``(ceil(8 / dac_bits) + 1) * n / xbar_size`` times
-    the cells' bytes.
+    Only live rows are simulated. A row whose input is 0 in every column
+    is dead: it drives 0 on every slice, so it adds nothing to any analog
+    sum. Row tiles without a live row are skipped; the others are sorted
+    by live-row count and programmed and read in blocks, each at tile
+    height ``k``, its largest live count. A programmed tile holds the live
+    rows of exactly one row tile of the matrix, filled up with that tile's
+    own dead rows; the matrix's last row tile goes last, so that where it
+    is short of ``k`` rows ``program_signed``'s zero padding fills it. So
+    every analog sum, ADC clamp and clip is the one the full tile makes,
+    and the read is exact: each block's output is the exact integer sum
+    over its rows, the int64 sum over blocks is the whole read's output,
+    clip counts add across blocks and ``max_overflow`` is their maximum. A
+    weight of ``MAX_ROW_TILES`` row tiles or more, which ``program_signed``
+    refuses as one matrix, is computed block by block, exactly.
 
-    This is exact. A block's row tiles are the whole matrix's own tiles
-    (only the last tile of the matrix is zero-padded), so every analog sum
-    and every ADC clamp is the one a single read makes; each block's
-    output is the exact integer sum over its rows, and the int64 sum over
-    blocks is the whole read's output. Clip counts add across blocks, and
-    ``max_overflow`` is their maximum. A weight of ``MAX_ROW_TILES`` row
-    tiles or more, which ``program_signed`` refuses as one matrix, is
-    computed block by block, exactly.
+    A block holds at most ``_BLOCK_CELL_BYTES`` of cells and analog sums,
+    ``(k + slices * n) * out_dim * planes * 2 * 4`` bytes per tile for
+    ``n`` input vectors and ``slices = ceil(8 / dac_bits) + 1``, so the
+    memory a call takes is bounded by the block, not by the weight. A
+    block is at least one tile, so a single tile over the budget is read
+    whole.
     """
     w, x = np.asarray(weight), np.asarray(x)
     if w.ndim != 2 or 0 in w.shape:
@@ -498,21 +506,50 @@ def run_fc(weight, x, w_bits, reram):
     out_dim, in_dim = w.shape
     if x.ndim not in (1, 2) or x.shape[0] != in_dim:  # once, before the rows are split
         raise ShapeMismatch(f"expected {in_dim} input rows, got shape {x.shape}")
+    w = checked_weights(w, w_bits)  # every entry, a dead row's too
     spec, conv = _xbar_spec(reram), _conv(reram)
-    # Cells per row: out_dim * planes * 2 float32 (a bad w_bits reaches
-    # program_signed's check with one plane).
-    planes = math.ceil(w_bits / spec.cell_bits) if w_bits in SUPPORTED_BITS["weight_bits"] else 1
-    tile_bytes = spec.rows * out_dim * planes * 2 * 4
-    step = spec.rows * max(1, _BLOCK_CELL_BYTES // tile_bytes)
-    a_bits = DEFAULT_ACTIVATION_BITS
-    reads = [
-        mvm(program_signed(w[:, r : r + step].T, w_bits, spec), x[r : r + step], a_bits, conv)
-        for r in range(0, in_dim, step)
-    ]
-    log = SaturationLog(
-        sum(lg.clip_count for _, lg in reads), max(lg.max_overflow for _, lg in reads)
-    )
-    return sum(y for y, _ in reads), log
+    rows, a_bits = spec.rows, DEFAULT_ACTIVATION_BITS
+    # Bytes per tile row of cells, and per vector and slice of sums:
+    # out_dim * planes * 2 float32.
+    row_bytes = out_dim * math.ceil(w_bits / spec.cell_bits) * 2 * 4
+    sum_rows = (math.ceil(a_bits / conv.dac_bits) + 1) * (x.shape[1] if x.ndim == 2 else 1)
+
+    # Per row tile: its live-row count, and its rows, live ones first.
+    tiles = -(-in_dim // rows)
+    live = np.zeros(tiles * rows, dtype=bool)
+    live[:in_dim] = x.reshape(in_dim, -1).any(axis=1)
+    live = live.reshape(tiles, rows)
+    counts = live.sum(axis=1)
+    order = np.argsort(~live, axis=1, kind="stable") + np.arange(0, tiles * rows, rows)[:, None]
+    # Tiles with a live row, fewest first. The last tile ranks as full, so
+    # it sorts last of all and any padding rows come at the very end.
+    rank = counts.copy()
+    rank[-1] = rows
+    picked = np.flatnonzero(counts)
+    picked = picked[np.argsort(rank[picked], kind="stable")]
+
+    budget_rows = _BLOCK_CELL_BYTES // row_bytes  # tiles x (k + sum_rows) a block may hold
+    live_counts = counts[picked].tolist()
+    y, log = np.zeros((out_dim,) + x.shape[1:], dtype=np.int64), SaturationLog()
+    first = 0
+    while first < len(picked):
+        end, k = first + 1, live_counts[first]
+        while end < len(picked) and (end + 1 - first) * (max(k, live_counts[end]) + sum_rows) <= budget_rows:
+            k = max(k, live_counts[end])
+            end += 1
+        block = order[picked[first:end], :k].ravel()
+        block = block[block < in_dim]
+        pt = program_signed(w[:, block].T, w_bits, CrossbarSpec(k, k, spec.cell_bits))
+        part, part_log = mvm(pt, x[block], a_bits, conv)
+        # Free the block's cells before the next block programs its own:
+        # with two blocks alive the allocator maps fresh pages for every
+        # block (~2,000 page faults per call on a 768x780 leaf).
+        del pt
+        y += part
+        log.clip_count += part_log.clip_count
+        log.max_overflow = max(log.max_overflow, part_log.max_overflow)
+        first = end
+    return y, log
 
 
 def dp_engine_forward(x_matrix, reram):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimdse import crossbar
 from pimdse.crossbar import (
     MAX_ACTIVATION_BITS,
     MAX_ROW_TILES,
@@ -442,6 +443,89 @@ def test_float64_shift_and_add_bound():
     slice_weight = 1 << MAX_ACTIVATION_BITS  # the sign slice's
     plane_weight = 1 << ((planes - 1) * cell)
     assert slices * planes * 2 * total * slice_weight * plane_weight < 1 << 53
+
+
+CONVERTERS = [
+    (dac, cell, adc)
+    for dac in SUPPORTED_BITS["dac_bits"]
+    for cell in SUPPORTED_BITS["cell_bits"]
+    for adc in SUPPORTED_BITS["adc_bits"]
+]
+
+
+class TestNonnegativeReads:
+    """A read with no negative input drives only the DAC slices below the
+    top bit of its largest input, and no sign slice; the skipped slices'
+    sums are 0, so the output and the log are the full read's."""
+
+    @pytest.fixture
+    def driven(self, monkeypatch):
+        """The number of slices each read drives."""
+        counts, real = [], crossbar._drives
+
+        def recorded(x, a_bits, table, *rest):
+            counts.append(table.shape[1])
+            return real(x, a_bits, table, *rest)
+
+        monkeypatch.setattr(crossbar, "_drives", recorded)
+        return counts
+
+    @pytest.mark.parametrize("dac, cell, adc", CONVERTERS)
+    @pytest.mark.parametrize("top", range(MAX_ACTIVATION_BITS))  # largest input 2^top - 1
+    def test_matches_tile_loop(self, driven, dac, cell, adc, top):
+        rng = np.random.default_rng([dac, cell, adc, top])
+        w = 127 * rng.choice([-1, 1], (40, 5))  # full scale, so narrow ADCs clip
+        x = rng.integers(0, 1 << top, (40, 2))
+        x[rng.integers(40), rng.integers(2)] = (1 << top) - 1  # top 0: all zero
+        pt = program_signed(w, 8, CrossbarSpec(16, 16, cell))
+        conv = ConverterSpec(dac, adc)
+        y, log = mvm(pt, x, 8, conv)
+        want, clip_count, max_overflow = tile_loop_mvm(pt, x, 8, conv)
+        assert y.dtype == np.int64 and np.array_equal(y, want)
+        assert (log.clip_count, log.max_overflow) == (clip_count, max_overflow)
+        assert driven == ([math.ceil(top / dac)] if top else [])
+        if log.clean:
+            assert np.array_equal(y, w.T @ x)
+
+    @pytest.mark.parametrize("dac, cell, adc", CONVERTERS)
+    def test_one_negative_input_drives_every_slice(self, driven, dac, cell, adc):
+        rng = np.random.default_rng([dac, cell, adc])
+        w = 127 * rng.choice([-1, 1], (40, 5))
+        x = np.zeros(40, dtype=np.int64)
+        x[[3, 30]] = [1, -1]
+        pt = program_signed(w, 8, CrossbarSpec(16, 16, cell))
+        conv = ConverterSpec(dac, adc)
+        y, log = mvm(pt, x, 8, conv)
+        want, clip_count, max_overflow = tile_loop_mvm(pt, x, 8, conv)
+        assert np.array_equal(y, want)
+        assert (log.clip_count, log.max_overflow) == (clip_count, max_overflow)
+        assert driven == [math.ceil(8 / dac) + 1]
+
+    @pytest.mark.parametrize("dac, cell, adc", CONVERTERS)
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_the_fm_engines_all_ones_read(self, driven, dac, cell, adc, extreme):
+        # mapping.fm_engine_forward sums its programmed vectors with an
+        # all-ones read at a_bits=2: one slice, and no sign slice.
+        rng = np.random.default_rng([dac, cell, adc, extreme])
+        shape = (20, 6)  # 20 vectors: two row tiles
+        vecs = 127 * rng.choice([-1, 1], shape) if extreme else rng.integers(-127, 128, shape)
+        pt = program_signed(vecs, 8, CrossbarSpec(16, 16, cell))
+        ones = np.ones(20, dtype=np.int64)
+        conv = ConverterSpec(dac, adc)
+        s, log = mvm(pt, ones, 2, conv)
+        want, clip_count, max_overflow = tile_loop_mvm(pt, ones, 2, conv)
+        assert np.array_equal(s, want)
+        assert (log.clip_count, log.max_overflow) == (clip_count, max_overflow)
+        assert driven == [1]
+        if log.clean:
+            assert np.array_equal(s, vecs.sum(axis=0))
+
+    def test_an_all_zero_input_reads_zeros_cleanly(self, driven):
+        pt = program_signed(np.full((20, 3), 127), 8, CrossbarSpec(16, 16, 2))
+        for x, shape in ((np.zeros(20, dtype=int), (3,)), (np.zeros((20, 4)), (3, 4))):
+            y, log = mvm(pt, x, 8, ConverterSpec(2, 4))
+            assert y.dtype == np.int64 and y.shape == shape and not y.any() and log.clean
+        assert driven == []
 
 
 class TestTransposedProgram:

@@ -497,6 +497,115 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < 3 * budget
 
+    def test_memory_of_a_batched_read_is_bounded_by_the_block(self):
+        # 64 vectors at DAC 1 make 9 * 64 rows of analog sums per tile, 36x
+        # a tile's 16 rows of cells, so one tile fills a block. Counting
+        # cells only, all 8 tiles would be read at once (~30 MB of sums).
+        budget = mapping._BLOCK_CELL_BYTES
+        reram = ReRAMConfig(1, 1, 16, 8)
+        out_dim, in_dim, n = 100, 16 * 8, 64
+        tile_bytes = (16 + 9 * n) * out_dim * 8 * 2 * 4  # 8 planes, differential, float32
+        assert budget // 2 < tile_bytes <= budget
+        rng = np.random.default_rng(0)
+        w = rng.integers(-127, 128, size=(out_dim, in_dim)).astype(np.int8)
+        x = rng.integers(-127, 128, size=(in_dim, n))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            y, _ = run_fc(w, x, 8, reram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * budget
+        assert np.array_equal(y, w.astype(np.int64) @ x)
+
+
+class TestDeadRows:
+    """``run_fc`` skips the rows whose input is 0 in every column and
+    programs each block at its largest live-row count per tile."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        xbar=st.sampled_from([16, 32]),
+        w_bits=st.sampled_from([4, 8]),
+        converters=st.sampled_from([(1, 1, 8), (2, 2, 4), (1, 2, 6), (2, 1, 8)]),
+        budget=st.sampled_from([mapping._BLOCK_CELL_BYTES, 1]),
+        tiles=st.integers(1, 5),
+        batch=st.sampled_from([0, 1, 3]),  # 0: one vector; else an EFC-style matrix of columns
+        live=st.sampled_from(["random", "none", "one per tile"]),
+        signed=st.booleans(),  # else nonnegative, as after a ReLU
+        extreme=st.booleans(),  # full-scale weights and inputs, so lossy reads clip
+    )
+    def test_equals_one_read_of_the_whole_matrix(
+        self, data, xbar, w_bits, converters, budget, tiles, batch, live, signed, extreme
+    ):
+        dac, cell, adc = converters
+        reram = ReRAMConfig(dac, cell, xbar, adc)  # (1, 1, 8) is lossless at every size; (2, 2, 4) clips
+        in_dim = tiles * xbar - data.draw(st.integers(0, xbar - 1), label="short")  # a partial last tile
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        out_dim = data.draw(st.integers(1, 6), label="out_dim")
+        w_lim = (1 << (w_bits - 1)) - 1
+        shape = (in_dim, batch) if batch else (in_dim,)
+        if extreme:
+            w = w_lim * rng.choice([-1, 1], (out_dim, in_dim))
+            x = 127 * (rng.choice([-1, 1], shape) if signed else np.ones(shape, dtype=np.int64))
+        else:
+            w = rng.integers(-w_lim, w_lim + 1, (out_dim, in_dim))
+            x = rng.integers(-127 if signed else 1, 128, shape)
+        if live == "random":
+            rows = rng.random(in_dim) < data.draw(st.floats(0, 1), label="live share")
+        elif live == "none":
+            rows = np.zeros(in_dim, dtype=bool)
+        else:
+            rows = np.zeros(in_dim, dtype=bool)
+            rows[[min(t * xbar + int(rng.integers(xbar)), in_dim - 1) for t in range(tiles)]] = True
+        x[~rows] = 0
+        if batch > 1:  # zero some entries of the live rows too, leaving the row live
+            x[rows] *= rng.random((int(rows.sum()), batch)) < 0.5
+            x[rows, 0] = np.where(x[rows].any(axis=1), x[rows, 0], 1)
+        with mock.patch.object(mapping, "_BLOCK_CELL_BYTES", budget):
+            y, log = run_fc(w.astype(np.int8), x, w_bits, reram)
+        y_whole, log_whole = whole_read(w, x, w_bits, reram)
+        assert y.dtype == np.int64 and y.shape == y_whole.shape and np.array_equal(y, y_whole)
+        assert (log.clip_count, log.max_overflow) == (log_whole.clip_count, log_whole.max_overflow)
+
+    def test_only_live_rows_are_programmed(self, monkeypatch):
+        # Tiles of 16 rows with 3, 0, 16, 1 and (the last, 5 rows long) 2
+        # live rows: four tiles are programmed, fewest live rows first and
+        # the last tile last, each block at its largest live count.
+        reram = ReRAMConfig(1, 1, 16, 8)
+        x = np.zeros(16 * 4 + 5, dtype=np.int64)
+        for tile, live in enumerate([3, 0, 16, 1, 2]):
+            x[tile * 16 : tile * 16 + live] = 7
+        w = np.ones((2, x.size), dtype=np.int8)
+        programmed = []
+
+        def recorded(matrix, w_bits, spec):
+            programmed.append((np.shape(matrix)[0], spec.rows))
+            return program_signed(matrix, w_bits, spec)
+
+        monkeypatch.setattr(mapping, "program_signed", recorded)
+        monkeypatch.setattr(mapping, "_BLOCK_CELL_BYTES", 1)  # one tile per block
+        y, log = run_fc(w, x, 8, reram)
+        assert programmed == [(1, 1), (3, 3), (16, 16), (2, 2)]
+        # 64 rows of cells and sums: 2 outputs x 8 planes x 2 x float32 each.
+        monkeypatch.setattr(mapping, "_BLOCK_CELL_BYTES", 64 * 2 * 8 * 2 * 4)
+        programmed.clear()
+        assert np.array_equal(run_fc(w, x, 8, reram)[0], y) and log.clean
+        # 1 + 3 rows at height 3, then 16 rows and the last tile's 5 rows
+        # padded to 16.
+        assert programmed == [(6, 3), (21, 16)]
+        assert y.tolist() == [22 * 7] * 2
+
+    def test_weights_of_dead_rows_are_still_checked(self):
+        reram = ReRAMConfig(1, 1, 16, 8)
+        x = np.array([0, 5])
+        with pytest.raises(OutOfRange, match="entries exceed signed 4-bit range"):
+            run_fc(np.array([[9, 1]], dtype=np.int8), x, 4, reram)
+        with pytest.raises(OutOfRange, match="w_bits must be an integer"):
+            run_fc(np.array([[1, 1]]), np.zeros(2, dtype=np.int64), 5, reram)
+
 
 def test_random_weights_are_the_int64_draw_kept_as_int8():
     mm = map_model(two_block_point(with_dp=True, with_fm=True))
