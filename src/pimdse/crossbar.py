@@ -8,41 +8,67 @@ DAC drive and every analog column sum nonnegative while reconstructing the
 exact signed product for any DAC width. Every analog sum passes through an
 ideal saturating ADC; clipping is reported, never hidden.
 
-Storage and reads are array-backed. A programmed matrix is one float32
-array of shape ``(row_tiles, xbar_size, virtual_cols)``: rows are
-zero-padded to ``row_tiles * xbar_size``, and the virtual columns run per
-output, then per digit plane (LSB first), then positive before negative.
-Column tile ``ct`` is the column range ``[ct * xbar_size, (ct+1) * xbar_size)``.
-A read stacks every driven slice of every input vector into one drive
-tensor ``(row_tiles, slices * n, xbar_size)`` and obtains all analog
-column sums from one batched matmul. A signed read drives every DAC slice
-and the sign slice. A read with no negative input drives only the DAC
-slices below the top bit of its largest input: the sign slice and the
-higher DAC slices put 0 on every word line, so their sums would be 0,
-which adds nothing to any output and cannot clip, and skipping them is
-exact.
+Storage and reads are array-backed. A programmed matrix keeps each
+differential cell pair in one number: ``pairs`` has shape ``(row_tiles,
+xbar_size, out_dim * planes)``, and the entry of a digit plane holds
+``pos + 2^F * neg``, its positive and negative cell digits. ``F`` is the
+bit width of the largest sum one column can carry at the widest DAC,
+``rows * 3 * (2^cell_bits - 1)`` (576 at 64 rows, so ``F = 10``). Rows
+are zero-padded to ``row_tiles * xbar_size``; pair columns run per output,
+then per digit plane (LSB first), and pair column ``c`` stands for the
+virtual columns ``2c`` (positive) and ``2c + 1`` (negative), so column
+tile ``ct`` is the virtual column range ``[ct * xbar_size, (ct+1) *
+xbar_size)``. The pairs are float32 when ``2F <= 24``, up to 455 rows at
+2-bit cells and 1,365 at 1-bit cells, which covers the whole default
+space, and float64 otherwise (see :func:`pair_format`).
 
-Float32 arithmetic is exact here. Every drive, cell, product and partial
-sum is a nonnegative integer no larger than
-``rows * (2^dac_bits - 1) * (2^cell_bits - 1)`` (576 at 64 rows), and
-``CrossbarSpec`` rejects sizes where that bound reaches 2^24. Below 2^24
-float32 holds every integer, so every sum is exact in any summation
-order. The ADC clamps each sum in place to at most ``2^adc_bits - 1``
-(255 at the widest ADC), and the digital sum over row tiles also runs in
-float32: each of its partial sums is an integer no larger than
-``row_tiles * 255``, and ``program_signed`` rejects matrices whose row
-tiles would take that bound to 2^24.
+A read stacks every driven slice of every input vector into one drive
+tensor ``(row_tiles, slices * n, xbar_size)`` and obtains every packed
+pair of analog column sums ``P = S+ + 2^F * S-`` from one batched matmul
+over the pairs, which moves half the bytes a number per cell would. The
+drives carry the factor ``2^-F``, so the matmul yields ``P * 2^-F``. The read
+unpacks ``S- = floor(P * 2^-F)`` and ``S+ = P - 2^F * S-``, passes both
+through the ADC as if each were read from its own column, and subtracts
+them. A signed read drives every DAC slice and the sign slice. A read with
+no negative input drives only the DAC slices below the top bit of its
+largest input: the sign slice and the higher DAC slices put 0 on every
+word line, so their sums would be 0, which adds nothing to any output and
+cannot clip, and skipping them is exact.
+
+The packed sum is exact. Every drive, cell digit, product and partial sum
+of one column is a nonnegative integer below ``2^F``, so every partial
+sum of a packed matmul is a nonnegative integer below ``2^(2F)``: below
+2^24 for float32 pairs, and below 2^48 for float64 ones, because
+``CrossbarSpec`` keeps ``F <= 24``. The dtype holds every integer there,
+and the same integers times the power of two ``2^-F``, so every sum is
+exact in any summation order; as the low field's sum stays below ``2^F``
+it never carries into the high field. The unpack is exact as well:
+``P * 2^-F = S- + S+ * 2^-F`` with ``0 <= S+ * 2^-F < 1``, so its floor
+is ``S-``, the difference left is exactly ``S+ * 2^-F`` (both terms hold
+it and the result has no more significant bits), and scaling that by
+``2^F`` gives ``S+``. The ADC clamps each sum in place to at most
+``2^adc_bits - 1`` (255 at the widest ADC), so each difference
+``S+ - S-`` is an integer of magnitude at most 255.
+
+The shift-and-add is exact as well. Per row tile, the digit planes of
+each output are added with their weights ``2^(plane * cell_bits)`` in the
+pairs' dtype: the plane weights of one weight add up to at most
+``2^w_bits - 1 = 255``, so each partial sum is an integer of magnitude at
+most 255 * 255, below 2^16. The row tiles and the input slices are added
+in float64: ``program_signed`` refuses ``MAX_ROW_TILES`` (about 2^16) row
+tiles or more, so a sum over row tiles stays below 2^32, a slice weight
+is at most 2^8 in magnitude and at most 9 slices add up, so every partial
+sum stays below 2^44, where float64 holds every integer.
 
 No operand is widened to int64 on the way. Programming narrows each
-weight once to its uint8 digit-table index ``v + 2^(w_bits-1)`` and
-gathers the cells from that index; a read narrows each input once to its
+weight once to its uint8 pair-table index ``v + 2^(w_bits-1)`` and
+gathers the pairs from that index; a read narrows each input once to its
 uint8 two's-complement pattern and gathers its DAC slices and sign bit
-from a drive table. The shift-and-add over slices, planes and signs is
-one float64 contraction of the row-tile totals with the products of
-slice and plane weights. It is exact as well: a total is below 2^24, a
-slice weight at most 2^8 and a plane weight at most 2^7 in magnitude,
-and at most 9 slices times 16 plane-sign columns add up, so every
-partial sum stays below 2^47, where float64 holds every integer.
+from a drive table.
+
+``program_signed`` and ``mvm`` can write their largest arrays, the pairs
+and the sums, into a caller's byte buffer (``scratch``), so that a caller
+programming and reading many matrices in turn allocates them once.
 """
 
 from __future__ import annotations
@@ -80,9 +106,10 @@ SUPPORTED_BITS = {
 MAX_ACTIVATION_BITS = 8
 
 
-# Row tiles of one programmed matrix stay below this count, so that the
-# float32 sum of their clamped ADC reads, at most ``row_tiles * 255``,
-# stays below 2^24.
+# Row tiles of one programmed matrix stay below this count, about 2^16:
+# it is where a sum of row-tile reads at the widest ADC ceiling, at most
+# ``row_tiles * 255``, would reach 2^24. The exactness of ``mvm``'s float64
+# shift-and-add counts on the cap, with room to spare (module docstring).
 MAX_ROW_TILES = -(-(1 << 24) // ((1 << max(SUPPORTED_BITS["adc_bits"])) - 1))
 
 
@@ -98,6 +125,8 @@ class CrossbarSpec:
         if self.cell_bits not in SUPPORTED_BITS["cell_bits"]:
             raise ValueError(f"cell_bits must be one of {SUPPORTED_BITS['cell_bits']}")
         # Largest analog sum: every row at the widest drive (dac 2) and cell.
+        # Below 2^24 it also keeps a pair's field width F at most 24, so
+        # float64 pairs (2F <= 48 bits) stay exact.
         if self.rows * 3 * 3 >= 1 << 24:
             raise ValueError(
                 f"{self.rows} rows allow column sums beyond 2^24, "
@@ -155,13 +184,36 @@ class TileMeta:
 class ProgrammedTiles:
     """Tile grid realizing one logical matrix, ready for bit-serial reads.
 
-    ``cells[rt, r, c]`` is the cell at row ``r`` of row tile ``rt`` in
-    virtual column ``c``; column tile ``ct`` is the column range
+    ``pairs[rt, r, c]`` is the differential cell pair at row ``r`` of row
+    tile ``rt`` in pair column ``c``, digit plane ``c % planes`` (LSB
+    first) of output ``c // planes``. It holds ``pos + 2^F * neg``, with
+    ``F`` and the dtype of :func:`pair_format` for ``xbar_size`` rows.
+    Pair column ``c`` stands for the virtual columns ``2c`` (positive) and
+    ``2c + 1`` (negative); column tile ``ct`` is the virtual column range
     ``[ct * xbar_size, (ct + 1) * xbar_size)``.
     """
 
-    cells: np.ndarray  # (row_tiles, xbar_size, virtual_cols) float32
+    pairs: np.ndarray  # (row_tiles, xbar_size, out_dim * planes)
     meta: TileMeta
+
+
+@lru_cache(maxsize=None)
+def pair_format(rows: int, cell_bits: int) -> tuple[int, np.dtype]:
+    """Field width ``F`` and dtype of the cell pairs of a crossbar with
+    ``rows`` rows of ``cell_bits``-bit cells. ``F`` is the bit width of
+    the largest sum one column can carry, every row at the widest DAC drive
+    and the largest digit; a packed sum stays below ``2^(2F)``, so float32
+    (exact below 2^24) serves while ``2F <= 24``, and float64 beyond."""
+    field = (rows * ((1 << max(SUPPORTED_BITS["dac_bits"])) - 1) * ((1 << cell_bits) - 1)).bit_length()
+    return field, np.dtype(np.float32 if 2 * field <= 24 else np.float64)
+
+
+def _carve(scratch, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An uninitialized array of ``shape`` and ``dtype``: a view of the
+    front of the uint8 buffer ``scratch``, or a new array without one."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    return scratch[: math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
 
 
 def adc_quantize(sums: np.ndarray, adc_bits: int) -> SaturationLog:
@@ -179,12 +231,11 @@ def adc_quantize(sums: np.ndarray, adc_bits: int) -> SaturationLog:
     return log
 
 
-def _signed_ints(values, bits: int, what: str) -> tuple[np.ndarray, int, int]:
-    """``values`` as an integer array, with its smallest and largest entry,
-    after checking each is an integer in the signed ``bits``-bit range; a
-    float entry must be finite and integral. Integer arrays come back as
-    they are, without a copy."""
-    a = np.asarray(values)
+def _signed_ints(a: np.ndarray, bits: int, what: str) -> tuple[np.ndarray, int, int]:
+    """The array ``a`` as an integer array, with its smallest and largest
+    entry, after checking each is an integer in the signed ``bits``-bit
+    range; a float entry must be finite and integral. Integer arrays come
+    back as they are, without a copy."""
     if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.trunc(a))).all():
         raise OutOfRange(f"{what} must be finite integers")
     lo, hi = int(a.min()), int(a.max())
@@ -193,26 +244,18 @@ def _signed_ints(values, bits: int, what: str) -> tuple[np.ndarray, int, int]:
     return (a if a.dtype.kind in "iu" else a.astype(np.int64)), lo, hi
 
 
-def _plane_weights(planes: int, cell_bits: int) -> np.ndarray:
-    """Signed place weight of each virtual column of one output: per plane,
-    LSB first, ``+2^(plane * cell_bits)`` then its negative."""
-    place = np.left_shift(1, np.arange(planes) * cell_bits)
-    return np.stack([place, -place], axis=1).ravel()
-
-
 @lru_cache(maxsize=None)
-def _digit_table(w_bits: int, cell_bits: int) -> np.ndarray:
-    """Row ``v + 2^(w_bits-1)`` holds the ``planes * 2`` cell digits of the
-    signed weight ``v``: per plane, LSB first, positive then negative."""
+def _pair_table(w_bits: int, cell_bits: int, field: int, dtype: np.dtype) -> np.ndarray:
+    """Row ``v + 2^(w_bits-1)`` holds the ``planes`` cell pairs of the
+    signed weight ``v``, LSB plane first, each ``pos + 2^field * neg``."""
     planes = math.ceil(w_bits / cell_bits)
     half = 1 << (w_bits - 1)
-    values = np.arange(-half, half, dtype=np.int64)
+    values = np.arange(-half, half, dtype=np.int64)[:, None]
     shifts = np.arange(planes) * cell_bits
     mask = (1 << cell_bits) - 1
-    table = np.empty((2 * half, planes, 2), dtype=np.float32)
-    table[:, :, 0] = (np.maximum(values, 0)[:, None] >> shifts) & mask
-    table[:, :, 1] = (np.maximum(-values, 0)[:, None] >> shifts) & mask
-    table = table.reshape(2 * half, planes * 2)
+    pos = (np.maximum(values, 0) >> shifts) & mask
+    neg = (np.maximum(-values, 0) >> shifts) & mask
+    table = (pos + (neg << field)).astype(dtype)
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 
@@ -226,13 +269,14 @@ def checked_weights(matrix, w_bits: int) -> np.ndarray:
         raise OutOfRange(
             f"w_bits must be an integer in {SUPPORTED_BITS['weight_bits']}, got {w_bits!r}"
         )
-    return _signed_ints(matrix, w_bits, "entries")[0]
+    return _signed_ints(np.asarray(matrix), w_bits, "entries")[0]
 
 
 def program_signed(
     matrix,
     w_bits: int,
     spec: CrossbarSpec,
+    scratch: np.ndarray | None = None,
 ) -> ProgrammedTiles:
     """Decompose a signed integer matrix onto differential bit-plane tiles.
 
@@ -242,6 +286,10 @@ def program_signed(
     An empty matrix, or one needing ``MAX_ROW_TILES`` row tiles or more,
     raises ``ShapeMismatch``; an entry that is not an integer in the
     symmetric signed ``w_bits`` range raises ``OutOfRange``.
+
+    With a 1-D uint8 ``scratch`` buffer the pairs are written into its
+    front, which must have room for them, and ``pairs`` is a view of it,
+    valid until the buffer is written again.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or 0 in m.shape:
@@ -251,25 +299,27 @@ def program_signed(
     if row_tiles >= MAX_ROW_TILES:
         raise ShapeMismatch(
             f"{in_dim} rows need {row_tiles} row tiles of {spec.rows}; "
-            f"row-tile sums stay exact in float32 below {MAX_ROW_TILES}"
+            f"a programmed matrix holds fewer than {MAX_ROW_TILES}"
         )
     m = checked_weights(m, w_bits)
 
     cb = spec.cell_bits
     planes = math.ceil(w_bits / cb)
-    vcols = out_dim * planes * 2
-    col_tiles = math.ceil(vcols / spec.cols)
+    col_tiles = math.ceil(out_dim * planes * 2 / spec.cols)
 
     # Table rows run to 2^w_bits - 1 <= 255, so the index is uint8. The
     # narrowing pass follows the source's memory order (``run_fc`` passes a
     # transposed view); the uint8 sum wraps to the exact row for any
-    # integer dtype. Padding rows hold weight 0, whose digits are all zero.
+    # integer dtype. Padding rows hold weight 0, whose pairs are all zero.
     offset = 1 << (w_bits - 1)
     index = np.empty((row_tiles * spec.rows, out_dim), dtype=np.uint8)
     index[:in_dim] = np.add(m, offset, dtype=np.uint8, casting="unsafe")
     index[in_dim:] = offset
-    cells = np.take(_digit_table(w_bits, cb), index, axis=0)
-    cells = cells.reshape(row_tiles, spec.rows, vcols)
+    field, dtype = pair_format(spec.rows, cb)
+    pairs = _carve(scratch, (row_tiles * spec.rows, out_dim, planes), dtype)
+    # Every index is a table row; "clip" writes straight into ``pairs``,
+    # where the default mode would gather into a buffer first.
+    np.take(_pair_table(w_bits, cb, field, dtype), index, axis=0, out=pairs, mode="clip")
 
     meta = TileMeta(
         in_dim=in_dim,
@@ -281,49 +331,59 @@ def program_signed(
         row_tiles=row_tiles,
         col_tiles=col_tiles,
     )
-    return ProgrammedTiles(cells=cells, meta=meta)
+    return ProgrammedTiles(pairs=pairs.reshape(row_tiles, spec.rows, out_dim * planes), meta=meta)
 
 
 @lru_cache(maxsize=None)
-def _drive_table(a_bits: int, dac_bits: int, slices: int) -> np.ndarray:
+def _drive_table(a_bits: int, dac_bits: int, slices: int, field: int, dtype: np.dtype) -> np.ndarray:
     """Row ``u`` holds the word-line drives of the input whose ``a_bits``-bit
     two's-complement pattern is ``u``: its unsigned DAC slices, LSB first,
-    then its sign bit, of which the first ``slices`` are kept.
+    then its sign bit, of which the first ``slices`` are kept, each scaled
+    by ``2^-field`` in the pairs' ``dtype``.
     Reconstruction: x = sum_k slice_k * 2^(k*dac_bits) - 2^a_bits * sign."""
     n_slices = math.ceil(a_bits / dac_bits)
     u = np.arange(1 << a_bits)
-    table = np.empty((1 << a_bits, n_slices + 1), dtype=np.float32)
-    table[:, :n_slices] = (u[:, None] >> np.arange(n_slices) * dac_bits) & ((1 << dac_bits) - 1)
-    table[:, n_slices] = u >> (a_bits - 1)
-    table = np.ascontiguousarray(table[:, :slices])  # a contiguous table gathers fastest
+    table = np.empty((n_slices + 1, 1 << a_bits), dtype=dtype)
+    table[:n_slices] = (u >> np.arange(n_slices)[:, None] * dac_bits) & ((1 << dac_bits) - 1)
+    table[n_slices] = u >> (a_bits - 1)
+    # Scaling by a power of two is exact. Stored slice-major (``table.T``
+    # is contiguous): ``_drives`` gathers each slice's drives for every
+    # row at once.
+    table = (table[:slices] * 2.0**-field).T
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 
 
 @lru_cache(maxsize=None)
-def _shift_add_weights(a_bits: int, dac_bits: int, planes: int, cell_bits: int) -> np.ndarray:
-    """``(slices, planes * 2, 1)`` place weights: per slice (sign slice last,
-    at ``-2^a_bits``) and virtual column of one output (per plane, LSB
-    first, positive then negative), the slice weight times the signed plane
-    weight."""
+def _place_weights(
+    a_bits: int, dac_bits: int, planes: int, cell_bits: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Place weights of the shift-and-add: of each digit plane of one
+    output (LSB first), ``2^(plane * cell_bits)`` in the pairs' ``dtype``,
+    and of each input slice (sign slice last, at ``-2^a_bits``), in
+    float64."""
     shifts = np.arange(math.ceil(a_bits / dac_bits)) * dac_bits
-    slice_w = np.append(np.left_shift(1, shifts), -(1 << a_bits))
-    weights = np.outer(slice_w, _plane_weights(planes, cell_bits)).astype(np.float64)[:, :, None]
-    weights.flags.writeable = False  # shared by every caller through the cache
-    return weights
+    slice_w = np.append(np.left_shift(1, shifts), -(1 << a_bits)).astype(np.float64)
+    plane_w = np.left_shift(1, np.arange(planes) * cell_bits).astype(dtype)
+    slice_w.flags.writeable = plane_w.flags.writeable = False  # shared through the cache
+    return plane_w, slice_w
 
 
 def _drives(x: np.ndarray, a_bits: int, table: np.ndarray, row_tiles: int, rows: int):
     """Word-line drives of every row tile: each slice (column) of the drive
     ``table``, over all input vectors, as a ``(row_tiles, slices * n, rows)``
-    float32 tensor."""
-    n = x.shape[1]
-    # The uint8 pattern x & (2^a_bits - 1) indexes the table; padding rows
-    # get pattern 0, which drives nothing.
-    index = np.zeros((row_tiles * rows, n), dtype=np.uint8)
-    np.bitwise_and(x, (1 << a_bits) - 1, out=index[: x.shape[0]], dtype=np.uint8, casting="unsafe")
-    drives = np.take(table, index, axis=0).reshape(row_tiles, rows, n, -1)
-    return drives.transpose(0, 3, 2, 1).reshape(row_tiles, -1, rows)
+    tensor of the table's dtype."""
+    in_dim, n = x.shape
+    # The uint8 pattern x & (2^a_bits - 1) indexes the table: the cast to
+    # uint8 wraps modulo 2^8, and narrower patterns are masked. Padding rows
+    # get pattern 0, which drives nothing. Gathered per slice, per vector,
+    # then per row, each row tile's drives are a strided view, no copy.
+    index = np.zeros((n, row_tiles * rows), dtype=np.uint8)
+    index[:, :in_dim] = x.T
+    if a_bits < 8:
+        np.bitwise_and(index, (1 << a_bits) - 1, out=index)
+    drives = table.T.take(index, axis=1)
+    return drives.reshape(-1, row_tiles, rows).transpose(1, 0, 2)
 
 
 def mvm(
@@ -331,12 +391,17 @@ def mvm(
     x,
     a_bits: int,
     conv: ConverterSpec,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SaturationLog]:
     """Bit-serial matrix-vector product through the programmed tiles.
 
     Every (slice, plane, column) analog sum passes ``adc_quantize``; results
-    recombine by digital shift-and-add and differential subtraction. When
+    recombine by differential subtraction and digital shift-and-add. When
     the returned log is clean the result equals the exact integer product.
+    One matmul over the pairs gives each packed sum ``P = S+ + 2^F * S-``,
+    scaled by ``2^-F``; ``S-`` is ``floor(P * 2^-F)`` and ``S+`` is
+    ``P - 2^F * S-``, both exact (see the module docstring), and each
+    passes the ADC as it would on its own column.
 
     Only driven slices are read. When no input is negative, the sign slice
     and every DAC slice at or above the top bit of the largest input drive
@@ -349,7 +414,9 @@ def mvm(
     (repeated MVM sharing one saturation log), returning one output column
     per drive. Inputs follow ``program_signed``'s entry rules at ``a_bits``,
     which must be an integer in 1..``MAX_ACTIVATION_BITS`` (else
-    ``OutOfRange``).
+    ``OutOfRange``). With a 1-D uint8 ``scratch`` buffer the packed and
+    unpacked sums, twice the size of the packed ones, are held in its
+    front, which must have room for them.
     """
     if not (isinstance(a_bits, (int, np.integer)) and 1 <= a_bits <= MAX_ACTIVATION_BITS):
         raise OutOfRange(f"a_bits must be an integer in 1..{MAX_ACTIVATION_BITS}, got {a_bits!r}")
@@ -374,20 +441,30 @@ def mvm(
     if slices == 0:  # an all-zero input
         out = np.zeros((meta.out_dim, n), dtype=np.int64)
         return (out if batched else out[:, 0]), SaturationLog()
-    table = _drive_table(a_bits, conv.dac_bits, slices)
+    pairs = pt.pairs
+    field = pair_format(meta.xbar_size, meta.cell_bits)[0]
+    table = _drive_table(a_bits, conv.dac_bits, slices, field, pairs.dtype)
     drives = _drives(x, a_bits, table, meta.row_tiles, meta.xbar_size)
-    sums = np.matmul(drives, pt.cells)  # every driven analog column sum, exact
+    sums = _carve(scratch, (2,) + drives.shape[:2] + pairs.shape[2:], pairs.dtype)
+    pos, neg = sums
+    # The drives carry 2^-F, so the matmul gives every packed pair of
+    # analog sums scaled, P * 2^-F = S- + S+ * 2^-F, exactly. Unpack in
+    # place, each step exact: the floor is S-, what is left scales to S+.
+    np.matmul(drives, pairs, out=pos)
+    np.floor(pos, out=neg)
+    np.subtract(pos, neg, out=pos)
+    np.multiply(pos, 1 << field, out=pos)
     log = adc_quantize(sums, conv.adc_bits)
+    np.subtract(pos, neg, out=pos)  # each pair's clamped difference, at most 255 in magnitude
 
-    # Shift-and-add: row tiles in exact float32, then one exact float64
-    # contraction over slices, planes and signs: a matmul per slice over the
-    # plane-sign columns of each output, summed over slices.
-    weights = _shift_add_weights(a_bits, conv.dac_bits, meta.planes, meta.cell_bits)[:slices]
-    digital = sums.reshape(meta.row_tiles, len(weights), n * meta.out_dim, -1)
-    digital = digital[0] if meta.row_tiles == 1 else digital.sum(axis=0)
-    out = np.matmul(digital, weights).sum(axis=0).reshape(n, meta.out_dim)
-    out = out.astype(np.int64).T
-    return (out if batched else out[:, 0]), log
+    # Shift-and-add, exact at each step (module docstring): the planes of
+    # each output per row tile in the pairs' dtype, then the row tiles and
+    # the slices in float64.
+    plane_w, slice_w = _place_weights(a_bits, conv.dac_bits, meta.planes, meta.cell_bits, pairs.dtype)
+    totals = np.matmul(pos.reshape(-1, meta.planes), plane_w).reshape(meta.row_tiles, slices, -1)
+    totals = totals[0] if meta.row_tiles == 1 else totals.sum(axis=0, dtype=np.float64)
+    out = np.matmul(slice_w[:slices], totals).astype(np.int64)  # (n * out_dim,)
+    return (out.reshape(n, meta.out_dim).T if batched else out), log
 
 
 def mbsa_square(v, v_bits: int) -> np.ndarray:

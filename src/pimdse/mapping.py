@@ -40,6 +40,7 @@ from .crossbar import (
     checked_weights,
     mbsa_square,
     mvm,
+    pair_format,
     program_signed,
 )
 from .design_space import (
@@ -459,14 +460,35 @@ def _conv(reram: ReRAMConfig) -> ConverterSpec:
     return ConverterSpec(dac_bits=reram.dac_bits, adc_bits=reram.adc_bits)
 
 
-# Bytes of float32 cells and analog sums ``run_fc`` programs and reads at
-# a time: a block of row tiles this size stays in a core's cache between
-# the gather that programs it and the matmul that reads it. 4 MiB ran
-# fastest in two sweeps of 1, 2, 4, 8 and 16 MiB (counting cells only)
+# Bytes of arrays ``run_fc`` holds at a time for one block's program and
+# read (``_block_bytes``): a block this size stays in a core's cache
+# between the gather that programs it and the matmul that reads it. 4 MiB
+# ran fastest in two sweeps of 1, 2, 4, 8 and 16 MiB (counting cells only)
 # over the benchmark's forward panel on a 2-core x86-64 host with 2 MiB of
 # L2 per core: each block costs ~60 us of calls, so smaller blocks gain
-# less, and larger ones spill to memory.
+# less, and larger ones spill to memory. Counting every array of a block,
+# 2 and 8 MiB read no faster on that host.
 _BLOCK_CELL_BYTES = 4 << 20
+
+# Bytes per entry of a table index: its uint8 value and the intp copy
+# ``np.take`` makes of it.
+_INDEX_BYTES = 1 + np.dtype(np.intp).itemsize
+
+
+def _block_bytes(tiles: int, k: int, cols: int, planes: int, sum_rows: int, itemsize: int) -> int:
+    """Bytes one block's program and read hold at most: ``tiles`` row tiles
+    of height ``k`` and ``cols`` outputs of ``planes`` cell pairs each, of
+    ``itemsize`` bytes, read with ``sum_rows`` drive rows (slices times
+    input vectors)."""
+    pair_cols = cols * planes
+    per_tile = (
+        k * pair_cols * itemsize  # the pairs
+        + k * cols * _INDEX_BYTES  # their pair-table index
+        + sum_rows * k * itemsize  # the drives
+        + sum_rows * pair_cols * 2 * (itemsize + 1)  # packed and unpacked sums, and a clip mask
+        + sum_rows * cols * itemsize  # the plane totals
+    )
+    return tiles * per_tile + sum_rows * cols * 8  # and once the float64 totals
 
 
 def run_fc(weight, x, w_bits, reram):
@@ -493,12 +515,24 @@ def run_fc(weight, x, w_bits, reram):
     weight of ``MAX_ROW_TILES`` row tiles or more, which ``program_signed``
     refuses as one matrix, is computed block by block, exactly.
 
-    A block holds at most ``_BLOCK_CELL_BYTES`` of cells and analog sums,
-    ``(k + slices * n) * out_dim * planes * 2 * 4`` bytes per tile for
-    ``n`` input vectors and ``slices = ceil(8 / dac_bits) + 1``, so the
-    memory a call takes is bounded by the block, not by the weight. A
-    block is at least one tile, so a single tile over the budget is read
-    whole.
+    A block holds at most ``_BLOCK_CELL_BYTES`` at once, as
+    ``_block_bytes`` counts it: per tile its cell pairs (``k * out_dim *
+    planes`` numbers, float32 in the default space) and their table index,
+    its drives, its packed and its unpacked analog sums (``slices * n``
+    rows of ``out_dim * planes`` numbers each, for ``n`` input vectors and
+    ``slices = ceil(8 / dac_bits) + 1``) with a clip mask, and their plane
+    totals, and once the float64 totals. A single tile over the budget is
+    read in ranges of outputs that fit. That is exact too: each output's
+    analog sums lie in its own columns, so every range reads its outputs'
+    sums, clamps and clips as the whole tile does, the ranges' outputs are
+    disjoint, their clip counts add and ``max_overflow`` is their maximum.
+    So the memory a call takes is bounded by the block, not by the weight,
+    unless one output of one tile is over the budget. Every block is
+    programmed and read into one buffer of pairs and sums, allocated once
+    per call. With a buffer per block the allocator mapped fresh pages for
+    many of them: a fresh process looping over the benchmark's forward
+    panel for 10 s on a 2-core x86-64 host took ~4,200 minor page faults
+    per forward, against ~12 with one buffer per call.
     """
     w, x = np.asarray(weight), np.asarray(x)
     if w.ndim != 2 or 0 in w.shape:
@@ -509,10 +543,13 @@ def run_fc(weight, x, w_bits, reram):
     w = checked_weights(w, w_bits)  # every entry, a dead row's too
     spec, conv = _xbar_spec(reram), _conv(reram)
     rows, a_bits = spec.rows, DEFAULT_ACTIVATION_BITS
-    # Bytes per tile row of cells, and per vector and slice of sums:
-    # out_dim * planes * 2 float32.
-    row_bytes = out_dim * math.ceil(w_bits / spec.cell_bits) * 2 * 4
+    planes = math.ceil(w_bits / spec.cell_bits)
+    # Drive rows of a read, at most: every slice of every input vector.
     sum_rows = (math.ceil(a_bits / conv.dac_bits) + 1) * (x.shape[1] if x.ndim == 2 else 1)
+    itemsize = pair_format(rows, spec.cell_bits)[1].itemsize  # the widest of any height <= rows
+
+    def size(tiles, k, cols):
+        return _block_bytes(tiles, k, cols, planes, sum_rows, itemsize)
 
     # Per row tile: its live-row count, and its rows, live ones first.
     tiles = -(-in_dim // rows)
@@ -528,27 +565,38 @@ def run_fc(weight, x, w_bits, reram):
     picked = np.flatnonzero(counts)
     picked = picked[np.argsort(rank[picked], kind="stable")]
 
-    budget_rows = _BLOCK_CELL_BYTES // row_bytes  # tiles x (k + sum_rows) a block may hold
+    # Blocks: (tiles, rows, height, outputs per range). A run of tiles is
+    # extended while it fits with every output; a tile alone takes as many
+    # outputs per range as fit (its size is affine in them), at least one.
     live_counts = counts[picked].tolist()
-    y, log = np.zeros((out_dim,) + x.shape[1:], dtype=np.int64), SaturationLog()
+    blocks = []
     first = 0
     while first < len(picked):
         end, k = first + 1, live_counts[first]
-        while end < len(picked) and (end + 1 - first) * (max(k, live_counts[end]) + sum_rows) <= budget_rows:
+        while end < len(picked) and size(end + 1 - first, max(k, live_counts[end]), out_dim) <= _BLOCK_CELL_BYTES:
             k = max(k, live_counts[end])
             end += 1
+        fixed = size(1, k, 0)
+        cols = max(1, min(out_dim, (_BLOCK_CELL_BYTES - fixed) // (size(1, k, 1) - fixed)))
         block = order[picked[first:end], :k].ravel()
-        block = block[block < in_dim]
-        pt = program_signed(w[:, block].T, w_bits, CrossbarSpec(k, k, spec.cell_bits))
-        part, part_log = mvm(pt, x[block], a_bits, conv)
-        # Free the block's cells before the next block programs its own:
-        # with two blocks alive the allocator maps fresh pages for every
-        # block (~2,000 page faults per call on a 768x780 leaf).
-        del pt
-        y += part
-        log.clip_count += part_log.clip_count
-        log.max_overflow = max(log.max_overflow, part_log.max_overflow)
+        blocks.append((end - first, block[block < in_dim], k, cols))
         first = end
+
+    y, log = np.zeros((out_dim,) + x.shape[1:], dtype=np.int64), SaturationLog()
+    if not blocks:  # no live row
+        return y, log
+    # One buffer for every block's pairs and, after them, its sums.
+    scratch = np.empty(
+        max(t * cols * planes * (k + 2 * sum_rows) for t, _, k, cols in blocks) * itemsize, dtype=np.uint8
+    )
+    for _, block, k, cols in blocks:
+        block_spec, block_x = CrossbarSpec(k, k, spec.cell_bits), x[block]
+        for o0 in range(0, out_dim, cols):
+            pt = program_signed(w[o0 : o0 + cols, block].T, w_bits, block_spec, scratch)
+            part, part_log = mvm(pt, block_x, a_bits, conv, scratch[pt.pairs.nbytes :])
+            y[o0 : o0 + cols] += part
+            log.clip_count += part_log.clip_count
+            log.max_overflow = max(log.max_overflow, part_log.max_overflow)
     return y, log
 
 

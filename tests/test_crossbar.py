@@ -32,16 +32,30 @@ def plane_weight(meta, vcol):
     return (1 - 2 * (j % 2)) * (1 << (j // 2 * meta.cell_bits))
 
 
+def virtual_cells(pt):
+    """The virtual cells of ``pt`` as an int64 ``(row_tiles, xbar_size,
+    virtual_cols)`` array in the documented layout, unpacked from its pairs
+    ``pos + 2^F * neg`` with integer ``divmod`` by ``2^F``, where ``F`` is
+    the bit width of a column's largest sum at the widest (2-bit) DAC."""
+    meta = pt.meta
+    field = (meta.xbar_size * 3 * ((1 << meta.cell_bits) - 1)).bit_length()
+    packed = pt.pairs.astype(np.int64)
+    assert np.array_equal(packed, pt.pairs)  # every pair is an integer
+    neg, pos = np.divmod(packed, 1 << field)
+    return np.stack([pos, neg], axis=-1).reshape(meta.row_tiles, meta.xbar_size, -1)
+
+
 def reconstruct(pt):
     """Independent oracle: rebuild the signed matrix from the tile planes."""
     meta = pt.meta
     total = np.zeros((meta.in_dim, meta.out_dim), dtype=np.int64)
+    cells = virtual_cells(pt)
     for rt in range(meta.row_tiles):
         r0 = rt * meta.xbar_size
         rows = min(meta.xbar_size, meta.in_dim - r0)
         for vcol in range(meta.virtual_cols):
             total[r0 : r0 + rows, vcol // (meta.planes * 2)] += (
-                plane_weight(meta, vcol) * pt.cells[rt, :rows, vcol].astype(np.int64)
+                plane_weight(meta, vcol) * cells[rt, :rows, vcol]
             )
     return total
 
@@ -49,8 +63,9 @@ def reconstruct(pt):
 def tile_views(pt):
     """Every (row tile, column tile) block of the stacked cell array."""
     x = pt.meta.xbar_size
+    cells = virtual_cells(pt)
     return [
-        pt.cells[rt, :, ct * x : (ct + 1) * x]
+        cells[rt, :, ct * x : (ct + 1) * x]
         for rt in range(pt.meta.row_tiles)
         for ct in range(pt.meta.col_tiles)
     ]
@@ -68,6 +83,7 @@ def tile_loop_mvm(pt, x, a_bits, conv):
     n = x.shape[1]
     acc = np.zeros((meta.virtual_cols, n), dtype=np.int64)
     n_slices = math.ceil(a_bits / conv.dac_bits)
+    all_cells = virtual_cells(pt)
     for rt in range(meta.row_tiles):
         r0 = rt * meta.xbar_size
         chunk = np.zeros((meta.xbar_size, n), dtype=np.int64)
@@ -82,7 +98,7 @@ def tile_loop_mvm(pt, x, a_bits, conv):
         for ct in range(meta.col_tiles):
             c0 = ct * meta.xbar_size
             c1 = min(c0 + meta.xbar_size, meta.virtual_cols)
-            cells = pt.cells[rt, :, c0:c1].astype(np.int64)
+            cells = all_cells[rt, :, c0:c1]
             for drive, w in drives:
                 sums = drive.T @ cells
                 over = sums > limit
@@ -141,11 +157,11 @@ class TestProgramSigned:
         pt = program_signed([[3]], 4, CrossbarSpec(16, 16, 2))
         assert pt.meta.planes == 2
         # virtual columns: (plane0 +, plane0 -, plane1 +, plane1 -)
-        assert pt.cells[0, 0, :4].tolist() == [3, 0, 0, 0]
+        assert virtual_cells(pt)[0, 0, :4].tolist() == [3, 0, 0, 0]
 
     def test_sign_split(self):
         pt = program_signed([[-1]], 4, CrossbarSpec(16, 16, 1))
-        cells = pt.cells[0, 0]
+        cells = virtual_cells(pt)[0, 0]
         assert cells[0] == 0 and cells[1] == 1  # LSB negative plane holds the 1
 
     def test_reconstruction_identity_fuzz(self):
@@ -181,8 +197,8 @@ class TestProgramSigned:
 
     def test_integral_floats_accepted(self):
         spec = CrossbarSpec(16, 16, 2)
-        got = program_signed([[3.0, -2.0]], 4, spec).cells
-        assert np.array_equal(got, program_signed([[3, -2]], 4, spec).cells)
+        got = virtual_cells(program_signed([[3.0, -2.0]], 4, spec))
+        assert np.array_equal(got, virtual_cells(program_signed([[3, -2]], 4, spec)))
 
     @pytest.mark.parametrize(
         "source",
@@ -205,8 +221,8 @@ class TestProgramSigned:
         spec = CrossbarSpec(16, 16, cell)
         src = source(m)
         assert np.array_equal(src, m)
-        want = program_signed(np.ascontiguousarray(m, dtype=np.int64), w_bits, spec).cells
-        assert np.array_equal(program_signed(src, w_bits, spec).cells, want)
+        want = virtual_cells(program_signed(np.ascontiguousarray(m, dtype=np.int64), w_bits, spec))
+        assert np.array_equal(virtual_cells(program_signed(src, w_bits, spec)), want)
 
     def test_row_tile_bound_keeps_float32_sums_exact(self):
         # Each row tile adds at most 255 (the widest ADC's ceiling) to a sum.
@@ -241,7 +257,7 @@ class TestProgramSigned:
         meta = pt.meta
         assert meta.row_tiles == math.ceil(40 / 16)
         assert meta.col_tiles == math.ceil(meta.virtual_cols / 16)
-        assert pt.cells.shape == (meta.row_tiles, 16, meta.virtual_cols)
+        assert virtual_cells(pt).shape == (meta.row_tiles, 16, meta.virtual_cols)
         assert len(tile_views(pt)) == meta.row_tiles * meta.col_tiles
         assert np.array_equal(reconstruct(pt), w)
 
@@ -528,6 +544,87 @@ class TestNonnegativeReads:
         assert driven == []
 
 
+class TestPairEncoding:
+    """Each differential cell pair is one number, ``pos + 2^F * neg``: float32
+    while ``2F <= 24``, float64 beyond. A read unpacks both analog sums of
+    every pair exactly, so it equals the tile loop over the virtual cells."""
+
+    @staticmethod
+    def check_read(pt, x, a_bits, conv):
+        y, log = mvm(pt, x, a_bits, conv)
+        want, clip_count, max_overflow = tile_loop_mvm(pt, x, a_bits, conv)
+        assert y.dtype == np.int64 and y.shape == want.shape and np.array_equal(y, want)
+        assert (log.clip_count, log.max_overflow) == (clip_count, max_overflow)
+        return y, log
+
+    @pytest.mark.parametrize(
+        "rows, cell, dtype",
+        [(455, 2, np.float32), (1365, 1, np.float32), (456, 2, np.float64), (1366, 1, np.float64)],
+    )
+    @pytest.mark.parametrize("adc", SUPPORTED_BITS["adc_bits"])
+    def test_worst_case_at_the_dtype_edge(self, rows, cell, dtype, adc):
+        # Every weight -127 and every input 127 at DAC 2: every negative
+        # cell's column carries rows * 3 * (2^cell - 1), the largest sum of
+        # the crossbar. At 455 and 1,365 rows that is 4,095, so a packed sum
+        # reaches 4,095 * 2^12 = 16,773,120, just below 2^24; one row more
+        # needs a 13-bit field and float64 pairs.
+        pt = program_signed(np.full((rows, 3), -127), 8, CrossbarSpec(rows, rows, cell))
+        assert pt.pairs.dtype == dtype
+        _, log = self.check_read(pt, np.full(rows, 127), 8, ConverterSpec(2, adc))
+        assert log.max_overflow == rows * 3 * ((1 << cell) - 1) - ((1 << adc) - 1)
+
+    @pytest.mark.parametrize("rows, cell", [(455, 2), (456, 2), (1365, 1), (1366, 1)])
+    def test_a_small_low_field_beside_a_full_high_field(self, rows, cell):
+        # One weight 1 among -127s: in its column's first plane the low
+        # field is 3 and the high field nearly full. Past the float32 edge
+        # that packed sum is odd and above 2^24, where float32 would round
+        # it and misread the low field, which no ADC clamps.
+        w = np.full((rows, 2), -127)
+        w[0, 1] = 1
+        pt = program_signed(w, 8, CrossbarSpec(rows, rows, cell))
+        field = (rows * 3 * ((1 << cell) - 1)).bit_length()
+        packed = 3 + ((rows - 1) * 3 * ((1 << cell) - 1) << field)
+        assert (pt.pairs.dtype == np.float32) == (packed < 1 << 24)
+        assert packed < 1 << 24 or int(np.float32(packed)) != packed
+        self.check_read(pt, np.full(rows, 127), 8, ConverterSpec(2, 8))
+
+    @pytest.mark.parametrize("w_bits", SUPPORTED_BITS["weight_bits"])
+    @pytest.mark.parametrize("dac, cell, adc", CONVERTERS)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 2, 16, 32, 64, 455, 456]),
+        tiles=st.floats(0.01, 2.5),
+        out_dim=st.integers(1, 4),
+        inputs=st.sampled_from(["signed", "nonnegative", "2-D"]),
+        extreme=st.booleans(),  # full-scale weights and inputs, so reads clip
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_tile_loop(self, w_bits, dac, cell, adc, rows, tiles, out_dim, inputs, extreme, seed):
+        rng = np.random.default_rng(seed)
+        in_dim = max(1, round(tiles * rows))
+        w_lim = (1 << (w_bits - 1)) - 1
+        shape = (in_dim, 3) if inputs == "2-D" else (in_dim,)
+        if extreme:
+            w = w_lim * rng.choice([-1, 1], (in_dim, out_dim))
+            x = 127 * rng.choice([-1, 1], shape)
+        else:
+            w = rng.integers(-w_lim, w_lim + 1, (in_dim, out_dim))
+            x = rng.integers(-127, 128, shape)
+        if inputs == "nonnegative":
+            x = np.abs(x)
+        pt = program_signed(w, w_bits, CrossbarSpec(rows, rows, cell))
+        y, log = self.check_read(pt, x, 8, ConverterSpec(dac, adc))
+        if log.clean:
+            assert np.array_equal(y, w.T @ x)
+
+    @pytest.mark.parametrize("rows, cell, w_bits", [(16, 1, 8), (32, 2, 4), (64, 2, 8), (455, 2, 8), (1365, 1, 4)])
+    def test_float32_pairs_take_four_bytes_per_pair(self, rows, cell, w_bits):
+        pt = program_signed(np.ones((rows + 1, 5), dtype=np.int8), w_bits, CrossbarSpec(rows, rows, cell))
+        meta = pt.meta
+        assert pt.pairs.dtype == np.float32
+        assert pt.pairs.nbytes == meta.row_tiles * rows * meta.out_dim * meta.planes * 4
+
+
 class TestTransposedProgram:
     """Producer vectors programmed as the DP and FM engines program them:
     vector j is input row j, so a read with input u returns sum_j u_j * v_j."""
@@ -573,7 +670,7 @@ class TestMbsaSquare:
 def test_tile_layout_golden():
     pt = program_signed([[3, -2], [1, 0]], 4, CrossbarSpec(16, 16, 2))
     assert pt.meta.planes == 2 and pt.meta.row_tiles == 1 and pt.meta.col_tiles == 1
-    cells = pt.cells[0]
+    cells = virtual_cells(pt)[0]
     # row 0: [3+, 3-, .., ..] for out 0 then out 1; -2 lands in the negative plane
     assert cells[0, :4].tolist() == [3, 0, 0, 0]
     assert cells[0, 4:8].tolist() == [0, 2, 0, 0]

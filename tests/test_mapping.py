@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimdse import mapping, reference
-from pimdse.crossbar import MAX_ROW_TILES, OutOfRange, ShapeMismatch, mbsa_square, mvm, program_signed
+from pimdse.crossbar import (
+    MAX_ROW_TILES,
+    ConverterSpec,
+    CrossbarSpec,
+    OutOfRange,
+    ShapeMismatch,
+    mbsa_square,
+    mvm,
+    program_signed,
+)
 from pimdse.design_space import (
     BlockConfig,
     DesignPoint,
@@ -519,6 +528,45 @@ class TestRowBlocks:
         assert peak < 3 * budget
         assert np.array_equal(y, w.astype(np.int64) @ x)
 
+    def test_memory_of_one_wide_tile_is_bounded_by_the_block(self):
+        # One 64-row tile of 16,384 outputs at 1-bit cells holds 32 MiB of
+        # float32 pairs, 8x the budget: it is read in ranges of outputs.
+        budget = mapping._BLOCK_CELL_BYTES
+        reram = ReRAMConfig(1, 1, 64, 8)  # lossless: 64 rows x 1 x 1 <= 255
+        out_dim = 16_384
+        assert 64 * out_dim * 8 * 4 == 8 * budget
+        rng = np.random.default_rng(0)
+        w = rng.integers(-127, 128, size=(out_dim, 64)).astype(np.int8)
+        x = rng.integers(-127, 128, size=64)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            y, log = run_fc(w, x, 8, reram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * budget
+        assert log.clean and np.array_equal(y, w.astype(np.int64) @ x)
+
+    def test_memory_of_one_read_is_what_the_budget_counts(self):
+        # One tile of 16 rows and 100 outputs read with 64 vectors at DAC 1:
+        # its packed and unpacked sums take 3.7 MB, and what else the read
+        # holds, its float64 totals too, is within what the budget counts.
+        spec, conv = CrossbarSpec(16, 16, 1), ConverterSpec(1, 8)
+        rng = np.random.default_rng(0)
+        w = rng.integers(-127, 128, size=(16, 100)).astype(np.int8)
+        x = rng.integers(-127, 128, size=(16, 64))
+        pt = program_signed(w, 8, spec)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            y, log = mvm(pt, x, 8, conv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mapping._block_bytes(1, 16, 100, 8, 9 * 64, 4)
+        assert log.clean and np.array_equal(y, w.T.astype(np.int64) @ x)
+
 
 class TestDeadRows:
     """``run_fc`` skips the rows whose input is 0 in every column and
@@ -581,16 +629,20 @@ class TestDeadRows:
         w = np.ones((2, x.size), dtype=np.int8)
         programmed = []
 
-        def recorded(matrix, w_bits, spec):
+        def recorded(matrix, w_bits, spec, *scratch):
             programmed.append((np.shape(matrix)[0], spec.rows))
-            return program_signed(matrix, w_bits, spec)
+            return program_signed(matrix, w_bits, spec, *scratch)
+
+        def full_tiles(tiles):
+            # What a block of full tiles holds: 2 outputs of 8 float32 pairs,
+            # read with 9 slices of one vector.
+            return mapping._block_bytes(tiles, 16, 2, 8, 9, 4)
 
         monkeypatch.setattr(mapping, "program_signed", recorded)
-        monkeypatch.setattr(mapping, "_BLOCK_CELL_BYTES", 1)  # one tile per block
+        monkeypatch.setattr(mapping, "_BLOCK_CELL_BYTES", full_tiles(1))  # one tile per block
         y, log = run_fc(w, x, 8, reram)
         assert programmed == [(1, 1), (3, 3), (16, 16), (2, 2)]
-        # 64 rows of cells and sums: 2 outputs x 8 planes x 2 x float32 each.
-        monkeypatch.setattr(mapping, "_BLOCK_CELL_BYTES", 64 * 2 * 8 * 2 * 4)
+        monkeypatch.setattr(mapping, "_BLOCK_CELL_BYTES", full_tiles(2))
         programmed.clear()
         assert np.array_equal(run_fc(w, x, 8, reram)[0], y) and log.clean
         # 1 + 3 rows at height 3, then 16 rows and the last tile's 5 rows
