@@ -26,14 +26,25 @@ A read stacks every driven slice of every input vector into one drive
 tensor ``(row_tiles, slices * n, xbar_size)`` and obtains every packed
 pair of analog column sums ``P = S+ + 2^F * S-`` from one batched matmul
 over the pairs, which moves half the bytes a number per cell would. The
-drives carry the factor ``2^-F``, so the matmul yields ``P * 2^-F``. The read
-unpacks ``S- = floor(P * 2^-F)`` and ``S+ = P - 2^F * S-``, passes both
-through the ADC as if each were read from its own column, and subtracts
-them. A signed read drives every DAC slice and the sign slice. A read with
-no negative input drives only the DAC slices below the top bit of its
-largest input: the sign slice and the higher DAC slices put 0 on every
-word line, so their sums would be 0, which adds nothing to any output and
-cannot clip, and skipping them is exact.
+drives carry the factor ``2^-F``, so the matmul yields ``P * 2^-F``. The
+read takes ``S- = floor(P * 2^-F)`` and leaves ``S+ * 2^-F`` in place; both
+pass the ADC as if each were read from its own column, ``S+`` against the
+ceiling times ``2^-F``. One contraction then adds every clamped sum of a
+column, over its (field, row tile, slice) rows, with its place weight
+(``+2^F`` times the slice's for ``S+``, minus the slice's for ``S-``), and
+the digit planes of each output add in float64. A signed read drives every
+DAC slice and the sign slice. A read with no negative input drives only
+the DAC slices below the top bit of its largest input: the sign slice and
+the higher DAC slices put 0 on every word line, so their sums would be 0,
+which adds nothing to any output and cannot clip, and skipping them is
+exact.
+
+When the top DAC slice holds only bit ``a_bits - 1`` (always at DAC 1, and
+at DAC 2 for odd ``a_bits``), that slice and the sign slice put the sign
+bit of each input on its word line, so their analog sums are equal. A
+signed read takes them once, as one slice of place weight ``2^(a_bits-1) -
+2^a_bits``, and counts each of its clips twice, as the two reads would;
+``max_overflow`` is the same either way.
 
 The packed sum is exact. Every drive, cell digit, product and partial sum
 of one column is a nonnegative integer below ``2^F``, so every partial
@@ -42,23 +53,29 @@ sum of a packed matmul is a nonnegative integer below ``2^(2F)``: below
 ``CrossbarSpec`` keeps ``F <= 24``. The dtype holds every integer there,
 and the same integers times the power of two ``2^-F``, so every sum is
 exact in any summation order; as the low field's sum stays below ``2^F``
-it never carries into the high field. The unpack is exact as well:
-``P * 2^-F = S- + S+ * 2^-F`` with ``0 <= S+ * 2^-F < 1``, so its floor
-is ``S-``, the difference left is exactly ``S+ * 2^-F`` (both terms hold
-it and the result has no more significant bits), and scaling that by
-``2^F`` gives ``S+``. The ADC clamps each sum in place to at most
-``2^adc_bits - 1`` (255 at the widest ADC), so each difference
-``S+ - S-`` is an integer of magnitude at most 255.
+it never carries into the high field. Both fields are nonnegative exactly
+when the packed sum is, which the read checks once. The unpack is exact as
+well: ``P * 2^-F = S- + S+ * 2^-F`` with ``0 <= S+ * 2^-F < 1``, so its
+floor is ``S-``, and the difference left is exactly ``S+ * 2^-F`` (both
+terms hold it and the result has no more significant bits). The ADC
+compares and clamps ``S+ * 2^-F`` at ``(2^adc_bits - 1) * 2^-F``, which is
+exact: scaling by a power of two keeps every value and its order.
 
-The shift-and-add is exact as well. Per row tile, the digit planes of
-each output are added with their weights ``2^(plane * cell_bits)`` in the
-pairs' dtype: the plane weights of one weight add up to at most
-``2^w_bits - 1 = 255``, so each partial sum is an integer of magnitude at
-most 255 * 255, below 2^16. The row tiles and the input slices are added
-in float64: ``program_signed`` refuses ``MAX_ROW_TILES`` (about 2^16) row
-tiles or more, so a sum over row tiles stays below 2^32, a slice weight
-is at most 2^8 in magnitude and at most 9 slices add up, so every partial
-sum stays below 2^44, where float64 holds every integer.
+The contraction is exact. Each clamped sum times its weight is an integer
+of magnitude at most ``|slice_w| * (2^adc_bits - 1)``, so every partial
+sum of a contraction over both fields of ``T`` row tiles is an integer of
+magnitude at most ``2 * T * sum|slice_w| * (2^adc_bits - 1)``. A read plan
+takes ``T`` as large as keeps that below 2^24 in float32 (below 2^53 in
+float64), at most 256: 129 row tiles at DAC 1 and ADC 8, where the twin
+slice leaves ``sum|slice_w| = 255``, and 96 at DAC 2 and ADC 8. So the
+contraction is exact in any summation order, which BLAS is free to pick.
+A read of more row tiles takes one contraction per ``T`` row tiles of each
+field and adds them in float64, without a float64 copy of the sums. The
+plane totals add in float64: ``program_signed`` refuses ``MAX_ROW_TILES``
+(about 2^16) row tiles or more and ``sum|slice_w|`` is below 2^9, so a
+plane total stays below 2^34; the plane weights of one output add up to
+at most ``2^w_bits - 1 = 255``, so every partial sum stays below 2^42,
+where float64 holds every integer.
 
 No operand is widened to int64 on the way. Programming narrows each
 weight once to its uint8 pair-table index ``v + 2^(w_bits-1)`` and
@@ -76,6 +93,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,16 +119,25 @@ SUPPORTED_BITS = {
 }
 
 # Widest input a read accepts (``mvm``'s ``a_bits`` runs 1..8). A wider
-# input would outgrow the uint8 drive index and the exactness bound of the
-# float64 shift-and-add.
+# input would outgrow the uint8 drive index and the exactness bounds of the
+# read's sums.
 MAX_ACTIVATION_BITS = 8
 
 
 # Row tiles of one programmed matrix stay below this count, about 2^16:
 # it is where a sum of row-tile reads at the widest ADC ceiling, at most
 # ``row_tiles * 255``, would reach 2^24. The exactness of ``mvm``'s float64
-# shift-and-add counts on the cap, with room to spare (module docstring).
+# sums counts on the cap, with room to spare (module docstring).
 MAX_ROW_TILES = -(-(1 << 24) // ((1 << max(SUPPORTED_BITS["adc_bits"])) - 1))
+
+# Index entries ``program_signed`` gathers its pairs from at a time; the
+# intp copy ``np.take`` makes of them is 512 KiB.
+GATHER_ENTRIES = 1 << 16
+
+# Row tiles one contraction of ``mvm`` adds at most, where its exactness
+# would allow more: it bounds the cached contraction weights of a read
+# plan (``_read_plan``) to ``2 * 256 * slices`` numbers.
+_CONTRACTION_TILES = 256
 
 
 @dataclass(frozen=True)
@@ -216,19 +243,43 @@ def _carve(scratch, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return scratch[: math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
 
 
+def _saturate(
+    fields: np.ndarray, ceilings: np.ndarray, scales: tuple[float, ...], twins=None
+) -> SaturationLog:
+    """The ADC rule on fields of nonnegative analog sums. ``fields[f]``
+    holds the sums of field ``f`` times the power of two ``scales[f]``, and
+    ``ceilings[f]`` (shaped to broadcast over it) the ADC ceiling times the
+    same, which is exact. A field whose peak passes its ceiling is clamped
+    there in place and its clips are counted; each sum at the index
+    ``twins`` of a field stands for two reads, so its clips count twice."""
+    limits = ceilings.ravel().tolist()
+    peaks = fields.reshape(len(limits), -1).max(axis=1).tolist()
+    over = [f for f in range(len(limits)) if peaks[f] > limits[f]]
+    if not over:
+        return SaturationLog()
+    if len(over) < len(limits):  # from the first to the last field that clips
+        fields, ceilings = fields[over[0] : over[-1] + 1], ceilings[over[0] : over[-1] + 1]
+    mask = fields > ceilings
+    clips = np.count_nonzero(mask)
+    if twins is not None:
+        clips += np.count_nonzero(mask[(slice(None),) + twins])
+    np.minimum(fields, ceilings, out=fields)
+    return SaturationLog(int(clips), max(int((peaks[f] - limits[f]) / scales[f]) for f in over))
+
+
 def adc_quantize(sums: np.ndarray, adc_bits: int) -> SaturationLog:
     """Ideal saturating reader: clamp an array of analog sums to the ADC
     ceiling in place and report the truncation."""
     if sums.min() < 0:
         raise OutOfRange("analog sums are nonnegative by construction")
-    limit = (1 << adc_bits) - 1
-    peak = sums.max()
-    log = SaturationLog()
-    if peak > limit:
-        log.clip_count = int(np.count_nonzero(sums > limit))
-        log.max_overflow = int(peak) - limit
-        np.minimum(sums, limit, out=sums)
-    return log
+    return _saturate(sums[None], np.full((1,) * (sums.ndim + 1), (1 << adc_bits) - 1), (1.0,))
+
+
+def check_integral(a: np.ndarray, what: str) -> None:
+    """Raise ``OutOfRange`` unless every entry of a float array ``a`` is
+    finite and integral; other dtypes pass."""
+    if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.trunc(a))).all():
+        raise OutOfRange(f"{what} must be finite integers")
 
 
 def _signed_ints(a: np.ndarray, bits: int, what: str) -> tuple[np.ndarray, int, int]:
@@ -236,8 +287,7 @@ def _signed_ints(a: np.ndarray, bits: int, what: str) -> tuple[np.ndarray, int, 
     entry, after checking each is an integer in the signed ``bits``-bit
     range; a float entry must be finite and integral. Integer arrays come
     back as they are, without a copy."""
-    if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.trunc(a))).all():
-        raise OutOfRange(f"{what} must be finite integers")
+    check_integral(a, what)
     lo, hi = int(a.min()), int(a.max())
     if hi >= 1 << (bits - 1) or lo <= -(1 << (bits - 1)):
         raise OutOfRange(f"{what} exceed signed {bits}-bit range")
@@ -318,8 +368,15 @@ def program_signed(
     field, dtype = pair_format(spec.rows, cb)
     pairs = _carve(scratch, (row_tiles * spec.rows, out_dim, planes), dtype)
     # Every index is a table row; "clip" writes straight into ``pairs``,
-    # where the default mode would gather into a buffer first.
-    np.take(_pair_table(w_bits, cb, field, dtype), index, axis=0, out=pairs, mode="clip")
+    # where the default mode would gather into a buffer first. ``np.take``
+    # copies its index to intp (8 bytes an entry) before it gathers, so the
+    # entries are gathered GATHER_ENTRIES at a time, and that copy is one
+    # chunk's, not the whole index's.
+    table = _pair_table(w_bits, cb, field, dtype)
+    flat_index, flat_pairs = index.reshape(-1), pairs.reshape(-1, planes)
+    for i in range(0, flat_index.size, GATHER_ENTRIES):
+        chunk = slice(i, i + GATHER_ENTRIES)
+        np.take(table, flat_index[chunk], axis=0, out=flat_pairs[chunk], mode="clip")
 
     meta = TileMeta(
         in_dim=in_dim,
@@ -334,39 +391,70 @@ def program_signed(
     return ProgrammedTiles(pairs=pairs.reshape(row_tiles, spec.rows, out_dim * planes), meta=meta)
 
 
+class _ReadPlan(NamedTuple):
+    """What one kind of read needs beside its operands (:func:`_read_plan`)."""
+
+    table: np.ndarray  # (2^a_bits, slices): each pattern's drive per read slice, times 2^-F
+    weights: np.ndarray  # contraction weights: S+ rows of `tiles` row tiles, then S- rows of as many
+    tiles: int  # row tiles one contraction over both fields adds exactly in the pairs' dtype
+    ceilings: np.ndarray  # (2, 1, 1, 1): the ADC ceiling of the S+ field (times 2^-F) and the S- field
+    scales: tuple[float, float]  # 2^-F and 1, the scales of the S+ and the S- field
+    twin: bool  # the last slice is read once for the top DAC slice and the sign slice
+    plane_w: np.ndarray  # float64 place weight of each digit plane, LSB first
+
+
 @lru_cache(maxsize=None)
-def _drive_table(a_bits: int, dac_bits: int, slices: int, field: int, dtype: np.dtype) -> np.ndarray:
-    """Row ``u`` holds the word-line drives of the input whose ``a_bits``-bit
+def _read_plan(
+    a_bits: int,
+    dac_bits: int,
+    adc_bits: int,
+    dac_slices: int,
+    signed: bool,
+    field: int,
+    dtype: np.dtype,
+    planes: int,
+    cell_bits: int,
+) -> _ReadPlan:
+    """The read of ``a_bits``-bit inputs that drives the ``dac_slices``
+    lowest DAC slices and, when ``signed``, the sign slice, into a crossbar
+    of ``field``-bit pairs of ``dtype`` and ``planes`` digit planes.
+
+    Row ``u`` of the drive table holds the drives of the input whose
     two's-complement pattern is ``u``: its unsigned DAC slices, LSB first,
-    then its sign bit, of which the first ``slices`` are kept, each scaled
-    by ``2^-field`` in the pairs' ``dtype``.
-    Reconstruction: x = sum_k slice_k * 2^(k*dac_bits) - 2^a_bits * sign."""
-    n_slices = math.ceil(a_bits / dac_bits)
+    then its sign bit, each times ``2^-field``. Reconstruction: ``x =
+    sum_k slice_k * 2^(k * dac_bits) - 2^a_bits * sign``. When the top DAC
+    slice holds only bit ``a_bits - 1``, the sign bit, the sign slice
+    drives what it drives; the table keeps one column for both, whose place
+    weight is the sum of theirs, ``2^(a_bits-1) - 2^a_bits``."""
+    shifts = np.arange(dac_slices) * dac_bits
     u = np.arange(1 << a_bits)
-    table = np.empty((n_slices + 1, 1 << a_bits), dtype=dtype)
-    table[:n_slices] = (u >> np.arange(n_slices)[:, None] * dac_bits) & ((1 << dac_bits) - 1)
-    table[n_slices] = u >> (a_bits - 1)
+    drives = list((u >> shifts[:, None]) & ((1 << dac_bits) - 1))
+    slice_w = [1 << int(s) for s in shifts]
+    twin = signed and int(shifts[-1]) == a_bits - 1
+    if twin:
+        slice_w[-1] -= 1 << a_bits
+    elif signed:
+        drives.append(u >> (a_bits - 1))
+        slice_w.append(-(1 << a_bits))
+    scale = 2.0**-field
     # Scaling by a power of two is exact. Stored slice-major (``table.T``
-    # is contiguous): ``_drives`` gathers each slice's drives for every
-    # row at once.
-    table = (table[:slices] * 2.0**-field).T
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
-
-
-@lru_cache(maxsize=None)
-def _place_weights(
-    a_bits: int, dac_bits: int, planes: int, cell_bits: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Place weights of the shift-and-add: of each digit plane of one
-    output (LSB first), ``2^(plane * cell_bits)`` in the pairs' ``dtype``,
-    and of each input slice (sign slice last, at ``-2^a_bits``), in
-    float64."""
-    shifts = np.arange(math.ceil(a_bits / dac_bits)) * dac_bits
-    slice_w = np.append(np.left_shift(1, shifts), -(1 << a_bits)).astype(np.float64)
-    plane_w = np.left_shift(1, np.arange(planes) * cell_bits).astype(dtype)
-    slice_w.flags.writeable = plane_w.flags.writeable = False  # shared through the cache
-    return plane_w, slice_w
+    # is contiguous): ``_drives`` gathers each slice's drives for every row
+    # at once.
+    table = (np.array(drives, dtype=dtype) * scale).T
+    # The S+ sums, held times 2^-F, weigh their slices' place weights times
+    # 2^F, the S- sums minus the place weights. A contraction over both
+    # fields of T row tiles stays within 2 * T * sum|slice_w| * limit of 0;
+    # as many row tiles as keep that below 2^24 (float32) or 2^53
+    # (float64), at most _CONTRACTION_TILES, are added in one contraction.
+    limit = (1 << adc_bits) - 1
+    exact = 1 << (np.finfo(dtype).nmant + 1)
+    tiles = min(_CONTRACTION_TILES, (exact - 1) // (2 * sum(map(abs, slice_w)) * limit))
+    weights = np.outer([1 / scale, -1.0], np.tile(slice_w, tiles)).astype(dtype).ravel()
+    ceilings = np.array([limit * scale, limit], dtype=dtype).reshape(2, 1, 1, 1)
+    plane_w = np.left_shift(1, np.arange(planes) * cell_bits).astype(np.float64)
+    for array in (table, weights, ceilings, plane_w):
+        array.flags.writeable = False  # shared by every caller through the cache
+    return _ReadPlan(table, weights, tiles, ceilings, (scale, 1.0), twin, plane_w)
 
 
 def _drives(x: np.ndarray, a_bits: int, table: np.ndarray, row_tiles: int, rows: int):
@@ -395,13 +483,15 @@ def mvm(
 ) -> tuple[np.ndarray, SaturationLog]:
     """Bit-serial matrix-vector product through the programmed tiles.
 
-    Every (slice, plane, column) analog sum passes ``adc_quantize``; results
+    Every (slice, plane, column) analog sum passes the ADC; results
     recombine by differential subtraction and digital shift-and-add. When
     the returned log is clean the result equals the exact integer product.
     One matmul over the pairs gives each packed sum ``P = S+ + 2^F * S-``,
-    scaled by ``2^-F``; ``S-`` is ``floor(P * 2^-F)`` and ``S+`` is
-    ``P - 2^F * S-``, both exact (see the module docstring), and each
-    passes the ADC as it would on its own column.
+    scaled by ``2^-F``; ``S-`` is ``floor(P * 2^-F)`` and what is left is
+    ``S+ * 2^-F``, both exact, and each passes the ADC as it would on its
+    own column, ``S+`` at the ceiling times ``2^-F``. One contraction over
+    the (field, row tile, slice) rows then gives each digit plane's total,
+    and the planes add in float64 (see the module docstring).
 
     Only driven slices are read. When no input is negative, the sign slice
     and every DAC slice at or above the top bit of the largest input drive
@@ -409,6 +499,10 @@ def mvm(
     so skipping them leaves the output and the log exact. An all-zero
     input reads zeros with a clean log. The range check already takes the
     smallest and largest input, so a signed read pays nothing for this.
+    When a signed read's top DAC slice holds only the sign bit (at DAC 1,
+    and at DAC 2 for odd ``a_bits``), it drives the word lines the sign
+    slice drives, so their sums are equal: they are read once, and each of
+    those reads' clips counts twice, as two reads clip twice.
 
     ``x`` may also be a matrix whose columns are independent drive vectors
     (repeated MVM sharing one saturation log), returning one output column
@@ -432,38 +526,53 @@ def mvm(
     x, lo, hi = _signed_ints(x, a_bits, "inputs")
 
     n = x.shape[1]
-    # Driven slices: every DAC slice and the sign slice for a signed input,
-    # else the DAC slices below the top bit of the largest input.
+    # Driven DAC slices: every one for a signed input (and the sign slice),
+    # else those below the top bit of the largest input.
     if lo < 0:
-        slices = math.ceil(a_bits / conv.dac_bits) + 1
+        dac_slices = math.ceil(a_bits / conv.dac_bits)
     else:
-        slices = -(-hi.bit_length() // conv.dac_bits)
-    if slices == 0:  # an all-zero input
+        dac_slices = -(-hi.bit_length() // conv.dac_bits)
+    if dac_slices == 0:  # an all-zero input
         out = np.zeros((meta.out_dim, n), dtype=np.int64)
         return (out if batched else out[:, 0]), SaturationLog()
     pairs = pt.pairs
     field = pair_format(meta.xbar_size, meta.cell_bits)[0]
-    table = _drive_table(a_bits, conv.dac_bits, slices, field, pairs.dtype)
-    drives = _drives(x, a_bits, table, meta.row_tiles, meta.xbar_size)
+    plan = _read_plan(
+        a_bits, conv.dac_bits, conv.adc_bits, dac_slices, lo < 0,
+        field, pairs.dtype, meta.planes, meta.cell_bits,
+    )
+    drives = _drives(x, a_bits, plan.table, meta.row_tiles, meta.xbar_size)
+    slices = plan.table.shape[1]
     sums = _carve(scratch, (2,) + drives.shape[:2] + pairs.shape[2:], pairs.dtype)
     pos, neg = sums
     # The drives carry 2^-F, so the matmul gives every packed pair of
-    # analog sums scaled, P * 2^-F = S- + S+ * 2^-F, exactly. Unpack in
-    # place, each step exact: the floor is S-, what is left scales to S+.
+    # analog sums scaled, P * 2^-F = S- + S+ * 2^-F, exactly. Both fields
+    # are nonnegative exactly when P is. Unpack in place, each step exact:
+    # the floor is S-, what is left is S+ * 2^-F.
     np.matmul(drives, pairs, out=pos)
+    del drives
+    if pos.min() < 0:
+        raise OutOfRange("analog sums are nonnegative by construction")
     np.floor(pos, out=neg)
     np.subtract(pos, neg, out=pos)
-    np.multiply(pos, 1 << field, out=pos)
-    log = adc_quantize(sums, conv.adc_bits)
-    np.subtract(pos, neg, out=pos)  # each pair's clamped difference, at most 255 in magnitude
+    log = _saturate(sums, plan.ceilings, plan.scales, np.s_[:, (slices - 1) * n :] if plan.twin else None)
 
-    # Shift-and-add, exact at each step (module docstring): the planes of
-    # each output per row tile in the pairs' dtype, then the row tiles and
-    # the slices in float64.
-    plane_w, slice_w = _place_weights(a_bits, conv.dac_bits, meta.planes, meta.cell_bits, pairs.dtype)
-    totals = np.matmul(pos.reshape(-1, meta.planes), plane_w).reshape(meta.row_tiles, slices, -1)
-    totals = totals[0] if meta.row_tiles == 1 else totals.sum(axis=0, dtype=np.float64)
-    out = np.matmul(slice_w[:slices], totals).astype(np.int64)  # (n * out_dim,)
+    # Every digit plane's total: one contraction over the (field, row tile,
+    # slice) rows, exact in the pairs' dtype up to plan.tiles row tiles.
+    # The weights of any c row tiles of S+ rows end at the middle of
+    # plan.weights, and those of c row tiles of S- rows start there.
+    k = meta.row_tiles * slices  # rows of each field
+    mid = len(plan.weights) // 2
+    if meta.row_tiles <= plan.tiles:
+        totals = np.matmul(plan.weights[mid - k : mid + k], sums.reshape(2 * k, -1))
+    else:  # per field, a contraction per plan.tiles row tiles, added in float64
+        totals = np.zeros(n * pairs.shape[2])
+        pos, neg = sums.reshape(2, k, -1)
+        for r in range(0, k, mid):
+            count = min(mid, k - r)
+            totals += np.matmul(plan.weights[mid - count : mid], pos[r : r + count])
+            totals += np.matmul(plan.weights[mid : mid + count], neg[r : r + count])
+    out = np.dot(totals.reshape(-1, meta.planes), plan.plane_w).astype(np.int64)  # (n * out_dim,)
     return (out.reshape(n, meta.out_dim).T if batched else out), log
 
 

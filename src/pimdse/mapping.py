@@ -33,10 +33,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .crossbar import (
+    GATHER_ENTRIES,
     ConverterSpec,
     CrossbarSpec,
     SaturationLog,
     ShapeMismatch,
+    check_integral,
     checked_weights,
     mbsa_square,
     mvm,
@@ -447,9 +449,16 @@ def _stream_ref(source: int, stream: str) -> str:
 # ---------------------------------------------------------------------------
 
 def clamp_activations(values) -> np.ndarray:
-    """Symmetric saturating quantization to the activation range."""
+    """Symmetric saturating quantization to the activation range, as int64.
+    Every integer saturates to +-127. A float entry must be finite and
+    integral, as a weight must (else ``OutOfRange``); floats are clipped
+    before the cast, so 1e30 saturates as 300 does."""
     lim = (1 << (DEFAULT_ACTIVATION_BITS - 1)) - 1
-    return np.clip(np.asarray(values, dtype=np.int64), -lim, lim)
+    v = np.asarray(values)
+    if v.dtype.kind == "f":
+        check_integral(v, "activations")
+        v = np.clip(v, -lim, lim)
+    return np.clip(np.asarray(v, dtype=np.int64), -lim, lim)
 
 
 def _xbar_spec(reram: ReRAMConfig) -> CrossbarSpec:
@@ -470,25 +479,25 @@ def _conv(reram: ReRAMConfig) -> ConverterSpec:
 # 2 and 8 MiB read no faster on that host.
 _BLOCK_CELL_BYTES = 4 << 20
 
-# Bytes per entry of a table index: its uint8 value and the intp copy
-# ``np.take`` makes of it.
-_INDEX_BYTES = 1 + np.dtype(np.intp).itemsize
-
 
 def _block_bytes(tiles: int, k: int, cols: int, planes: int, sum_rows: int, itemsize: int) -> int:
     """Bytes one block's program and read hold at most: ``tiles`` row tiles
     of height ``k`` and ``cols`` outputs of ``planes`` cell pairs each, of
     ``itemsize`` bytes, read with ``sum_rows`` drive rows (slices times
-    input vectors)."""
+    input vectors, so at most ``sum_rows`` vectors)."""
     pair_cols = cols * planes
     per_tile = (
         k * pair_cols * itemsize  # the pairs
-        + k * cols * _INDEX_BYTES  # their pair-table index
+        + k * cols  # their uint8 pair-table index
         + sum_rows * k * itemsize  # the drives
         + sum_rows * pair_cols * 2 * (itemsize + 1)  # packed and unpacked sums, and a clip mask
-        + sum_rows * cols * itemsize  # the plane totals
     )
-    return tiles * per_tile + sum_rows * cols * 8  # and once the float64 totals
+    return (
+        tiles * per_tile
+        + min(tiles * k * cols, GATHER_ENTRIES) * np.dtype(np.intp).itemsize  # one gather chunk's intp index
+        + sum_rows * pair_cols * (itemsize + 8)  # the plane totals, and their float64 copy
+        + sum_rows * cols * 16  # the float64 and the int64 outputs
+    )
 
 
 def run_fc(weight, x, w_bits, reram):
@@ -517,11 +526,12 @@ def run_fc(weight, x, w_bits, reram):
 
     A block holds at most ``_BLOCK_CELL_BYTES`` at once, as
     ``_block_bytes`` counts it: per tile its cell pairs (``k * out_dim *
-    planes`` numbers, float32 in the default space) and their table index,
-    its drives, its packed and its unpacked analog sums (``slices * n``
-    rows of ``out_dim * planes`` numbers each, for ``n`` input vectors and
-    ``slices = ceil(8 / dac_bits) + 1``) with a clip mask, and their plane
-    totals, and once the float64 totals. A single tile over the budget is
+    planes`` numbers, float32 in the default space) and their uint8 table
+    index, its drives, its packed and its unpacked analog sums (``slices *
+    n`` rows of ``out_dim * planes`` numbers each, for ``n`` input vectors
+    and at most ``slices = ceil(8 / dac_bits) + 1``) with a clip mask, and
+    once the intp copy of one gather chunk of the index, the plane totals
+    and the outputs. A single tile over the budget is
     read in ranges of outputs that fit. That is exact too: each output's
     analog sums lie in its own columns, so every range reads its outputs'
     sums, clamps and clips as the whole tile does, the ranges' outputs are

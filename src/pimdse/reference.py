@@ -1,14 +1,16 @@
 """Pure-integer reference semantics for a quantized design point.
 
 Implements the same dataflow conventions as the crossbar-backed execution
-with plain numpy integer arithmetic only; no crossbar machinery is used,
-so this is the independent oracle for end-to-end equivalence checks.
+with plain numpy integer arithmetic only; no crossbar machinery is used
+(only its ``OutOfRange`` error), so this is the independent oracle for
+end-to-end equivalence checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .crossbar import OutOfRange
 from .design_space import STEM, ModelConfig, OperatorKind
 
 ACTIVATION_BITS = 8  # set here, not imported from mapping, so the oracle stays independent
@@ -19,7 +21,15 @@ _PRODUCT_BLOCK_VALUES = 1 << 16
 
 
 def _clamp(values):
-    return np.clip(np.asarray(values, dtype=np.int64), -_LIMIT, _LIMIT)
+    """Saturate to the activation range, as int64. A float entry must be
+    finite and integral (else ``OutOfRange``) and is clipped before the
+    cast; the same rule as the crossbar path's, written out here."""
+    v = np.asarray(values)
+    if v.dtype.kind == "f":
+        if not (np.isfinite(v) & (v == np.trunc(v))).all():
+            raise OutOfRange("activations must be finite integers")
+        v = np.clip(v, -_LIMIT, _LIMIT)
+    return np.clip(np.asarray(v, dtype=np.int64), -_LIMIT, _LIMIT)
 
 
 def _align(mat, width):

@@ -515,7 +515,9 @@ class TestNonnegativeReads:
         want, clip_count, max_overflow = tile_loop_mvm(pt, x, 8, conv)
         assert np.array_equal(y, want)
         assert (log.clip_count, log.max_overflow) == (clip_count, max_overflow)
-        assert driven == [math.ceil(8 / dac) + 1]
+        # At DAC 1 the top slice holds only the sign bit; it is read once
+        # for itself and the sign slice.
+        assert driven == [math.ceil(8 / dac) + (dac == 2)]
 
     @pytest.mark.parametrize("dac, cell, adc", CONVERTERS)
     @pytest.mark.parametrize("extreme", [False, True])
@@ -623,6 +625,105 @@ class TestPairEncoding:
         meta = pt.meta
         assert pt.pairs.dtype == np.float32
         assert pt.pairs.nbytes == meta.row_tiles * rows * meta.out_dim * meta.planes * 4
+
+
+class TestFusedRead:
+    """``mvm`` clamps both fields of its packed sums in place and adds every
+    (field, row tile, slice) row in one contraction: exact in float32 up to
+    its read plan's row-tile bound, and in float32 contractions of at most
+    that many row tiles added in float64 beyond. A signed read whose top
+    DAC slice holds only the sign bit (DAC 1, or DAC 2 at odd ``a_bits``)
+    reads that slice once for itself and the sign slice, and counts each
+    of its clips twice."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        row_tiles=st.sampled_from([63, 64, 65, 200]),
+        rows=st.integers(1, 16),
+        short=st.integers(0, 15),  # rows missing from the last row tile
+        dac=st.sampled_from([1, 2]),
+        cell=st.sampled_from([1, 2]),
+        adc=st.sampled_from([4, 8]),
+        w_bits=st.sampled_from([4, 8]),
+        a_bits=st.sampled_from([8, 3]),  # 3 at DAC 2: the odd-width twin
+        out_dim=st.integers(1, 2),
+        inputs=st.sampled_from(["signed", "nonnegative", "2-D"]),
+        extreme=st.booleans(),  # every weight and input at full scale, so the top and sign slices clip
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_tile_loop(
+        self, row_tiles, rows, short, dac, cell, adc, w_bits, a_bits, out_dim, inputs, extreme, seed
+    ):
+        rng = np.random.default_rng(seed)
+        in_dim = row_tiles * rows - short % rows
+        w_lim, a_lim = (1 << (w_bits - 1)) - 1, (1 << (a_bits - 1)) - 1
+        shape = (in_dim, 2) if inputs == "2-D" else (in_dim,)
+        if extreme:
+            w = w_lim * rng.choice([-1, 1], (in_dim, out_dim))
+            x = a_lim * rng.choice([-1, 1], shape)
+        else:
+            w = rng.integers(-w_lim, w_lim + 1, (in_dim, out_dim))
+            x = rng.integers(-a_lim, a_lim + 1, shape)
+        if inputs == "nonnegative":
+            x = np.abs(x)
+        pt = program_signed(w, w_bits, CrossbarSpec(rows, rows, cell))
+        assert pt.meta.row_tiles == row_tiles
+        y, log = TestPairEncoding.check_read(pt, x, a_bits, ConverterSpec(dac, adc))
+        if log.clean:
+            assert np.array_equal(y, w.T @ x)
+
+    @staticmethod
+    def aligned(tiles, rows, dac):
+        """Weight +-3 (one 2-bit digit, plane 0) on ``tiles`` row tiles of
+        ``rows`` rows; half of each tile's rows hold +3 driven by 127, half
+        -3 driven by -127, so both fields of every row tile add the same
+        positive amount to the column's total. One more row, weight 3 and
+        input 1, makes the total odd."""
+        half = rows // 2
+        sign = np.tile(np.repeat([1, -1], [half, rows - half]), tiles)
+        w = np.append(3 * sign, 3)[:, None]
+        x = np.append(127 * sign, 1)
+        return program_signed(w, 8, CrossbarSpec(rows, rows, 2)), x
+
+    @pytest.mark.parametrize("dac, tiles", [(1, 300), (2, 255)])
+    def test_a_total_past_float32_is_exact(self, dac, tiles):
+        # Each row tile adds 127 * 255 per field at DAC 1 and 85 * 255 and
+        # 191 * 255 at DAC 2: the column's total is odd and above 2^24, so
+        # no float32 sum can hold it, and past the plan's bound the row
+        # tiles are added in float64.
+        pt, x = self.aligned(tiles, 170, dac)
+        conv = ConverterSpec(dac, 8)
+        y, log = TestPairEncoding.check_read(pt, x, 8, conv)
+        assert y[0] % 2 == 1 and y[0] > 1 << 24
+        assert log.clean == (dac == 1)  # 85 rows x 3 is the ceiling; a 2-bit drive passes it
+        field = crossbar.pair_format(170, 2)[0]
+        plan = crossbar._read_plan(8, dac, 8, -(-8 // dac), True, field, pt.pairs.dtype, 4, 2)
+        assert plan.twin == (dac == 1) and plan.tiles < pt.meta.row_tiles
+
+    @pytest.mark.parametrize("dac, adc", [(1, 8), (2, 8), (2, 4)])
+    def test_row_tiles_at_the_contraction_bound(self, dac, adc):
+        # One contraction takes at most plan.tiles row tiles; a read of one
+        # more takes a second one, added in float64.
+        field = crossbar.pair_format(16, 2)[0]
+        plan = crossbar._read_plan(8, dac, adc, -(-8 // dac), True, field, np.dtype(np.float32), 4, 2)
+        for tiles in (plan.tiles - 1, plan.tiles, plan.tiles + 1, 2 * plan.tiles + 1):
+            pt, x = self.aligned(tiles, 16, dac)
+            TestPairEncoding.check_read(pt, x, 8, ConverterSpec(dac, adc))
+
+    def test_the_contraction_bound(self):
+        # Within one contraction every partial sum of a column is an integer
+        # of magnitude at most 2 * tiles * sum|slice_w| * ceiling, below 2^24.
+        for a_bits in range(2, MAX_ACTIVATION_BITS + 1):
+            for dac in SUPPORTED_BITS["dac_bits"]:
+                for adc in SUPPORTED_BITS["adc_bits"]:
+                    dac_slices = -(-a_bits // dac)
+                    for signed in (False, True):
+                        plan = crossbar._read_plan(
+                            a_bits, dac, adc, dac_slices, signed, 12, np.dtype(np.float32), 4, 2
+                        )
+                        slice_w = plan.weights[len(plan.weights) // 2 :][: plan.table.shape[1]]
+                        assert 2 * plan.tiles * np.abs(slice_w).sum() * ((1 << adc) - 1) < 1 << 24
+                        assert plan.twin == (signed and (a_bits - 1) % dac == 0)
 
 
 class TestTransposedProgram:

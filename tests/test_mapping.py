@@ -393,6 +393,54 @@ class TestFunctionalForward:
             assert w[op_id].shape == shape
 
 
+class TestForwardInputs:
+    """Both forward paths take their inputs by the weights' rule: a float
+    entry must be finite and integral (else ``OutOfRange``), and every
+    integral value saturates to +-127, clipped before the int64 cast. An
+    input of 0.9 used to run as 0 and 1e30 through an undefined cast."""
+
+    mm = map_model(two_block_point(with_dp=True, with_fm=True))
+    weights = random_weights(mm, seed=2)
+
+    def forward(self, path, dense, sparse):
+        if path == "functional":
+            return functional_forward(self.mm, dense, sparse, self.weights)[0]
+        return reference_forward(self.mm.model, dense, sparse, self.weights)
+
+    @staticmethod
+    def inputs(stream, value):
+        rng = np.random.default_rng(12)
+        dense = rng.integers(-127, 128, 16).astype(float)
+        sparse = rng.integers(-127, 128, (4, 16)).astype(float)
+        (dense if stream == "dense" else sparse).flat[3] = value
+        return dense, sparse
+
+    @pytest.mark.parametrize("path", ["functional", "reference"])
+    @pytest.mark.parametrize("stream", ["dense", "sparse"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5, -0.9])
+    def test_non_integral_inputs_are_refused(self, path, stream, bad):
+        with pytest.raises(OutOfRange, match="activations must be finite integers"):
+            self.forward(path, *self.inputs(stream, bad))
+
+    @pytest.mark.parametrize("path", ["functional", "reference"])
+    @pytest.mark.parametrize("stream", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "value, saturated", [(1e30, 127), (-1e30, -127), (3.0, 3), (300, 127), (-300.0, -127)]
+    )
+    def test_integral_inputs_saturate(self, path, stream, value, saturated):
+        want = self.forward(path, *self.inputs(stream, saturated))
+        assert np.array_equal(self.forward(path, *self.inputs(stream, value)), want)
+        ints = [a.astype(np.int64) for a in self.inputs(stream, saturated)]
+        assert np.array_equal(self.forward(path, *ints), want)
+
+    def test_both_paths_agree_on_saturated_inputs(self):
+        dense, sparse = self.inputs("dense", 1e30)
+        sparse[0, 0] = -300
+        y, logs = functional_forward(self.mm, dense, sparse, self.weights)  # lossless converters
+        assert all(log.clean for log in logs.values())
+        assert np.array_equal(y, reference_forward(self.mm.model, dense, sparse, self.weights))
+
+
 def test_efc_identity_weight_passes_sparse_through():
     xs = np.arange(12).reshape(4, 3)
     y, log = run_fc(np.eye(4, dtype=int), xs, 4, ReRAMConfig(1, 1, 16, 6))
